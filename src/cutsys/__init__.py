@@ -14,8 +14,9 @@ from .universe import Room, make_universe
 from .complexes import ComplexGraph, bfs, build_gamma, build_schmutz, chain_homology, diameter
 from .homotopy import (
     HomotopyCertificate,
-    PathInComplex,
+    InvalidStep,
     Prover,
+    apply_step,
     connect,
     contract,
     contract_radius0,

@@ -113,11 +113,27 @@ def cmd_contract(args):
     return 0 if ok else 1
 
 
-def cmd_verify(args):
-    with open(args.input) as fh:
+def _read_certificate(path):
+    """Loop and certificate of a `cutsys contract` report; ValueError names
+    what is malformed, so bad input exits 2 and only a replay failure exits 1."""
+    with open(path) as fh:
         data = json.load(fh)
-    loop = _loop_from_json(data["loop"])
-    cert = homotopy.HomotopyCertificate.from_json(data["certificate"])
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: not a JSON object")
+    for key in ("loop", "certificate"):
+        if key not in data:
+            raise ValueError(f"{path}: no {key!r} key")
+    loop = data["loop"]
+    if not isinstance(loop, list) or not loop or not all(isinstance(v, list) and v for v in loop):
+        raise ValueError(f"{path}: 'loop' must be a non-empty list of non-empty vertex lists")
+    try:
+        return _loop_from_json(loop), homotopy.HomotopyCertificate.from_json(data["certificate"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: malformed curve or step: {exc!r}") from None
+
+
+def cmd_verify(args):
+    loop, cert = _read_certificate(args.input)
     g = max(c.g for v in loop for c in v)
     u = make_universe("sympZ", g=g)
     ok, idx = homotopy.verify_certificate(u, loop, cert)

@@ -50,14 +50,6 @@ def is_move(universe, v, w, context=()):
 
 
 @dataclass(frozen=True)
-class Move:
-    source: tuple
-    target: tuple
-    out_curve: object
-    in_curve: object
-
-
-@dataclass(frozen=True)
 class Cell:
     kind: str  # triangle | rectangle | pentagon
     cycle: tuple  # boundary vertices in cyclic order

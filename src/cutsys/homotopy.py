@@ -34,16 +34,13 @@ class ContractionError(RuntimeError):
     """The shadow lattice ran out of geometric analogies for this loop."""
 
 
+class InvalidStep(ValueError):
+    """A rewrite broke a soundness rule: a step that does not apply to the
+    current path, or a vertex that is not a cut system.  The message names
+    the op, the position and the rule."""
+
+
 # --- paths -------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PathInComplex:
-    vertices: tuple
-    closed: bool = False
-
-    def __len__(self):
-        return len(self.vertices) - 1  # edge count
 
 
 def check_path(universe, vertices, context=(), closed=False):
@@ -68,10 +65,9 @@ def _edge_ok(universe, v, w):
 
 def radius(universe, path, a):
     """max over vertices of the least intersection of a with a vertex curve."""
-    vertices = path.vertices if isinstance(path, PathInComplex) else path
-    if not any(a in v for v in vertices):
+    if not any(a in v for v in path):
         raise InvalidReference("reference curve lies in no vertex of the path")
-    return max(min(universe.inter(a, b) for b in v) for v in vertices)
+    return max(min(universe.inter(a, b) for b in v) for v in path)
 
 
 def segment_decomposition(universe, loop, a0):
@@ -80,7 +76,7 @@ def segment_decomposition(universe, loop, a0):
     Returns [(curve, start, end)] covering the closed path, consecutive
     entries overlapping in one vertex.
     """
-    vertices = loop.vertices if isinstance(loop, PathInComplex) else loop
+    vertices = loop
     n = len(vertices) - 1
     if a0 not in vertices[0]:
         raise InvalidReference("decomposition starts at a vertex containing the curve")
@@ -161,14 +157,41 @@ class HomotopyCertificate:
         return {"steps": out}
 
     @classmethod
-    def from_json(cls, obj, curve_from=None):
-        cf = curve_from or (lambda c: HClass.from_json(c) if isinstance(c, dict) else c)
+    def from_json(cls, obj):
+        """Parse integer-shadow steps, rejecting a malformed step with ValueError.
+
+        Each distinct coordinate list is made into an HClass once per call;
+        the memo dies with the call, so nothing is trusted across inputs.
+        """
+        memo = {}
+
+        def curve(c):
+            key = tuple(c["coords"])
+            hit = memo.get(key)
+            if hit is None:
+                hit = memo[key] = HClass.from_json(c)
+            return hit
+
+        def window(s, i, name):
+            w = s.get(name)
+            if not isinstance(w, list) or not all(isinstance(v, list) for v in w):
+                raise ValueError(f"step {i}: {name!r} must be a list of vertex lists")
+            return tuple(tuple(curve(c) for c in v) for v in w)
+
         steps = []
-        for s in obj["steps"]:
-            old = tuple(tuple(cf(c) for c in v) for v in s["replace"])
-            new = tuple(tuple(cf(c) for c in v) for v in s["with"])
-            kind = s.get("cell", {}).get("kind", "") if s["op"] == CELL_FILL else ""
-            steps.append(Step(s["op"], s["at"], old, new, kind))
+        for i, s in enumerate(obj["steps"]):
+            if not isinstance(s, dict):
+                raise ValueError(f"step {i}: not an object")
+            op, at = s.get("op"), s.get("at")
+            if op not in (CELL_FILL, BT_INSERT, BT_REMOVE):
+                raise ValueError(f"step {i}: unknown op {op!r}")
+            if type(at) is not int:
+                raise ValueError(f"step {i}: 'at' must be an integer, not {at!r}")
+            cell = s.get("cell", {})
+            if not isinstance(cell, dict):
+                raise ValueError(f"step {i}: 'cell' must be an object")
+            kind = cell.get("kind", "") if op == CELL_FILL else ""
+            steps.append(Step(op, at, window(s, i, "replace"), window(s, i, "with"), kind))
         return cls(steps)
 
 
@@ -241,42 +264,61 @@ def cell_pattern(universe, cycle, context=()):
     return None
 
 
+def apply_step(universe, path, s, context=()):
+    """Check one step against the current path, then splice it into the list.
+
+    The one step checker: verify_certificate replays with it, and so does the
+    checking PathRewriter.  Raises InvalidStep and leaves path unchanged when
+    the step breaks a rule.
+    """
+
+    def broken(rule):
+        return InvalidStep(f"{s.op} at {s.at}: {rule}")
+
+    end = s.at + len(s.old)
+    if not s.old or not s.new:
+        raise broken("empty window")
+    if s.at < 0 or end > len(path):
+        raise broken("window outside the path")
+    if tuple(path[s.at : end]) != s.old:
+        raise broken("window differs from the path")
+    if s.old[0] != s.new[0] or s.old[-1] != s.new[-1]:
+        raise broken("window endpoints change")
+    if s.op == BT_INSERT:
+        if len(s.old) != 1 or len(s.new) != 3 or s.new[0] != s.new[2]:
+            raise broken("not a spike v, w, v replacing v")
+        if not (universe.cut_ok(s.new[1], context) and _edge_ok(universe, s.new[0], s.new[1])):
+            raise broken("spike tip is not a neighbouring cut system")
+    elif s.op == BT_REMOVE:
+        if len(s.old) != 3 or len(s.new) != 1 or s.old[0] != s.old[2]:
+            raise broken("not a spike v, w, v collapsing to v")
+        if not _edge_ok(universe, s.old[0], s.old[1]):
+            raise broken("spike is not an edge")
+    elif s.op == CELL_FILL:
+        if len(s.old) == len(s.new) == 1:
+            raise broken("fill of a single vertex")
+        cyc = s.old + s.new[-2:0:-1]
+        kind = cell_pattern(universe, cyc, context)
+        if kind is None:
+            raise broken("boundary is not a cell")
+        if s.kind and s.kind != kind:
+            raise broken(f"cell is a {kind}, not a {s.kind}")
+    else:
+        raise broken("unknown op")
+    path[s.at : end] = s.new
+
+
 def verify_certificate(universe, loop, cert, context=()):
     """Replay a certificate; (True, None) or (False, first failing index)."""
-    vertices = loop.vertices if isinstance(loop, PathInComplex) else loop
-    path = list(vertices)
-    if path[0] != path[-1]:
+    path = list(loop)
+    if not path or path[0] != path[-1]:
         return False, -1
     steps = cert.steps if isinstance(cert, HomotopyCertificate) else cert
     for i, s in enumerate(steps):
-        if s.at < 0 or s.at + len(s.old) > len(path):
+        try:
+            apply_step(universe, path, s, context)
+        except InvalidStep:
             return False, i
-        if tuple(path[s.at : s.at + len(s.old)]) != s.old:
-            return False, i
-        if s.old[0] != s.new[0] or s.old[-1] != s.new[-1]:
-            return False, i
-        if s.op == BT_INSERT:
-            if len(s.old) != 1 or len(s.new) != 3 or s.new[0] != s.new[2]:
-                return False, i
-            if not (
-                universe.cut_ok(s.new[1], context) and _edge_ok(universe, s.new[0], s.new[1])
-            ):
-                return False, i
-        elif s.op == BT_REMOVE:
-            if len(s.old) != 3 or len(s.new) != 1 or s.old[0] != s.old[2]:
-                return False, i
-            if not _edge_ok(universe, s.old[0], s.old[1]):
-                return False, i
-        elif s.op == CELL_FILL:
-            if len(s.old) < 1 or len(s.new) < 1 or (len(s.old) == len(s.new) == 1):
-                return False, i
-            cyc = list(s.old) + list(reversed(s.new))[1:-1]
-            kind = cell_pattern(universe, tuple(cyc), context)
-            if kind is None or (s.kind and s.kind != kind):
-                return False, i
-        else:
-            return False, i
-        path[s.at : s.at + len(s.old)] = list(s.new)
     if len(path) != 1:
         return False, len(steps)
     return True, None
@@ -286,7 +328,8 @@ def verify_certificate(universe, loop, cert, context=()):
 
 
 class PathRewriter:
-    """Holds the evolving path and accumulates validated steps."""
+    """Holds the evolving path and accumulates steps; with check set, each
+    step passes apply_step before it is spliced in."""
 
     def __init__(self, universe, vertices, context=(), check=True):
         self.universe = universe
@@ -297,19 +340,14 @@ class PathRewriter:
 
     def _emit(self, step):
         if self.check:
-            ok, _ = _check_one(self.universe, self.path, step, self.context)
-            if not ok:
-                raise AssertionError(f"prover emitted an invalid step: {step.op}@{step.at}")
-        self.path[step.at : step.at + len(step.old)] = list(step.new)
+            apply_step(self.universe, self.path, step, self.context)
+        else:
+            self.path[step.at : step.at + len(step.old)] = step.new
         self.steps.append(step)
 
     def fill(self, at, old_len, new_subpath, kind=""):
         old = tuple(self.path[at : at + old_len + 1])
         self._emit(Step(CELL_FILL, at, old, tuple(new_subpath), kind))
-
-    def insert_backtrack(self, at, w):
-        v = self.path[at]
-        self._emit(Step(BT_INSERT, at, (v,), (v, w, v)))
 
     def remove_backtrack(self, at):
         old = tuple(self.path[at : at + 3])
@@ -344,36 +382,6 @@ class PathRewriter:
                     self.remove_backtrack(j)
                     changed = True
                     break
-
-
-def _check_one(universe, path, s, context):
-    fake = HomotopyCertificate([s])
-    # verify a single step against the current state: reuse the replayer on a
-    # one-step certificate with a relaxed final condition
-    p = list(path)
-    if s.at < 0 or s.at + len(s.old) > len(p):
-        return False, 0
-    if tuple(p[s.at : s.at + len(s.old)]) != s.old:
-        return False, 0
-    if s.old[0] != s.new[0] or s.old[-1] != s.new[-1]:
-        return False, 0
-    if s.op == BT_INSERT:
-        ok = (
-            len(s.old) == 1
-            and len(s.new) == 3
-            and s.new[0] == s.new[2]
-            and universe.cut_ok(s.new[1], context)
-            and _edge_ok(universe, s.new[0], s.new[1])
-        )
-        return ok, 0
-    if s.op == BT_REMOVE:
-        ok = len(s.old) == 3 and len(s.new) == 1 and s.old[0] == s.old[2]
-        return ok and _edge_ok(universe, s.old[0], s.old[1]), 0
-    if s.op == CELL_FILL:
-        cyc = list(s.old) + list(reversed(s.new))[1:-1]
-        kind = cell_pattern(universe, tuple(cyc), context)
-        return kind is not None and (not s.kind or s.kind == kind), 0
-    return False, 0
 
 
 def _reduce_path(vertices):
@@ -415,6 +423,14 @@ def contract_rebased(universe, vertices, j, contractor, context=()):
     return steps
 
 
+def _checked(universe, vertices, steps, context, check):
+    """steps, replayed on vertices through a checking rewriter when check is
+    set: for entry points that return steps no rewriter of theirs emitted."""
+    if check:
+        PathRewriter(universe, vertices, context).apply_steps(steps)
+    return steps
+
+
 # --- the prover ------------------------------------------------------------------
 
 
@@ -429,12 +445,19 @@ class Prover:
     def sub(self, *extra):
         return Prover(self.u, self.ctx + tuple(extra), self.check)
 
+    def unchecked(self):
+        """This prover without step checks.  A public entry point checks its
+        own rewriter only and hands its helpers an unchecked prover: every
+        step they return reaches that rewriter, so each is checked once."""
+        return Prover(self.u, self.ctx, False) if self.check else self
+
     def cut_ok(self, curves):
         return self.u.cut_ok(curves, self.ctx)
 
     def vertex(self, curves):
         v = tuple(sorted(curves, key=self.u.key))
-        assert self.cut_ok(v), f"invalid vertex {v}"
+        if not self.cut_ok(v):
+            raise InvalidStep(f"vertex {v}: not a cut system in context {self.ctx}")
         return v
 
     def fresh_pair(self):
@@ -566,14 +589,6 @@ def segment_connect(prover, v, w, common):
 # --- square and radius-1 contraction (Gamma_1) --------------------------------------
 
 
-def _tri(universe, x, y, z):
-    return (
-        universe.inter(x, y) == 1
-        and universe.inter(y, z) == 1
-        and universe.inter(x, z) == 1
-    )
-
-
 def contract_square(universe, loop, context=(), check=True):
     """Contract a 4-cycle of curves whose (1,3)-diagonal is disjoint.
 
@@ -581,7 +596,7 @@ def contract_square(universe, loop, context=(), check=True):
     replacement justified by two triangles), then four triangles around the
     twist image finish the job.
     """
-    vertices = loop.vertices if isinstance(loop, PathInComplex) else tuple(loop)
+    vertices = tuple(loop)
     if len(vertices) != 5 or vertices[0] != vertices[-1]:
         raise NotApplicable("contract_square needs a based 4-cycle")
     if any(len(v) != 1 for v in vertices):
@@ -636,13 +651,14 @@ def square_any_diagonal(universe, quad, context=(), check=True):
     if universe.inter(q1, q3) == 0:
         return contract_square(universe, loop, context, check)
     if universe.inter(q0, q2) == 0:
-        return contract_rebased(
+        steps = contract_rebased(
             universe,
             loop,
             1,
-            lambda vs: contract_square(universe, vs, context, check),
+            lambda vs: contract_square(universe, vs, context, False),
             context,
         )
+        return _checked(universe, loop, steps, context, check)
     raise NotApplicable("no disjoint diagonal")
 
 
@@ -663,7 +679,7 @@ def contract_radius1(universe, loop, a0, context=(), check=True):
     once, a split-off square for an isolated disjoint curve, and twist
     insertions shrinking longer disjoint runs.  Needs no extra genus.
     """
-    vertices = loop.vertices if isinstance(loop, PathInComplex) else tuple(loop)
+    vertices = tuple(loop)
     if any(len(v) != 1 for v in vertices):
         raise NotApplicable("radius-1 contraction works in Gamma_1")
     if vertices[0] != vertices[-1]:
@@ -672,13 +688,14 @@ def contract_radius1(universe, loop, a0, context=(), check=True):
         raise InvalidReference("center must lie on the loop")
     j = vertices.index((a0,))
     if j:
-        return contract_rebased(
+        steps = contract_rebased(
             universe,
             vertices,
             j,
-            lambda vs: contract_radius1(universe, vs, a0, context, check),
+            lambda vs: contract_radius1(universe, vs, a0, context, False),
             context,
         )
+        return _checked(universe, vertices, steps, context, check)
     if radius(universe, vertices, a0) > 1:
         raise NotApplicable("loop has radius > 1 about the center")
     return _radius1_based(universe, vertices, a0, context, check)
@@ -695,7 +712,7 @@ def _radius1_based(universe, vertices, a0, context, check):
         # split at interior revisits of the basepoint
         for i in range(1, n):
             if path[i] == path[0]:
-                sub = _radius1_based(universe, tuple(path[: i + 1]), a0, context, check)
+                sub = _radius1_based(universe, tuple(path[: i + 1]), a0, context, False)
                 rw.apply_steps(sub)
                 rw.clean_backtracks()
                 break
@@ -721,11 +738,11 @@ def _radius1_based(universe, vertices, a0, context, check):
             r = l
             while r + 1 in zeros:
                 r += 1
-            _shrink_zero_run(universe, rw, a0, l, r, context, check)
+            _shrink_zero_run(universe, rw, a0, l, r, context)
             rw.clean_backtracks()
 
 
-def _shrink_zero_run(universe, rw, a0, l, r, context, check):
+def _shrink_zero_run(universe, rw, a0, l, r, context):
     """Replace the window (flank, run..., flank) by (flank, a0, flank).
 
     Justified by contracting the flanked loop (fl, a0, fr, x_r, ..., x_l, fl),
@@ -739,15 +756,15 @@ def _shrink_zero_run(universe, rw, a0, l, r, context, check):
         universe,
         loop,
         1,
-        lambda vs: _flanked_based(universe, vs, a0, context, check),
+        lambda vs: _flanked_based(universe, vs, a0, context),
         context,
     )
     rw.replace(l - 1, (r + 1) - (l - 1), target, steps)
 
 
-def _flanked_based(universe, vertices, a0, context, check):
-    # vertices = [a0, fr, x_r, ..., x_l, fl, a0]
-    rw = PathRewriter(universe, vertices, context, check)
+def _flanked_based(universe, vertices, a0, context):
+    # vertices = [a0, fr, x_r, ..., x_l, fl, a0]; the caller checks the steps
+    rw = PathRewriter(universe, vertices, context, check=False)
     while len(rw.path) > 5:
         # path = [a0, fr', x_i, x_{i-1}, ..., fl, a0]
         f = rw.path[1][0]
@@ -755,7 +772,7 @@ def _flanked_based(universe, vertices, a0, context, check):
         xnext = rw.path[3][0]
         if universe.inter(f, xnext) != 0:
             fstar = _clean_flank(universe, a0, xi, xnext, context)
-            steps = square_any_diagonal(universe, (a0, fstar, xi, f), context, check)
+            steps = square_any_diagonal(universe, (a0, fstar, xi, f), context, False)
             rw.replace(0, 2, ((a0,), (fstar,), (xi,)), steps)
             f = fstar
         b = universe.twist(f, 1, xi)
@@ -765,12 +782,11 @@ def _flanked_based(universe, vertices, a0, context, check):
         rw.fill(2, 2, ((b,), (xnext,)), "triangle")
         rw.fill(0, 2, ((a0,), (b,)), "triangle")
     # [a0, f, x_l, fl, a0]
-    q = [v[0] for v in rw.path[:4]]
     steps = contract_rebased(
         universe,
         tuple(rw.path),
         1,
-        lambda vs: contract_square(universe, vs, context, check),
+        lambda vs: contract_square(universe, vs, context, False),
         context,
     )
     rw.apply_steps(steps)
@@ -850,7 +866,7 @@ def contract_gamma1(prover, vertices):
     bridge = [(x0,), (b0,), (b2,), (b1,), (x1,)]
     penta = tuple(bridge + [(x0,)])
     steps = contract_rebased(
-        u, penta, 2, lambda vs: _flanked_based(u, vs, b2, prover.ctx, prover.check), prover.ctx
+        u, penta, 2, lambda vs: _flanked_based(u, vs, b2, prover.ctx), prover.ctx
     )
     rw.replace(0, 1, bridge, steps)
     # now [x0, b0, b2, b1, x1, x2, ..., x0]: rebase at b2 and run the shrink
@@ -860,7 +876,7 @@ def contract_gamma1(prover, vertices):
         u,
         whole,
         j,
-        lambda vs: _flanked_based(u, vs, b2, prover.ctx, prover.check),
+        lambda vs: _flanked_based(u, vs, b2, prover.ctx),
         prover.ctx,
     )
     rw.apply_steps(inner)
@@ -902,10 +918,9 @@ def sp_radius0(prover, vertices, c):
         rw.clean_backtracks()
         assert len(rw.path) == 1, "a one-curve segment loop must be constant"
         return rw.steps
-    stripped = _strip(vertices, c)
-    sub = prover.sub(c)
-    inner = contract(sub, stripped)
-    return _lift_steps(prover.u, inner, c)
+    inner = contract(prover.sub(c).unchecked(), _strip(vertices, c))
+    steps = _lift_steps(prover.u, inner, c)
+    return _checked(prover.u, vertices, steps, prover.ctx, prover.check)
 
 
 def _maximal_run(vertices, c, start):
@@ -947,6 +962,7 @@ def contract_radius0(prover, vertices, a0, _no_recenter=False, _trace=None):
     if not any(a0 in v for v in vertices):
         raise InvalidReference("center must lie in a loop vertex")
     rw = prover.rewriter(vertices)
+    prover = prover.unchecked()
     rw.clean_backtracks()
     work = tuple(rw.path)
     if len(work) == 1:
@@ -1099,10 +1115,9 @@ def _case1(prover, rw, a0, a1, a2, e1, e2):
 def _hex_pattern(prover, a0, a1, a2):
     """Escort curves b0, b1, b2 for the hexagon bypass: b_i meets a_i and
     a_{i+1} once, everything else in the pattern is disjoint."""
-    u = prover.u
     bs = []
     partners = [(a0, a1, a2), (a1, a2, a0), (a2, a0, a1)]
-    for idx, (x, y, z) in enumerate(partners):
+    for x, y, z in partners:
         sol = None
         for sx in (1, -1):
             for sy in (1, -1):
@@ -1147,7 +1162,6 @@ def _case2(prover, rw, a0, a1, a2, e1, e2):
     """The disjoint curve already sits in the junction vertex and pairs into a
     primitive frame with a0: merge through a common vertex when the triple is
     non-separating and k allows, else ride the hexagon."""
-    u = prover.u
     k = len(rw.path[0])
     v1, v2 = rw.path[e1], rw.path[e2]
     triple = (a0, a1, a2)
@@ -1277,17 +1291,18 @@ def hex_escorts(prover, a0, a1, a2, common=()):
 def contract(prover, loop):
     """Contract any closed loop, drawing fresh genus as the proofs do."""
     u = prover.u
-    vertices = loop.vertices if isinstance(loop, PathInComplex) else tuple(loop)
+    vertices = tuple(loop)
     if vertices[0] != vertices[-1]:
         raise NotApplicable("loop must be closed")
     rw = prover.rewriter(vertices)
+    prover = prover.unchecked()
     rw.clean_backtracks()
     work = tuple(rw.path)
     if len(work) == 1:
         return rw.steps
     m = len(work) - 1
-    if m in (3, 4, 5) and cell_pattern(u, work[:-1], prover.ctx):
-        kind = cell_pattern(u, work[:-1], prover.ctx)
+    kind = cell_pattern(u, work[:-1], prover.ctx) if m in (3, 4, 5) else None
+    if kind:
         rw.fill(0, m - 1, (work[0], work[m - 1]), kind)
         rw.remove_backtrack(0)
         return rw.steps
@@ -1327,7 +1342,3 @@ def contract(prover, loop):
     sub = contract_radius0(prover, tuple(rw.path), b)
     rw.apply_steps(sub)
     return rw.steps
-
-
-def contract_certificate(prover, loop):
-    return HomotopyCertificate(contract(prover, loop))

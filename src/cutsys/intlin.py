@@ -227,11 +227,3 @@ def vec_gcd(v):
     for x in v:
         g = gcd(g, abs(x))
     return g
-
-
-def make_primitive(v):
-    """Divide out the content of v; error on the zero vector."""
-    g = vec_gcd(v)
-    if g == 0:
-        raise ValueError("zero vector has no primitive form")
-    return [x // g for x in v]

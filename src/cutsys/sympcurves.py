@@ -47,14 +47,6 @@ class SympSpace:
             raise SpaceMismatch(f"no handle {i} at genus {self.g}")
         return HClass._make(tuple(1 if t == 2 * i - 1 else 0 for t in range(2 * i)))
 
-    def labels(self):
-        out = []
-        for i in range(1, self.g + 1):
-            out.append(f"a{i}")
-            out.append(f"b{i}")
-        return out
-
-
 def pairing_vec(u, v):
     """Signed symplectic pairing of two coordinate vectors (zero-padded)."""
     n = max(len(u), len(v))

@@ -10,7 +10,7 @@ end.
 from __future__ import annotations
 
 from . import geomcurves, sympcurves
-from .surfaces import Exhaustion, NoRoom, SurfaceSpec, exhaust, stabilize
+from .surfaces import NoRoom, SurfaceSpec, exhaust, stabilize
 from .sympcurves import HClass, SympSpace
 
 
@@ -23,7 +23,6 @@ class Room:
 
     def __init__(self, spec, start_stage=1, reserve=0):
         self.spec = spec
-        self.exhaustion = Exhaustion(spec)
         self.stage = exhaust(spec, start_stage)
         self.used = reserve
 

@@ -81,7 +81,3 @@ def random_closed_walk(universe, g, k, rng, steps=4, max_len=16):
         if 2 <= len(loop) - 1 <= max_len:
             return tuple(loop)
     return None
-
-
-def random_gamma1_loop(universe, g, rng, steps=5, max_len=16):
-    return random_closed_walk(universe, g, 1, rng, steps, max_len)

@@ -63,6 +63,50 @@ def test_verify_rejects_tampered(tmp_path):
     assert rep["failing_step"] is not None
 
 
+def _break_loop_key(data):
+    del data["loop"]
+
+
+def _break_certificate_key(data):
+    del data["certificate"]
+
+
+def _break_at(data):
+    data["certificate"]["steps"][0]["at"] = "0"
+
+
+def _break_op(data):
+    data["certificate"]["steps"][0]["op"] = "teleport"
+
+
+def _break_window(data):
+    data["certificate"]["steps"][0]["replace"] = "abc"
+
+
+def _break_empty_loop(data):
+    data["loop"] = []
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_break_loop_key, _break_certificate_key, _break_at, _break_op, _break_window, _break_empty_loop],
+    ids=lambda f: f.__name__[len("_break_"):],
+)
+def test_verify_malformed_input_exit_2(tmp_path, capsys, corrupt):
+    c = tmp_path / "c.json"
+    assert run(["contract", "--g", "3", "--k", "2", "--steps", "3",
+                "--seed", "7", "--out", str(c)]) == 0
+    capsys.readouterr()
+    data = json.loads(c.read_text())
+    corrupt(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert run(["verify", str(bad), "--out", str(tmp_path / "v.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "v.json").exists()
+
+
 def test_rigidity_command(tmp_path):
     out = tmp_path / "r.json"
     assert run(["rigidity", "--g", "3", "--k", "2", "--words", "3",

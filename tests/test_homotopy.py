@@ -589,3 +589,123 @@ def test_contract_eight_step_walk_g4_k2():
     steps = H.contract(p, loop)
     ok, idx = H.verify_certificate(u, loop, _cert(steps))
     assert ok, idx
+
+
+# --- the step checker ------------------------------------------------------------
+
+
+def _k3_loop():
+    """A fixed 7-edge k=3 loop at g=3 whose certificate has 187 fills."""
+    u = zu(3)
+    loop = walks.random_closed_walk(u, 3, 3, random.Random(1), steps=2)
+    assert loop is not None
+    return u, loop
+
+
+def _corrupt_first_lift(monkeypatch):
+    """Make the first lifted step batch claim the wrong kind for one fill."""
+    lift = H._lift_steps
+    done = []
+
+    def corrupt(universe, steps, c):
+        out = lift(universe, steps, c)
+        fills = [i for i, s in enumerate(out) if s.op == H.CELL_FILL]
+        if fills and not done:
+            s = out[fills[0]]
+            wrong = "pentagon" if s.kind == "triangle" else "triangle"
+            out[fills[0]] = H.Step(s.op, s.at, s.old, s.new, wrong)
+            done.append(True)
+        return out
+
+    monkeypatch.setattr(H, "_lift_steps", corrupt)
+
+
+def test_contract_checks_each_fill_once(monkeypatch):
+    u, loop = _k3_loop()
+    calls = []
+    pattern = H.cell_pattern
+    monkeypatch.setattr(H, "cell_pattern", lambda *a: calls.append(1) or pattern(*a))
+    steps = H.contract(H.Prover(u, check=True), loop)
+    fills = sum(s.op == H.CELL_FILL for s in steps)
+    assert fills > 100
+    # one check per emitted fill, plus the cell detection contract makes on
+    # each 3-5-edge loop it is given (once, for this loop)
+    assert len(calls) <= fills + 1, (len(calls), fills)
+    assert H.verify_certificate(u, loop, _cert(steps))[0]
+
+
+def test_contract_rejects_corrupted_inner_step(monkeypatch):
+    u, loop = _k3_loop()
+    _corrupt_first_lift(monkeypatch)
+    with pytest.raises(H.InvalidStep, match="cell is a"):
+        H.contract(H.Prover(u, check=True), loop)
+    _corrupt_first_lift(monkeypatch)
+    u = zu(3)
+    steps = H.contract(H.Prover(u, check=False), loop)
+    ok, idx = H.verify_certificate(u, loop, _cert(steps))
+    assert not ok and steps[idx].op == H.CELL_FILL
+
+
+def test_prover_vertex_rejects_non_cut_system():
+    p = H.Prover(zu(2))
+    with pytest.raises(H.InvalidStep, match="not a cut system"):
+        p.vertex((a1, a1))
+
+
+def test_from_json_interns_curves():
+    u, loop = _k3_loop()
+    cert = _cert(H.contract(H.Prover(u, check=False), loop))
+    blob = cert.to_json()
+    back = H.HomotopyCertificate.from_json(blob)
+    assert back.steps == cert.steps
+    seen = {}
+    for s in back.steps:
+        for v in s.old + s.new:
+            for c in v:
+                assert seen.setdefault(c.coords, c) is c
+    for coords in ([0, 0, 0, 0], [2, 0, 0, 2]):
+        blob["steps"][0]["replace"][0][0] = {"g": 2, "coords": coords}
+        with pytest.raises(ValueError):
+            H.HomotopyCertificate.from_json(blob)
+
+
+def test_soundness_checks_survive_optimize_flag():
+    import os
+    import subprocess
+    import sys
+
+    script = """
+import random, sys
+from cutsys import homotopy as H, walks
+from cutsys.universe import make_universe
+if __debug__:
+    sys.exit("not running under -O")
+u = make_universe("sympZ", g=3)
+loop = walks.random_closed_walk(u, 3, 3, random.Random(1), steps=2)
+steps = H.contract(H.Prover(u), loop)
+if not H.verify_certificate(u, loop, H.HomotopyCertificate(steps))[0]:
+    sys.exit("certificate rejected")
+bad = list(steps)
+s = bad[0]
+bad[0] = H.Step(s.op, s.at, s.old + s.old[:1], s.new, s.kind)
+if H.verify_certificate(u, loop, bad)[0]:
+    sys.exit("corrupted certificate accepted")
+rw = H.PathRewriter(u, loop)
+try:
+    rw.apply_steps(bad)
+    sys.exit("rewriter emitted a corrupted step")
+except H.InvalidStep:
+    pass
+try:
+    H.Prover(u).vertex((loop[0][0], loop[0][0]))
+    sys.exit("invalid vertex built")
+except H.InvalidStep:
+    pass
+print("ok")
+"""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0 and out.stdout.strip() == "ok", out.stderr
