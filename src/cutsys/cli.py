@@ -13,7 +13,6 @@ import argparse
 import json
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import complexes as cx
 from . import geomcurves, homotopy, rigidity, walks
@@ -227,12 +226,7 @@ def _props_tasks(args):
 
 
 def cmd_props(args):
-    tasks = _props_tasks(args)
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(lambda f: f(), tasks))
-    else:
-        results = [f() for f in tasks]
+    results = [f() for f in _props_tasks(args)]
     ok = all(r["failed"] is None for r in results)
     _dump({"suites": results, "passed": ok}, args.out)
     return 0 if ok else 1
@@ -246,7 +240,6 @@ def make_parser():
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--seed", type=int, default=0, help="64-bit seed for all randomness")
     shared.add_argument("--out", default=None, help="report file (default: stdout)")
-    shared.add_argument("--jobs", type=int, default=1, help="worker pool size")
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(q, backends=("sympF2", "sympZ", "slope", "word")):

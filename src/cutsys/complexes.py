@@ -17,7 +17,7 @@ from itertools import combinations
 import numpy as np
 
 from . import intlin
-from .sympcurves import f2_pairing
+from .sympcurves import f2_swap
 
 
 class NotFound(KeyError):
@@ -430,22 +430,10 @@ def diameter(graph):
 # --- implicit F2 universes: fast exact eccentricity -------------------------
 
 
-def _swap_mask_table(g):
-    """mask[u] with pairing(u, v) = parity(mask[u] & v)."""
-    n = 1 << (2 * g)
-    u = np.arange(n, dtype=np.uint32)
-    even = u & np.uint32(0x55555555 & (n - 1))
-    odd = u & np.uint32(0xAAAAAAAA & (n - 1))
-    return (even << 1) | (odd >> 1)
-
-
 def _parity_matrix(g):
     """P[u, v] = f2 pairing of u and v, as a dense boolean matrix."""
-    n = 1 << (2 * g)
-    masks = _swap_mask_table(g)
-    v = np.arange(n, dtype=np.uint32)
-    anded = masks[:, None] & v[None, :]
-    return (np.bitwise_count(anded) & 1).astype(bool)
+    u = np.arange(1 << (2 * g), dtype=np.uint32)
+    return (np.bitwise_count(f2_swap(u, g)[:, None] & u[None, :]) & 1).astype(bool)
 
 
 def f2_gamma1_eccentricity(g, start=None):
@@ -479,45 +467,39 @@ def f2_gamma_k2_eccentricity(g, progress=None):
 
     Witt extension makes Sp(2g, F2) transitive on cut systems of a fixed
     size, so the graph is vertex-transitive and this is its exact diameter.
-    Vertices are encoded u * 2^(2g) + v with u < v.
+    A set of vertices is a symmetric boolean n x n matrix F (F[u, v] for the
+    pair {u, v}). Keeping u and swapping v for x needs <x, v> = 1 and
+    <x, u> = 0, so the pairs one move away are ((F @ P) > 0) & ~P and its
+    transpose, with P the parity matrix.
     """
+    if g < 2:
+        raise ValueError(f"no cut system of size 2 at genus {g}")
+    n = 1 << (2 * g)
+    if n >= 1 << 24:
+        raise ValueError(f"genus {g} is too large for exact float32 counts")
     p = _parity_matrix(g)
-    n = p.shape[0]
+    pf = p.astype(np.float32)
     a1, a2 = 1, 4  # bitmask classes of the first two handle a-curves
-    visited = np.zeros(n * n, dtype=bool)
-    start = np.int64(min(a1, a2)) * n + max(a1, a2)
-    visited[start] = True
-    frontier = np.array([start], dtype=np.int64)
-    d = 0
-    total = 1
+    frontier = np.zeros((n, n), dtype=bool)
+    frontier[a1, a2] = frontier[a2, a1] = True
+    visited = frontier.copy()
     ecc = 0
-    while frontier.size:
-        us = (frontier // n).astype(np.int64)
-        vs = (frontier % n).astype(np.int64)
-        new_codes = []
-        for keep, rep in ((us, vs), (vs, us)):
-            # replace `rep`: candidates x with <x, rep> = 1, <x, keep> = 0
-            chunk = 4096
-            for i in range(0, keep.size, chunk):
-                ks = keep[i : i + chunk]
-                rs = rep[i : i + chunk]
-                cand = p[:, rs] & ~p[:, ks]  # n x chunk
-                xs, cols = np.nonzero(cand)
-                kk = ks[cols]
-                lo = np.minimum(xs, kk)
-                hi = np.maximum(xs, kk)
-                new_codes.append(lo * n + hi)
-        codes = np.unique(np.concatenate(new_codes)) if new_codes else np.array([], dtype=np.int64)
-        codes = codes[~visited[codes]]
-        if codes.size == 0:
+    total = 1
+    while True:
+        nxt = ((frontier.astype(np.float32) @ pf) > 0) & ~p
+        nxt |= nxt.T
+        nxt &= ~visited
+        size = int(np.count_nonzero(nxt)) // 2
+        if not size:
             break
-        visited[codes] = True
-        d += 1
-        ecc = d
-        total += codes.size
+        visited |= nxt
+        ecc += 1
+        total += size
         if progress:
-            progress(d, codes.size)
-        frontier = codes
+            progress(ecc, size)
+        frontier = nxt
+    if total != f2_count_vertices_k2(g):
+        raise InfiniteDiameter("k = 2 shadow is disconnected")
     return ecc, total
 
 

@@ -405,21 +405,20 @@ def rotate_left(vertices, j):
     return tuple(vertices[j:-1]) + tuple(vertices[: j + 1])
 
 
-def contract_rebased(universe, vertices, j, contractor, context=()):
+def contract_rebased(vertices, j, contractor):
     """Contract a closed path by contracting its rebase j steps along.
 
     contractor(rotated_vertices) must return contraction steps for the
-    rebased loop; the wrapper conjugates them back to the original basepoint.
+    rebased loop; the wrapper conjugates them back to the original basepoint:
+    a backtrack out to each of the first j vertices, the contraction, and the
+    backtracks removed in reverse.
     """
-    n = len(vertices) - 1
+    V = tuple(vertices)
+    n = len(V) - 1
     j %= n
-    if j == 0:
-        return contractor(tuple(vertices))
-    inner = contract_rebased(universe, rotate_left(vertices, 1), j - 1, contractor, context)
-    w0, w1 = vertices[0], vertices[1]
-    steps = [Step(BT_INSERT, n, (w0,), (w0, w1, w0))]
-    steps += [s.shifted(1) for s in inner]
-    steps.append(Step(BT_REMOVE, 0, (w0, w1, w0), (w0,)))
+    steps = [Step(BT_INSERT, n + i, (V[i],), (V[i], V[i + 1], V[i])) for i in range(j)]
+    steps += [s.shifted(j) for s in contractor(rotate_left(V, j))]
+    steps += [Step(BT_REMOVE, i, (V[i], V[i + 1], V[i]), (V[i],)) for i in reversed(range(j))]
     return steps
 
 
@@ -652,11 +651,7 @@ def square_any_diagonal(universe, quad, context=(), check=True):
         return contract_square(universe, loop, context, check)
     if universe.inter(q0, q2) == 0:
         steps = contract_rebased(
-            universe,
-            loop,
-            1,
-            lambda vs: contract_square(universe, vs, context, False),
-            context,
+            loop, 1, lambda vs: contract_square(universe, vs, context, False)
         )
         return _checked(universe, loop, steps, context, check)
     raise NotApplicable("no disjoint diagonal")
@@ -689,11 +684,7 @@ def contract_radius1(universe, loop, a0, context=(), check=True):
     j = vertices.index((a0,))
     if j:
         steps = contract_rebased(
-            universe,
-            vertices,
-            j,
-            lambda vs: contract_radius1(universe, vs, a0, context, False),
-            context,
+            vertices, j, lambda vs: contract_radius1(universe, vs, a0, context, False)
         )
         return _checked(universe, vertices, steps, context, check)
     if radius(universe, vertices, a0) > 1:
@@ -752,13 +743,7 @@ def _shrink_zero_run(universe, rw, a0, l, r, context):
     fl, fr = path[l - 1], path[r + 1]
     target = [fl, (a0,), fr]
     loop = tuple([fl, (a0,), fr] + [path[i] for i in range(r, l - 2, -1)])
-    steps = contract_rebased(
-        universe,
-        loop,
-        1,
-        lambda vs: _flanked_based(universe, vs, a0, context),
-        context,
-    )
+    steps = contract_rebased(loop, 1, lambda vs: _flanked_based(universe, vs, a0, context))
     rw.replace(l - 1, (r + 1) - (l - 1), target, steps)
 
 
@@ -783,11 +768,7 @@ def _flanked_based(universe, vertices, a0, context):
         rw.fill(0, 2, ((a0,), (b,)), "triangle")
     # [a0, f, x_l, fl, a0]
     steps = contract_rebased(
-        universe,
-        tuple(rw.path),
-        1,
-        lambda vs: contract_square(universe, vs, context, False),
-        context,
+        tuple(rw.path), 1, lambda vs: contract_square(universe, vs, context, False)
     )
     rw.apply_steps(steps)
     return rw.steps
@@ -865,20 +846,12 @@ def contract_gamma1(prover, vertices):
     # bridge the first edge: x0 -> b0 -> b2 -> b1 -> x1, a 5-cycle with x0-x1
     bridge = [(x0,), (b0,), (b2,), (b1,), (x1,)]
     penta = tuple(bridge + [(x0,)])
-    steps = contract_rebased(
-        u, penta, 2, lambda vs: _flanked_based(u, vs, b2, prover.ctx), prover.ctx
-    )
+    steps = contract_rebased(penta, 2, lambda vs: _flanked_based(u, vs, b2, prover.ctx))
     rw.replace(0, 1, bridge, steps)
     # now [x0, b0, b2, b1, x1, x2, ..., x0]: rebase at b2 and run the shrink
     j = 2
     whole = tuple(rw.path)
-    inner = contract_rebased(
-        u,
-        whole,
-        j,
-        lambda vs: _flanked_based(u, vs, b2, prover.ctx),
-        prover.ctx,
-    )
+    inner = contract_rebased(whole, j, lambda vs: _flanked_based(u, vs, b2, prover.ctx))
     rw.apply_steps(inner)
     return rw.steps
 
@@ -981,11 +954,7 @@ def contract_radius0(prover, vertices, a0, _no_recenter=False, _trace=None):
         return rw.steps
     j = starts[0]
     inner = contract_rebased(
-        u,
-        work,
-        j,
-        lambda vs: _radius0_based(prover, vs, a0, _no_recenter, _trace),
-        prover.ctx,
+        work, j, lambda vs: _radius0_based(prover, vs, a0, _no_recenter, _trace)
     )
     rw.apply_steps(inner)
     return rw.steps

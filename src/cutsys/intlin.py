@@ -197,7 +197,7 @@ def kernel_basis(m):
 
 
 def rational_rank(m):
-    """Rank of m over Q, by fraction-free Gaussian elimination."""
+    """Rank of m over Q, by Gauss-Jordan elimination over exact Fractions."""
     a = [[Fraction(x) for x in row] for row in m]
     rows, cols = len(a), len(a[0]) if m else 0
     rank = 0

@@ -404,16 +404,16 @@ def _box_walk(dim, radius):
 # --- F2 classes ------------------------------------------------------------
 
 
+def f2_swap(u, g):
+    """Swap the a and b bit of every handle: bit 2i holds a_(i+1), bit 2i+1
+    holds b_(i+1). Works on Python ints and on uint32 arrays alike."""
+    m = (4**g - 1) // 3  # the a bits
+    return ((u & m) << 1) | ((u >> 1) & m)
+
+
 def f2_pairing(u, v, g):
     """Symplectic pairing mod 2 of two bitmask vectors."""
-    s = 0
-    for i in range(g):
-        ua = (u >> (2 * i)) & 1
-        ub = (u >> (2 * i + 1)) & 1
-        va = (v >> (2 * i)) & 1
-        vb = (v >> (2 * i + 1)) & 1
-        s ^= (ua & vb) ^ (ub & va)
-    return s
+    return (f2_swap(u, g) & v).bit_count() & 1
 
 
 def f2_transvect(a, b, g):

@@ -122,9 +122,37 @@ def test_implicit_matches_explicit_g3_k2():
     edges = cx._edges_between(U3, verts, curves)
     g32 = cx.ComplexGraph(U3, 2, verts, edges, [])
     explicit = cx.diameter(g32)
-    implicit, total = cx.f2_gamma_k2_eccentricity(3)
+    layers = []
+    implicit, total = cx.f2_gamma_k2_eccentricity(3, lambda d, size: layers.append(size))
     assert implicit == explicit
     assert total == len(g32.vertices) == cx.f2_count_vertices_k2(3)
+    # oracle: BFS layer sizes of the explicit graph from the base vertex {a1, a2}
+    seen, frontier, explicit_layers = {(1, 4)}, {(1, 4)}, []
+    while frontier := {y for x in frontier for y in g32.adj[x]} - seen:
+        seen |= frontier
+        explicit_layers.append(len(frontier))
+    assert layers == explicit_layers
+
+
+def test_implicit_k2_rejects_genus_out_of_range():
+    with pytest.raises(ValueError):
+        cx.f2_gamma_k2_eccentricity(1)  # no pair of disjoint curves
+    # 4^12 = 2^24 counts no longer fit float32 exactly; refused before allocating
+    with pytest.raises(ValueError):
+        cx.f2_gamma_k2_eccentricity(12)
+
+
+def test_implicit_k2_detects_disconnection(monkeypatch):
+    parity = cx._parity_matrix
+
+    def cut_off_b1(g):
+        p = parity(g)
+        p[2, :] = p[:, 2] = False  # b1 now pairs with nothing
+        return p
+
+    monkeypatch.setattr(cx, "_parity_matrix", cut_off_b1)
+    with pytest.raises(cx.InfiniteDiameter):
+        cx.f2_gamma_k2_eccentricity(3)
 
 
 def test_implicit_gamma1_matches_explicit():

@@ -405,9 +405,7 @@ def test_rotation_wrapper():
     u = zu(2)
     x = HClass((1, 1, 0, 0))
     loop = ((b1,), (x,), (a1,), (b1,))  # triangle based elsewhere
-    steps = H.contract_rebased(
-        u, loop, 2, lambda vs: H.contract(H.Prover(u), vs)
-    )
+    steps = H.contract_rebased(loop, 2, lambda vs: H.contract(H.Prover(u), vs))
     assert H.verify_certificate(u, loop, _cert(steps))[0]
 
 

@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 
 from cutsys import intlin
+from cutsys.complexes import _parity_matrix
 from cutsys.sympcurves import (
     HClass,
     SympSpace,
@@ -42,6 +43,17 @@ def test_pairing_f2_bilinear_example():
     u = (1 << 1) | (1 << 3)
     v = (1 << 0) | (1 << 2)
     assert f2_pairing(u, v, g) == 0
+
+
+def test_f2_pairing_matches_parity_matrix_and_integer_pairing():
+    # oracle: the signed integer pairing of the decoded 0/1 vectors, mod 2
+    for g in (1, 2, 3):
+        n = 1 << (2 * g)
+        p = _parity_matrix(g)
+        vec = [[(x >> i) & 1 for i in range(2 * g)] for x in range(n)]
+        for u in range(n):
+            for v in range(n):
+                assert f2_pairing(u, v, g) == p[u, v] == pairing_vec(vec[u], vec[v]) % 2
 
 
 def test_transvect_examples():
