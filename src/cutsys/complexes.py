@@ -263,6 +263,8 @@ def build_gamma(universe, k, seeds=None, radius=None):
     or the ball of the given radius around seed vertices otherwise."""
     if universe.enumerable:
         vertices, curves = _enumerate_vertices(universe, k)
+        if not vertices:
+            raise ValueError(f"no cut system of size {k} at genus {universe.g}")
     else:
         if seeds is None:
             raise NeedsSeed("non-enumerable universe needs seed vertices")
@@ -442,6 +444,8 @@ def f2_gamma1_eccentricity(g, start=None):
     The symplectic group acts transitively on nonzero vectors, so this equals
     the diameter.
     """
+    if g < 1:
+        raise ValueError(f"no cut system of size 1 at genus {g}")
     p = _parity_matrix(g)
     n = p.shape[0]
     start = start if start is not None else 1  # the class a_1
@@ -538,8 +542,9 @@ def chain_homology(graph):
     r2 = len(intlin.invariant_factors(d2)) if graph.cells else 0
     q1 = intlin.rational_rank(d1) if ne else 0
     q2 = intlin.rational_rank(d2) if graph.cells else 0
-    if (r1, r2) != (q1, q2):
-        raise ArithmeticError("Smith and rational ranks disagree")
+    for name, r, q in (("d1", r1, q1), ("d2", r2, q2)):
+        if r != q:
+            raise ArithmeticError(f"Smith rank {r} and rational rank {q} of {name} disagree")
     b0 = nv - r1
     b1 = ne - r1 - r2
     return b0, b1

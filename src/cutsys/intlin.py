@@ -6,7 +6,6 @@ for arbitrarily large entries.  numpy is deliberately not used in this module.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 
@@ -39,12 +38,16 @@ def mat_vec(a, v):
 
 
 def _min_pivot(m, r, c):
-    """Position of the nonzero entry of least absolute value in m[r:][c:]."""
+    """Position of the first nonzero entry of least absolute value in m[r:][c:],
+    scanning row by row.  A unit ends the scan: nothing later can be smaller,
+    so the full scan would return the same position."""
     best = None
     for i in range(r, len(m)):
         for j in range(c, len(m[0])):
             x = m[i][j]
             if x != 0 and (best is None or abs(x) < abs(m[best[0]][best[1]])):
+                if x == 1 or x == -1:
+                    return (i, j)
                 best = (i, j)
     return best
 
@@ -109,16 +112,18 @@ def smith_normal_form(m, want_transforms=False):
                     if a[t][j]:
                         swap_cols(t, j)
                         dirty = True
-        # force divisibility of the remaining block by the pivot
+        # force divisibility of the remaining block by the pivot; a unit
+        # divides everything
         p = a[t][t]
         bad = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if a[i][j] % p:
-                    bad = i
+        if p != 1 and p != -1:
+            for i in range(t + 1, rows):
+                for j in range(t + 1, cols):
+                    if a[i][j] % p:
+                        bad = i
+                        break
+                if bad is not None:
                     break
-            if bad is not None:
-                break
         if bad is not None:
             add_row(bad, t, 1)
             continue
@@ -197,8 +202,15 @@ def kernel_basis(m):
 
 
 def rational_rank(m):
-    """Rank of m over Q, by Gauss-Jordan elimination over exact Fractions."""
-    a = [[Fraction(x) for x in row] for row in m]
+    """Rank of m over Q, by fraction-free row reduction over Z.
+
+    Each row below a pivot p becomes p*row - f*top, f its entry in the pivot
+    column, and is divided by the gcd of its entries.  Scaling a row by a
+    nonzero rational keeps the rank over Q, so the result is exact; each
+    reduced row is the primitive part of the matching Bareiss row, so no entry
+    exceeds the Hadamard bound.
+    """
+    a = [list(row) for row in m]
     rows, cols = len(a), len(a[0]) if m else 0
     rank = 0
     for c in range(cols):
@@ -210,12 +222,14 @@ def rational_rank(m):
         if piv is None:
             continue
         a[rank], a[piv] = a[piv], a[rank]
-        inv = 1 / a[rank][c]
-        a[rank] = [x * inv for x in a[rank]]
-        for i in range(rows):
-            if i != rank and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
+        top = a[rank]
+        p = top[c]
+        for i in range(rank + 1, rows):
+            f = a[i][c]
+            if f:
+                row = [p * x - f * y for x, y in zip(a[i], top)]
+                g = gcd(*row)
+                a[i] = [x // g for x in row] if g > 1 else row
         rank += 1
         if rank == rows:
             break

@@ -121,6 +121,7 @@ class SlopeUniverse:
 
     tag = "slope"
     enumerable = True
+    g = 1
 
     def __init__(self, bound=2):
         self.bound = bound

@@ -107,6 +107,23 @@ def test_verify_malformed_input_exit_2(tmp_path, capsys, corrupt):
     assert not (tmp_path / "v.json").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["diam", "--backend", "sympF2", "--g", "0", "--k", "1", "--implicit"],
+        ["diam", "--backend", "sympF2", "--g", "1", "--k", "2"],
+        ["homology", "--backend", "sympF2", "--g", "1", "--k", "2"],
+    ],
+    ids=["diam_implicit_g0_k1", "diam_g1_k2", "homology_g1_k2"],
+)
+def test_no_cut_system_at_genus_exit_2(tmp_path, capsys, argv):
+    out = tmp_path / "o.json"
+    assert run(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: no cut system of size") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 def test_rigidity_command(tmp_path):
     out = tmp_path / "r.json"
     assert run(["rigidity", "--g", "3", "--k", "2", "--words", "3",

@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from cutsys import complexes as cx
+from cutsys import intlin
 from cutsys.sympcurves import f2_is_cut, f2_pairing
 from cutsys.universe import make_universe
 
@@ -177,6 +178,44 @@ def test_chain_homology_disk_and_circle():
     assert cx.chain_homology(disk) == (1, 0)
     circle = cx.ComplexGraph(u, 1, [a, b, c], [(a, b), (b, c), (a, c)], [])
     assert cx.chain_homology(circle) == (1, 1)
+
+
+def test_chain_homology_rp2_counts_torsion_in_rank(monkeypatch):
+    # the 6-vertex real projective plane: H_0 = Z, H_1 = Z/2, H_2 = 0
+    faces = [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 6, 2),
+             (2, 3, 5), (3, 4, 6), (4, 5, 2), (5, 6, 3), (6, 2, 4)]
+    verts = [(i,) for i in range(1, 7)]
+    edges = list(combinations(verts, 2))
+    cells = [cx.Cell("triangle", tuple((i,) for i in f)) for f in faces]
+    rp2 = cx.ComplexGraph(U2, 1, verts, edges, cells)
+    assert len(rp2.edges) == 15 and len(rp2.cells) == 10
+    seen = {}
+    for name in ("invariant_factors", "rational_rank"):
+        real = getattr(intlin, name)
+
+        def spy(m, real=real, name=name):
+            seen[name, len(m)] = out = real(m)
+            return out
+
+        monkeypatch.setattr(intlin, name, spy)
+    assert cx.chain_homology(rp2) == (1, 0)
+    assert seen["invariant_factors", 10] == [1] * 9 + [2]
+    assert seen["rational_rank", 10] == 10
+    assert seen["rational_rank", 15] == len(seen["invariant_factors", 15]) == 5
+
+
+@pytest.mark.parametrize("matrix, smith, rational", [("d1", 2, 3), ("d2", 1, 2)])
+def test_chain_homology_cross_check_raises(monkeypatch, matrix, smith, rational):
+    a, b, c = (1,), (2,), (3,)
+    disk = cx.ComplexGraph(U2, 1, [a, b, c], [(a, b), (b, c), (a, c)],
+                           [cx.Cell("triangle", (a, b, c))])
+    real = intlin.rational_rank
+    rows = 3 if matrix == "d1" else 1
+    monkeypatch.setattr(intlin, "rational_rank",
+                        lambda m: real(m) + 1 if len(m) == rows else real(m))
+    with pytest.raises(ArithmeticError,
+                       match=f"Smith rank {smith} and rational rank {rational} of {matrix}"):
+        cx.chain_homology(disk)
 
 
 def test_chain_homology_full_complexes_report():

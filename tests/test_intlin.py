@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from cutsys import intlin
 
 
@@ -63,3 +65,65 @@ def test_big_integers_no_overflow():
     facs = intlin.invariant_factors(m)
     assert facs[0] == 1
     assert facs[-1] == big * big - (big + 1) * (big - 1)  # determinant 1
+
+
+def _random_matrices(rng, count, size, entry, units=True):
+    """Seeded matrices up to size x size with entries up to `entry`; every
+    third one is rank-deficient (a product through a narrower inner
+    dimension).  With units=False, every entry of absolute value 1 is doubled."""
+    out = []
+    for t in range(count):
+        rows, cols = rng.randint(1, size), rng.randint(1, size)
+        if t % 3 == 0:
+            inner = rng.randint(1, max(1, min(rows, cols) - 1))
+            left = [[rng.randint(-2, 2) for _ in range(inner)] for _ in range(rows)]
+            right = [[rng.randint(-entry, entry) for _ in range(cols)] for _ in range(inner)]
+            m = intlin.mat_mul(left, right)
+        else:
+            m = [[rng.randint(-entry, entry) for _ in range(cols)] for _ in range(rows)]
+        if not units:
+            m = [[2 * x if abs(x) == 1 else x for x in row] for row in m]
+        out.append(m)
+    return out
+
+
+def test_ranks_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+    from sympy.polys.domains import ZZ
+
+    rng = random.Random(4)
+    small = _random_matrices(rng, 60, 6, 6)
+    big = _random_matrices(rng, 40, 7, 10**12)
+    for m in small + big:
+        assert intlin.rational_rank(m) == sympy.Matrix(m).rank()
+    # the SNF's alternating row and column Euclid inflates 12-digit entries
+    # (a 3 x 4 matrix does not finish in 10 s), so only big matrices with at
+    # most two rows or columns go through it
+    for m in small + [m for m in big if min(len(m), len(m[0])) <= 2]:
+        want = [abs(int(f)) for f in invariant_factors(sympy.Matrix(m), domain=ZZ) if f]
+        assert intlin.invariant_factors(m) == want
+    for m in ([], [[]], [[], []], [[0, 0], [0, 0]]):
+        assert intlin.rational_rank(m) == 0
+        assert intlin.invariant_factors(m) == []
+
+
+def _full_scan_min_pivot(m, r, c):
+    """The first nonzero entry of least absolute value, scanning all of m[r:][c:]."""
+    best = None
+    for i in range(r, len(m)):
+        for j in range(c, len(m[0])):
+            x = m[i][j]
+            if x != 0 and (best is None or abs(x) < abs(m[best[0]][best[1]])):
+                best = (i, j)
+    return best
+
+
+def test_snf_transforms_match_full_scan_pivot(monkeypatch):
+    rng = random.Random(5)
+    # at 6 x 6 the SNF can inflate entries without finishing
+    cases = _random_matrices(rng, 100, 5, 6) + _random_matrices(rng, 100, 5, 6, units=False)
+    fast = [intlin.smith_normal_form(m, want_transforms=True) for m in cases]
+    monkeypatch.setattr(intlin, "_min_pivot", _full_scan_min_pivot)
+    for m, got in zip(cases, fast):
+        assert got == intlin.smith_normal_form(m, want_transforms=True)
