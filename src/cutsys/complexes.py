@@ -36,19 +36,6 @@ def vertex_of(universe, curves):
     return tuple(sorted(curves, key=universe.key))
 
 
-def is_move(universe, v, w, context=()):
-    """Elementary move: swap one curve for another meeting it exactly once."""
-    sv, sw = set(v), set(w)
-    out = sv - sw
-    into = sw - sv
-    if len(out) != 1 or len(into) != 1:
-        return False
-    a, b = next(iter(out)), next(iter(into))
-    if universe.inter(a, b) != 1:
-        return False
-    return universe.cut_ok(v, context) and universe.cut_ok(w, context)
-
-
 @dataclass(frozen=True)
 class Cell:
     kind: str  # triangle | rectangle | pentagon
@@ -141,121 +128,57 @@ def _edges_between(universe, vertices, curves):
     return edges
 
 
-def _triangles(universe, curves, commons):
-    cells = []
-    for common in commons:
-        pool = [
-            c
-            for c in curves
-            if c not in common and universe.cut_ok((c,) + tuple(common))
-        ]
-        for b0, b1, b2 in combinations(pool, 3):
-            if (
-                universe.inter(b0, b1) == 1
-                and universe.inter(b0, b2) == 1
-                and universe.inter(b1, b2) == 1
-            ):
-                cyc = tuple(vertex_of(universe, (b,) + tuple(common)) for b in (b0, b1, b2))
-                cells.append(Cell("triangle", cyc))
-    return cells
+def _cells(universe, curves, common, free):
+    """The 2-cells whose vertices all contain the curves of `common`.
 
+    free = 1 gives the triangles, free = 2 the rectangles and pentagons.
+    Curves are named by their position in the pool, the curves that complete
+    `common` to a cut system (in `curves` order), and each cell is generated
+    once, in the rotation and direction that starts from its earliest curves.
+    """
+    pool = [c for c in curves if c not in common and universe.cut_ok((c,) + common)]
 
-def _rectangles(universe, curves, commons):
+    def linked(test):  # per pool position, the positions it passes test with
+        out = [set() for _ in pool]
+        for i, j in combinations(range(len(pool)), 2):
+            if test(pool[i], pool[j]):
+                out[i].add(j)
+                out[j].add(i)
+        return out
+
+    def vertex(*bs):
+        return vertex_of(universe, tuple(pool[b] for b in bs) + common)
+
+    once = linked(lambda x, y: universe.inter(x, y) == 1)
+    pairs = [(b0, b1) for b0, ends in enumerate(once) for b1 in ends if b0 < b1]
+    if free == 1:
+        return [
+            Cell("triangle", (vertex(b0), vertex(b1), vertex(b2)))
+            for b0, b1 in pairs
+            for b2 in once[b0] & once[b1]
+            if b1 < b2
+        ]
+    # a pair passing the cut test is two distinct disjoint curves, in every universe
+    apart = linked(lambda x, y: universe.cut_ok((x, y) + common))
     cells = []
-    for common in commons:
-        pool = [
-            c
-            for c in curves
-            if c not in common and universe.cut_ok((c,) + tuple(common))
-        ]
-        pairs = [
-            (x, y)
-            for x, y in combinations(pool, 2)
-            if universe.inter(x, y) == 1
-        ]
-        for i, (b0, b1) in enumerate(pairs):
-            for c0, c1 in pairs[i + 1 :]:
-                if {b0, b1} & {c0, c1}:
-                    continue
-                if any(universe.inter(b, c) != 0 for b in (b0, b1) for c in (c0, c1)):
-                    continue
-                vs = {}
-                ok = True
-                for b in (b0, b1):
-                    for c in (c0, c1):
-                        if not universe.cut_ok((b, c) + tuple(common)):
-                            ok = False
-                            break
-                        vs[b, c] = vertex_of(universe, (b, c) + tuple(common))
-                    if not ok:
-                        break
-                if ok:
-                    cyc = (vs[b0, c0], vs[b0, c1], vs[b1, c1], vs[b1, c0])
+    for b0, b1 in pairs:
+        # rectangles: a second once-edge c0-c1, later in pool order, with
+        # every cross pair apart
+        both = apart[b0] & apart[b1]
+        for c0 in both:
+            for c1 in once[c0] & both:
+                if b0 < c0 < c1:
+                    cyc = (vertex(b0, c0), vertex(b0, c1), vertex(b1, c1), vertex(b1, c0))
                     cells.append(Cell("rectangle", cyc))
+        # pentagons: once-walks b0-b1-b2-b3-b4-b0 with b0 the earliest curve
+        # and b1 before b4; the vertices are the five pairs at distance 2
+        for b2 in once[b1] & apart[b0]:
+            for b3 in once[b2] & apart[b0] & apart[b1]:
+                for b4 in once[b3] & once[b0] & apart[b1] & apart[b2]:
+                    if b0 < min(b2, b3) and b1 < b4:
+                        ring = ((b0, b2), (b2, b4), (b4, b1), (b1, b3), (b3, b0))
+                        cells.append(Cell("pentagon", tuple(vertex(*p) for p in ring)))
     return cells
-
-
-def _pentagons(universe, curves, commons):
-    cells = []
-    seen = set()
-    for common in commons:
-        pool = [
-            c
-            for c in curves
-            if c not in common and universe.cut_ok((c,) + tuple(common))
-        ]
-        pset = set(pool)
-
-        def vertex_ok(x, y):
-            return universe.cut_ok((x, y) + tuple(common))
-
-        for b0 in pool:
-            for b1 in pool:
-                if b1 == b0 or universe.inter(b0, b1) != 1:
-                    continue
-                for b2 in pool:
-                    if b2 in (b0, b1) or universe.inter(b1, b2) != 1:
-                        continue
-                    if not vertex_ok(b0, b2):
-                        continue
-                    for b3 in pool:
-                        if b3 in (b0, b1, b2) or universe.inter(b2, b3) != 1:
-                            continue
-                        if not vertex_ok(b1, b3):
-                            continue
-                        for b4 in pset:
-                            if b4 in (b0, b1, b2, b3):
-                                continue
-                            if (
-                                universe.inter(b3, b4) != 1
-                                or universe.inter(b4, b0) != 1
-                            ):
-                                continue
-                            if not (vertex_ok(b2, b4) and vertex_ok(b3, b0) and vertex_ok(b4, b1)):
-                                continue
-                            bs = (b0, b1, b2, b3, b4)
-                            key = frozenset(universe.key(b) for b in bs)
-                            canon = _pentagon_canon(universe, bs)
-                            if (key, canon) in seen:
-                                continue
-                            seen.add((key, canon))
-                            cyc = tuple(
-                                vertex_of(universe, (bs[i % 5], bs[(i + 2) % 5]) + tuple(common))
-                                for i in (0, 2, 4, 1, 3)
-                            )
-                            cells.append(Cell("pentagon", cyc))
-    return cells
-
-
-def _pentagon_canon(universe, bs):
-    keys = [universe.key(b) for b in bs]
-    best = None
-    for r in range(5):
-        for step in (1, -1):
-            seq = tuple(keys[(r + step * i) % 5] for i in range(5))
-            if best is None or seq < best:
-                best = seq
-    return best
 
 
 def build_gamma(universe, k, seeds=None, radius=None):
@@ -270,22 +193,11 @@ def build_gamma(universe, k, seeds=None, radius=None):
             raise NeedsSeed("non-enumerable universe needs seed vertices")
         vertices, curves = _ball_vertices(universe, k, seeds, radius or 0)
     edges = _edges_between(universe, vertices, curves)
-    commons = [()]
-    if k >= 2:
-        commons = [
-            tuple(c)
-            for c in combinations(curves, k - 1)
-            if universe.cut_ok(c)
-        ]
-    cells = _triangles(universe, curves, commons)
-    if k >= 2:
-        commons2 = (
-            [()]
-            if k == 2
-            else [tuple(c) for c in combinations(curves, k - 2) if universe.cut_ok(c)]
-        )
-        cells += _rectangles(universe, curves, commons2)
-        cells += _pentagons(universe, curves, commons2)
+    cells = []
+    for free in range(1, min(k, 2) + 1):
+        commons = [c for c in combinations(curves, k - free) if not c or universe.cut_ok(c)]
+        for common in commons:
+            cells += _cells(universe, curves, common, free)
     cells = _prune_cells_to_graph(universe, vertices, edges, cells)
     return ComplexGraph(universe, k, vertices, edges, cells)
 

@@ -643,17 +643,17 @@ def contract_square(universe, loop, context=(), check=True):
     return rw.steps
 
 
-def square_any_diagonal(universe, quad, context=(), check=True):
-    """Contract [q0,q1,q2,q3,q0] given some disjoint opposite pair."""
+def square_any_diagonal(universe, quad, context=()):
+    """Contract [q0,q1,q2,q3,q0] given some disjoint opposite pair; the
+    steps are unchecked, for a caller whose rewriter checks them."""
     q0, q1, q2, q3 = quad
     loop = ((q0,), (q1,), (q2,), (q3,), (q0,))
     if universe.inter(q1, q3) == 0:
-        return contract_square(universe, loop, context, check)
+        return contract_square(universe, loop, context, False)
     if universe.inter(q0, q2) == 0:
-        steps = contract_rebased(
+        return contract_rebased(
             loop, 1, lambda vs: contract_square(universe, vs, context, False)
         )
-        return _checked(universe, loop, steps, context, check)
     raise NotApplicable("no disjoint diagonal")
 
 
@@ -757,7 +757,7 @@ def _flanked_based(universe, vertices, a0, context):
         xnext = rw.path[3][0]
         if universe.inter(f, xnext) != 0:
             fstar = _clean_flank(universe, a0, xi, xnext, context)
-            steps = square_any_diagonal(universe, (a0, fstar, xi, f), context, False)
+            steps = square_any_diagonal(universe, (a0, fstar, xi, f), context)
             rw.replace(0, 2, ((a0,), (fstar,), (xi,)), steps)
             f = fstar
         b = universe.twist(f, 1, xi)
@@ -927,7 +927,7 @@ def _ladder_steps(prover, rail_b, rail_t):
     return rw.steps
 
 
-def contract_radius0(prover, vertices, a0, _no_recenter=False, _trace=None):
+def contract_radius0(prover, vertices, a0, _no_recenter=False):
     """Contract a loop of radius 0 about a0 by the segment induction."""
     u = prover.u
     if radius(u, vertices, a0) != 0:
@@ -954,22 +954,19 @@ def contract_radius0(prover, vertices, a0, _no_recenter=False, _trace=None):
         return rw.steps
     j = starts[0]
     inner = contract_rebased(
-        work, j, lambda vs: _radius0_based(prover, vs, a0, _no_recenter, _trace)
+        work, j, lambda vs: _radius0_based(prover, vs, a0, _no_recenter)
     )
     rw.apply_steps(inner)
     return rw.steps
 
 
-def _radius0_based(prover, vertices, a0, no_recenter=False, trace=None):
+def _radius0_based(prover, vertices, a0, no_recenter=False):
     """Radius-0 contraction for loops starting at the head of their a0-run."""
     u = prover.u
     n = len(vertices) - 1
     e1 = _maximal_run(vertices, a0, 0)
     if e1 == n:
         return sp_radius0(prover, vertices, a0)
-    segs = segment_decomposition(u, vertices, a0)
-    if trace is not None:
-        trace.append((len(vertices[0]), len(segs)))
     v1 = vertices[e1]
     shared = sorted(
         (c for c in v1 if c in vertices[e1 + 1] and c != a0), key=u.key
@@ -1010,9 +1007,9 @@ def _radius0_based(prover, vertices, a0, no_recenter=False, trace=None):
         else:
             done = _case3(prover, rw, a0, a1, candidates, e1, e2, no_recenter)
             if not done:
-                return _recenter_or_fail(prover, vertices, a0, no_recenter, trace)
+                return _recenter_or_fail(prover, vertices, a0, no_recenter)
     out = tuple(rw.path)
-    sub = contract_radius0(prover, out, a0, _no_recenter=no_recenter, _trace=trace)
+    sub = contract_radius0(prover, out, a0, _no_recenter=no_recenter)
     rw.apply_steps(sub)
     return rw.steps
 
@@ -1205,7 +1202,7 @@ def _case3(prover, rw, a0, a1, candidates, e1, e2, no_recenter):
     return True
 
 
-def _recenter_or_fail(prover, vertices, a0, no_recenter, trace):
+def _recenter_or_fail(prover, vertices, a0, no_recenter):
     if no_recenter:
         raise ContractionError(
             "separating-shadow junction with no usable merge; the lattice "
@@ -1224,7 +1221,7 @@ def _recenter_or_fail(prover, vertices, a0, no_recenter, trace):
             except InvalidReference:
                 continue
             try:
-                return contract_radius0(prover, vertices, c, _no_recenter=True, _trace=trace)
+                return contract_radius0(prover, vertices, c, _no_recenter=True)
             except (ContractionError, NotApplicable):
                 continue
     raise ContractionError("no radius-0 center contracts this loop")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from . import geomcurves, sympcurves
 from .surfaces import NoRoom, SurfaceSpec, exhaust, stabilize
-from .sympcurves import HClass, SympSpace
+from .sympcurves import SympSpace
 
 
 class Room:
@@ -65,9 +65,6 @@ class SympZUniverse:
     def twist(self, a, n, b):
         return sympcurves.transvect(a, n, b)
 
-    def is_curve(self, x):
-        return isinstance(x, HClass)
-
     def cut_ok(self, curves, context=()):
         return sympcurves.is_cut_shadow(curves, extra=list(context))
 
@@ -106,9 +103,6 @@ class SympF2Universe:
     def twist(self, a, n, b):
         return sympcurves.f2_transvect(a, b, self.g) if n % 2 else b
 
-    def is_curve(self, x):
-        return isinstance(x, int) and 0 < x < (1 << (2 * self.g))
-
     def cut_ok(self, curves, context=()):
         return sympcurves.f2_is_cut(list(curves) + list(context), self.g)
 
@@ -138,9 +132,6 @@ class SlopeUniverse:
     def twist(self, a, n, b):
         return geomcurves.twist_slope(a, n, b)
 
-    def is_curve(self, x):
-        return isinstance(x, geomcurves.Slope)
-
     def cut_ok(self, curves, context=()):
         # two distinct slopes always intersect: cut systems are singletons
         curves = list(curves)
@@ -169,9 +160,6 @@ class WordUniverse:
 
     def twist(self, a, n, b):
         raise NotImplementedError("word backend has no twist action")
-
-    def is_curve(self, x):
-        return isinstance(x, geomcurves.CyclicWord)
 
     def cut_ok(self, curves, context=()):
         curves = list(curves)

@@ -65,9 +65,11 @@ def test_farey_fragment_edges_in_triangles():
 
 
 def test_every_edge_is_a_move():
+    from cutsys.homotopy import check_path
+
     g2 = cx.build_gamma(U2, 2)
     for v, w in g2.edges:
-        assert cx.is_move(U2, v, w)
+        assert check_path(U2, [v, w])
 
 
 def test_cells_reverified_independently():
@@ -250,3 +252,79 @@ def test_ball_build_sympz():
     g = cx.build_gamma(uz, 1, seeds=seeds, radius=2)
     assert all(len(v) == 1 for v in g.vertices)
     assert len(g.vertices) >= 2
+
+
+def _sympz_ball():
+    from cutsys.sympcurves import HClass, SympSpace
+
+    S = SympSpace(3)
+    a1, b1, a2, b2 = S.basis_a(1), S.basis_b(1), S.basis_a(2), S.basis_b(2)
+    a1b1, a2b2 = HClass((1, 1, 0, 0)), HClass((0, 0, 1, 1))
+    seeds = [(a1, a2), (b1, a2), (a1b1, a2), (a1, b2), (a1, a2b2), (b1, b2)]
+    return cx.build_gamma(make_universe("sympZ", g=3), 2, seeds=seeds, radius=1)
+
+
+# sha256 of the sorted-key JSON export, and (vertices, edges, triangles,
+# rectangles, pentagons); a dropped, duplicated or re-oriented cell changes it
+PINNED_BUILDS = {
+    "sympF2 g=2 k=1": (
+        lambda: cx.build_gamma(U2, 1),
+        (15, 60, 80, 0, 0),
+        "fa838ac73453d8e41ba40a1aebc8662df432232aa4882c07049c38d40b076aae",
+    ),
+    "sympF2 g=2 k=2": (
+        lambda: cx.build_gamma(U2, 2),
+        (45, 180, 120, 90, 72),
+        "b9a5faaab1a059aecc71cd4ea1175053d02a3d94a708e47df1f358669e3d10fa",
+    ),
+    "sympF2 g=3 k=1": (
+        lambda: cx.build_gamma(U3, 1),
+        (63, 1008, 5376, 0, 0),
+        "a2d25d855f856d0005e4d3d1cdfcf0efe2c4c63224957f6d92a9b2bc9721b568",
+    ),
+    "slope bound=3": (
+        lambda: cx.build_gamma(make_universe("slope", bound=3), 1),
+        (16, 29, 14, 0, 0),
+        "b45b2f197a66fcdd5af1d06b7866b56714f08b93174e13f85bc2232cef322f50",
+    ),
+    "sympZ g=3 k=2 ball": (
+        _sympz_ball,
+        (9, 18, 6, 9, 0),
+        "9a9e6219068aa1490c05b29c8c8acce38395a5f0cc5eb9bf926eb99d40f31004",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_BUILDS))
+def test_build_output_pinned(name):
+    import hashlib
+    import json
+
+    build, counts, digest = PINNED_BUILDS[name]
+    g = build()
+    kinds = [
+        sum(c.kind == kind for c in g.cells) for kind in ("triangle", "rectangle", "pentagon")
+    ]
+    assert (len(g.vertices), len(g.edges), *kinds) == counts
+    blob = json.dumps(g.to_json(), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest
+
+
+def test_pentagon_with_same_free_curves_on_two_common_sets():
+    # one genus-2 pentagon ring, completed by a3 and by b3: two distinct cells
+    from cutsys.homotopy import cell_pattern
+    from cutsys.sympcurves import HClass
+
+    uz = make_universe("sympZ", g=3)
+    coords = ((1, 0, 0, 0), (0, 1, 0, 0), (1, 0, 1, 0), (0, 0, 0, 1), (0, 1, 1, -1))
+    ring = [HClass(c) for c in coords]  # a1, b1, a1 + a2, b2, b1 + a2 - b2
+    a3, b3 = HClass((0, 0, 0, 0, 1, 0)), HClass((0, 0, 0, 0, 0, 1))
+    seeds = [(ring[i], ring[(i + 2) % 5], c) for c in (a3, b3) for i in range(5)]
+    g = cx.build_gamma(uz, 3, seeds=seeds, radius=0)
+    pentagons = [c for c in g.cells if c.kind == "pentagon"]
+    assert len(pentagons) == 2
+    assert all(cell_pattern(uz, c.cycle) == "pentagon" for c in pentagons)
+    assert {frozenset.intersection(*map(frozenset, c.cycle)) for c in pentagons} == {
+        frozenset({a3}),
+        frozenset({b3}),
+    }

@@ -363,11 +363,6 @@ def test_contract_termination_measure():
     p = H.Prover(u)
     loop = walks.random_closed_walk(u, 4, 2, rng, steps=4)
     assert loop is not None
-    trace = []
-    # run the radius-0 engine directly on a bridged loop to watch the measure
-    b = p.fresh_pair()[0]
-    k = len(loop[0])
-    w0 = p.fresh_fill([b, loop[0][0]], k - 2)
     steps = H.contract(p, loop)
     assert H.verify_certificate(u, loop, _cert(steps))[0]
 
@@ -420,7 +415,7 @@ def test_connect_no_room_on_finite():
         H.connect(p, v, w)
 
 
-def test_termination_trace_segment_counts_decrease():
+def test_termination_trace_segment_counts_decrease(monkeypatch):
     # at k = 2 every radius-0 reduction strictly shrinks the decomposition
     rng = random.Random(99)
     u = zu(4)
@@ -439,7 +434,14 @@ def test_termination_trace_segment_counts_decrease():
     just = H.sp_radius0(p, tuple(y + [v0]), shared)
     rw.replace(0, 1, y, just)
     trace = []
-    steps = H.contract_radius0(p, tuple(rw.path), b, _trace=trace)
+    based = H._radius0_based
+
+    def traced(prover, vertices, a0, *rest):
+        trace.append((len(vertices[0]), len(H.segment_decomposition(u, vertices, a0))))
+        return based(prover, vertices, a0, *rest)
+
+    monkeypatch.setattr(H, "_radius0_based", traced)
+    steps = H.contract_radius0(p, tuple(rw.path), b)
     rw.apply_steps(steps)
     ok, idx = H.verify_certificate(u, loop, _cert(rw.steps))
     assert ok, idx
