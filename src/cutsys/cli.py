@@ -16,12 +16,12 @@ import sys
 
 from . import complexes as cx
 from . import geomcurves, homotopy, rigidity, walks
-from .sympcurves import HClass, SympSpace, pairing, transvect_vec, pairing_vec
+from .sympcurves import SympSpace, pairing, transvect_vec, pairing_vec
 from .universe import make_universe
 
 
 def _dump(obj, out):
-    text = json.dumps(obj, sort_keys=True, indent=1)
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
@@ -82,14 +82,6 @@ def cmd_homology(args):
     return 0
 
 
-def _loop_json(loop):
-    return [[c.to_json() for c in v] for v in loop]
-
-
-def _loop_from_json(obj):
-    return tuple(tuple(sorted((HClass.from_json(c) for c in v))) for v in obj)
-
-
 def cmd_contract(args):
     rng = random.Random(args.seed)
     u = make_universe("sympZ", g=args.g)
@@ -104,7 +96,7 @@ def cmd_contract(args):
         "g": args.g,
         "k": args.k,
         "seed": args.seed,
-        "loop": _loop_json(loop),
+        "loop": homotopy.loop_to_json(loop),
         "certificate": cert.to_json(),
         "verified": ok,
     }
@@ -122,13 +114,10 @@ def _read_certificate(path):
     for key in ("loop", "certificate"):
         if key not in data:
             raise ValueError(f"{path}: no {key!r} key")
-    loop = data["loop"]
-    if not isinstance(loop, list) or not loop or not all(isinstance(v, list) and v for v in loop):
-        raise ValueError(f"{path}: 'loop' must be a non-empty list of non-empty vertex lists")
     try:
-        return _loop_from_json(loop), homotopy.HomotopyCertificate.from_json(data["certificate"])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"{path}: malformed curve or step: {exc!r}") from None
+        return homotopy.loop_from_json(data["loop"]), homotopy.HomotopyCertificate.from_json(data["certificate"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def cmd_verify(args):

@@ -125,58 +125,62 @@ class Step:
 
 @dataclass
 class HomotopyCertificate:
+    """Contraction steps.  As JSON, {"curves": [...], "steps": [...]}: the
+    table "curves" holds each distinct curve once, in order of first use, as
+    [g, [[index, value], ...]] (its genus and its nonzero coordinates), and
+    every window is a list of vertex lists of indices into that table."""
+
     steps: list = field(default_factory=list)
 
     def __len__(self):
         return len(self.steps)
 
-    def to_json(self, curve_json=None):
-        cj = curve_json or (lambda c: c.to_json() if hasattr(c, "to_json") else c)
-        vj = lambda v: [cj(c) for c in v]
+    def to_json(self):
+        index, curves = {}, []
+
+        def vertex(v):
+            out = []
+            for c in v:
+                i = index.get(c)
+                if i is None:
+                    i = index[c] = len(curves)
+                    curves.append([c.g, [[j, x] for j, x in enumerate(c.coords) if x]])
+                out.append(i)
+            return out
+
         out = []
         for s in self.steps:
+            d = {"op": s.op, "at": s.at}
             if s.op == CELL_FILL:
-                out.append(
-                    {
-                        "op": s.op,
-                        "at": s.at,
-                        "cell": {"kind": s.kind},
-                        "replace": [vj(v) for v in s.old],
-                        "with": [vj(v) for v in s.new],
-                    }
-                )
-            else:
-                out.append(
-                    {
-                        "op": s.op,
-                        "at": s.at,
-                        "replace": [vj(v) for v in s.old],
-                        "with": [vj(v) for v in s.new],
-                    }
-                )
-        return {"steps": out}
+                d["cell"] = {"kind": s.kind}
+            d["replace"] = [vertex(v) for v in s.old]
+            d["with"] = [vertex(v) for v in s.new]
+            out.append(d)
+        return {"curves": curves, "steps": out}
 
     @classmethod
     def from_json(cls, obj):
-        """Parse integer-shadow steps, rejecting a malformed step with ValueError.
-
-        Each distinct coordinate list is made into an HClass once per call;
-        the memo dies with the call, so nothing is trusted across inputs.
-        """
-        memo = {}
-
-        def curve(c):
-            key = tuple(c["coords"])
-            hit = memo.get(key)
-            if hit is None:
-                hit = memo[key] = HClass.from_json(c)
-            return hit
+        """Parse a certificate; a ValueError names the malformed step or table
+        entry.  Each entry must be the canonical encoding that to_json writes
+        and appear once; it becomes an HClass once, which checks primitivity."""
+        if not isinstance(obj, dict) or not all(isinstance(obj.get(k), list) for k in ("curves", "steps")):
+            raise ValueError("certificate must be an object with 'curves' and 'steps' lists")
+        table, first = [], {}
+        for j, e in enumerate(obj["curves"]):
+            c = _table_curve(j, e)
+            if first.setdefault(c, j) != j:
+                raise ValueError(f"curve {j}: duplicate of curve {first[c]}")
+            table.append(c)
+        n = len(table)
 
         def window(s, i, name):
             w = s.get(name)
             if not isinstance(w, list) or not all(isinstance(v, list) for v in w):
                 raise ValueError(f"step {i}: {name!r} must be a list of vertex lists")
-            return tuple(tuple(curve(c) for c in v) for v in w)
+            for v in w:
+                if not v or not all(type(x) is int and 0 <= x < n for x in v):
+                    raise ValueError(f"step {i}: {name!r} holds {v!r}, not a non-empty list of indices below {n}")
+            return tuple(tuple(table[x] for x in v) for v in w)
 
         steps = []
         for i, s in enumerate(obj["steps"]):
@@ -188,11 +192,62 @@ class HomotopyCertificate:
             if type(at) is not int:
                 raise ValueError(f"step {i}: 'at' must be an integer, not {at!r}")
             cell = s.get("cell", {})
-            if not isinstance(cell, dict):
-                raise ValueError(f"step {i}: 'cell' must be an object")
+            if not isinstance(cell, dict) or not isinstance(cell.get("kind", ""), str):
+                raise ValueError(f"step {i}: 'cell' must be an object with a string 'kind'")
             kind = cell.get("kind", "") if op == CELL_FILL else ""
             steps.append(Step(op, at, window(s, i, "replace"), window(s, i, "with"), kind))
         return cls(steps)
+
+
+def _table_curve(j, e):
+    """The HClass of curve-table entry j, which must be the canonical
+    encoding [g, [[index, value], ...]] that to_json writes."""
+
+    def bad(why):
+        return ValueError(f"curve {j}: {why}")
+
+    if not (isinstance(e, list) and len(e) == 2 and type(e[0]) is int and isinstance(e[1], list)):
+        raise bad("not a [genus, [[index, value], ...]] entry")
+    g, pairs = e
+    last = -1
+    for p in pairs:
+        if not (isinstance(p, list) and len(p) == 2 and type(p[0]) is int and type(p[1]) is int):
+            raise bad(f"{p!r} is not an [index, value] pair of integers")
+        if p[0] <= last:
+            raise bad("indices not strictly increasing from 0")
+        if p[1] == 0:
+            raise bad(f"zero value at index {p[0]}")
+        last = p[0]
+    if g != max(1, last // 2 + 1):
+        raise bad(f"genus {g}, but the highest index {last} gives genus {max(1, last // 2 + 1)}")
+    if pairs and pairs[0][1] < 0:
+        raise bad("leading value negative: not the canonical sign")
+    coords = [0] * (2 * g)
+    for i, x in pairs:
+        coords[i] = x
+    try:
+        return HClass(coords)
+    except ValueError as exc:
+        raise bad(str(exc)) from None
+
+
+def loop_to_json(loop):
+    """A loop as JSON: per vertex, the list of its curves' HClass.to_json."""
+    return [[c.to_json() for c in v] for v in loop]
+
+
+def loop_from_json(obj):
+    """Inverse of loop_to_json, each vertex sorted; ValueError when malformed."""
+    if not isinstance(obj, list) or not obj or not all(isinstance(v, list) and v for v in obj):
+        raise ValueError("'loop' must be a non-empty list of non-empty vertex lists")
+
+    def curve(c):
+        coords = c.get("coords") if isinstance(c, dict) else None
+        if not isinstance(coords, list) or not all(type(x) is int for x in coords):
+            raise ValueError("each loop curve must be an object with integer 'coords'")
+        return HClass(coords)
+
+    return tuple(tuple(sorted(map(curve, v))) for v in obj)
 
 
 def cell_pattern(universe, cycle, context=()):

@@ -87,9 +87,53 @@ def _break_empty_loop(data):
     data["loop"] = []
 
 
+def _break_cell_kind(data):
+    data["certificate"]["steps"][0]["cell"] = {"kind": 3}
+
+
+def _break_loop_curve(data):
+    data["loop"][0][0] = {"coords": "a1"}
+
+
+def _set_index(x):
+    def corrupt(data):
+        data["certificate"]["steps"][0]["replace"][0][0] = x(data) if callable(x) else x
+    return corrupt
+
+
+_break_index_str = _set_index("0")
+_break_index_bool = _set_index(False)
+_break_index_negative = _set_index(-1)
+_break_index_past_table = _set_index(lambda data: len(data["certificate"]["curves"]))
+
+
+def _set_entry(f):
+    def corrupt(data):
+        curves = data["certificate"]["curves"]
+        curves[0] = f(*curves[0])
+    return corrupt
+
+
+_break_entry_genus_above = _set_entry(lambda g, pairs: [g + 1, pairs])
+_break_entry_negative_sign = _set_entry(lambda g, pairs: [g, [[i, -x] for i, x in pairs]])
+_break_entry_not_increasing = _set_entry(lambda g, pairs: [g, pairs + pairs])
+_break_entry_index_past_2g = _set_entry(lambda g, pairs: [g, pairs + [[2 * g, 1]]])
+_break_entry_zero_value = _set_entry(lambda g, pairs: [g, [[i, 0] for i, x in pairs]])
+_break_entry_imprimitive = _set_entry(lambda g, pairs: [g, [[i, 2 * x] for i, x in pairs]])
+
+
+def _break_entry_duplicate(data):
+    curves = data["certificate"]["curves"]
+    curves.append(curves[0])
+
+
 @pytest.mark.parametrize(
     "corrupt",
-    [_break_loop_key, _break_certificate_key, _break_at, _break_op, _break_window, _break_empty_loop],
+    [_break_loop_key, _break_certificate_key, _break_at, _break_op, _break_window, _break_empty_loop,
+     _break_cell_kind, _break_loop_curve, _break_index_str, _break_index_bool, _break_index_negative,
+     _break_index_past_table, _break_entry_genus_above, _break_entry_negative_sign,
+     _break_entry_not_increasing, _break_entry_index_past_2g, _break_entry_zero_value,
+     _break_entry_imprimitive, _break_entry_duplicate],
     ids=lambda f: f.__name__[len("_break_"):],
 )
 def test_verify_malformed_input_exit_2(tmp_path, capsys, corrupt):

@@ -1,6 +1,11 @@
+import functools
+import json
 import random
+import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cutsys import homotopy as H
 from cutsys import walks
@@ -348,9 +353,6 @@ def test_contract_radius0_random_multisegment():
         loop = walks.random_closed_walk(u, g, 2, rng, steps=5)
         if loop is None:
             continue
-        trace = []
-        b = p.fresh_pair()[0]
-        # bridge manually to make a radius-0 instance about the fresh curve
         steps = H.contract(p, loop)
         ok, idx = H.verify_certificate(u, loop, _cert(steps))
         assert ok, idx
@@ -663,10 +665,136 @@ def test_from_json_interns_curves():
         for v in s.old + s.new:
             for c in v:
                 assert seen.setdefault(c.coords, c) is c
-    for coords in ([0, 0, 0, 0], [2, 0, 0, 2]):
-        blob["steps"][0]["replace"][0][0] = {"g": 2, "coords": coords}
-        with pytest.raises(ValueError):
+    assert len(blob["curves"]) == len(seen)
+    for entry in ([2, []], [2, [[0, 2], [3, 2]]]):
+        bad = json.loads(json.dumps(blob))
+        bad["curves"][0] = entry
+        with pytest.raises(ValueError, match="curve 0"):
+            H.HomotopyCertificate.from_json(bad)
+
+
+def _tri_blob():
+    x = HClass((1, 1, 0, 0))
+    return _cert(H.contract(H.Prover(zu(2)), ((a1,), (b1,), (x,), (a1,)))).to_json()
+
+
+@pytest.mark.parametrize(
+    "entry, why",
+    [
+        ([2, [[0, 1]]], "genus 2, but the highest index 0 gives genus 1"),
+        ([1, [[0, -1]]], "leading value negative"),
+        ([2, [[2, 1], [0, 1]]], "strictly increasing"),
+        ([1, [[0, 1], [2, 1]]], "genus 1, but the highest index 2 gives genus 2"),
+        ([1, [[0, 0]]], "zero value"),
+        ([2, [[0, 2], [2, 2]]], "imprimitive"),
+        ([1, []], "must be nonzero"),
+        ([True, [[0, 1]]], "not a [genus"),
+        ([1, [[0, 1.0]]], "not an [index, value] pair"),
+    ],
+)
+def test_from_json_rejects_noncanonical_entry(entry, why):
+    blob = _tri_blob()
+    blob["curves"][0] = entry
+    with pytest.raises(ValueError, match=r"^curve 0: .*" + re.escape(why)):
+        H.HomotopyCertificate.from_json(blob)
+
+
+def test_from_json_rejects_duplicate_entry_and_bad_index():
+    blob = _tri_blob()
+    n = len(blob["curves"])
+    blob["curves"].append(blob["curves"][0])
+    with pytest.raises(ValueError, match=f"^curve {n}: duplicate of curve 0"):
+        H.HomotopyCertificate.from_json(blob)
+    for x in (True, "0", -1, n, 1.0):
+        blob = _tri_blob()
+        blob["steps"][1]["with"][0][0] = x
+        with pytest.raises(ValueError, match="^step 1: 'with' holds"):
             H.HomotopyCertificate.from_json(blob)
+    blob["steps"][1]["with"][0] = []
+    with pytest.raises(ValueError, match=r"^step 1: 'with' holds \[\], not a non-empty list"):
+        H.HomotopyCertificate.from_json(blob)
+
+
+@functools.lru_cache(maxsize=None)
+def _fuzz_base():
+    u = zu(2)
+    loop = walks.random_closed_walk(u, 2, 2, random.Random(1), steps=2)
+    blob = _cert(H.contract(H.Prover(u), loop)).to_json()
+    return loop, json.dumps(blob)
+
+
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 40), st.floats(allow_nan=False), st.text(max_size=3),
+    st.lists(st.integers(-2, 4), max_size=3), st.dictionaries(st.text(max_size=4), st.integers(), max_size=2),
+)
+_PAIRS = st.lists(st.tuples(st.integers(-1, 12), st.integers(-3, 3)).map(list), max_size=4)
+_ENTRY = st.one_of(_JUNK, st.tuples(st.integers(-1, 7), _PAIRS).map(list))
+
+
+def _is_entry(e):
+    return (isinstance(e, list) and len(e) == 2 and type(e[0]) is int and isinstance(e[1], list)
+            and all(isinstance(p, list) and len(p) == 2 for p in e[1]))
+
+
+def _mutate(data, blob):
+    steps, curves, n = blob["steps"], blob["curves"], len(blob["curves"])
+    kind = data.draw(st.sampled_from(["entry", "edit", "index", "at", "op", "cell", "window", "truncate", "swap"]))
+    i = data.draw(st.integers(0, len(steps) - 1)) if steps else None
+    # half the draws favour the first entries: the loop's own curves, used by the first steps
+    j = data.draw(st.integers(0, n - 1) | st.integers(0, min(n - 1, 3))) if n else None
+    if kind == "entry" and n:
+        curves[j] = data.draw(_ENTRY)
+    elif kind == "edit" and n and _is_entry(curves[j]):
+        # a near miss of a real entry: shifted genus, dropped pairs, or one value scaled
+        g, pairs = curves[j]
+        edit = data.draw(st.sampled_from(["genus", "drop", "scale"]))
+        if edit == "genus":
+            curves[j] = [g + data.draw(st.sampled_from([-1, 1])), pairs]
+        elif edit == "drop":
+            curves[j] = [g, pairs[: data.draw(st.integers(0, max(0, len(pairs) - 1)))]]
+        elif pairs:
+            k = data.draw(st.integers(0, len(pairs) - 1))
+            pairs[k] = [pairs[k][0], pairs[k][1] * data.draw(st.sampled_from([-1, 0, 2]))]
+    elif i is None or not isinstance(steps[i], dict):
+        del steps[:1]  # an earlier mutation left no step object to edit here
+    elif kind == "index":
+        w = steps[i].get(data.draw(st.sampled_from(["replace", "with"])))
+        v = w[data.draw(st.integers(0, len(w) - 1))] if isinstance(w, list) and w else None
+        if isinstance(v, list) and v:
+            v[data.draw(st.integers(0, len(v) - 1))] = data.draw(st.one_of(st.integers(-2, n + 1), _JUNK))
+    elif kind == "at":
+        steps[i]["at"] = data.draw(st.one_of(st.integers(-2, 60), _JUNK))
+    elif kind == "op":
+        steps[i]["op"] = data.draw(st.one_of(st.sampled_from([H.CELL_FILL, H.BT_INSERT, H.BT_REMOVE]), _JUNK))
+    elif kind == "cell":
+        names = st.sampled_from(["triangle", "rectangle", "pentagon", ""])
+        steps[i]["cell"] = data.draw(st.one_of(st.fixed_dictionaries({"kind": st.one_of(names, _JUNK)}), _JUNK))
+    elif kind == "window":
+        windows = st.lists(st.lists(st.integers(-1, n), max_size=3), max_size=4)
+        steps[i][data.draw(st.sampled_from(["replace", "with"]))] = data.draw(st.one_of(windows, _JUNK))
+    elif kind == "truncate":
+        del steps[i:]
+    else:
+        k = data.draw(st.integers(0, len(steps) - 1))
+        steps[i], steps[k] = steps[k], steps[i]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_mutated_certificates_are_rejected_cleanly(data):
+    """Reading and replaying a mutated real certificate either succeeds,
+    names a failing step, or raises ValueError from the reader."""
+    loop, text = _fuzz_base()
+    blob = json.loads(text)
+    for _ in range(data.draw(st.integers(1, 2))):
+        _mutate(data, blob)
+    try:
+        cert = H.HomotopyCertificate.from_json(blob)
+    except ValueError:
+        return
+    ok, idx = H.verify_certificate(zu(2), loop, cert)
+    assert (ok, idx) == (True, None) or (ok is False and type(idx) is int)
 
 
 def test_soundness_checks_survive_optimize_flag():
