@@ -20,7 +20,6 @@ from .homotopy import (
     connect,
     contract,
     contract_radius0,
-    contract_radius1,
     contract_square,
     escort_triple,
     hex_escorts,

@@ -101,6 +101,8 @@ def cmd_contract(args):
         "verified": ok,
     }
     _dump(report, args.out)
+    if not ok:
+        print(f"certificate fails its replay at step {idx}", file=sys.stderr)
     return 0 if ok else 1
 
 

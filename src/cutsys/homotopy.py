@@ -8,10 +8,12 @@ were produced.
 
 The prover follows the inductive scheme: bounded-length path construction
 (common-curve paths of length at most 4, genus drawn from the exhaustion when
-a construction needs room), contraction of radius-1 loops among single curves,
-and the radius-0 segment induction with its junction case analysis, including
-the hexagon bypass for separating triples.  All integer-shadow constructions
-thread a frozen context so that sub-contractions in a cut surface lift back.
+a construction needs room), contraction of single-curve loops through escort
+curves, and the radius-0 segment induction with its junction case analysis,
+including the hexagon bypass for separating triples.  All integer-shadow
+constructions thread a frozen context so that sub-contractions in a cut
+surface lift back.  The prover is untrusted: it checks none of the steps it
+emits, and a certificate is sound only once verify_certificate accepts it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .surfaces import NoRoom
-from .sympcurves import HClass
+from .sympcurves import HClass, combine
 
 
 class NotApplicable(ValueError):
@@ -322,9 +324,8 @@ def cell_pattern(universe, cycle, context=()):
 def apply_step(universe, path, s, context=()):
     """Check one step against the current path, then splice it into the list.
 
-    The one step checker: verify_certificate replays with it, and so does the
-    checking PathRewriter.  Raises InvalidStep and leaves path unchanged when
-    the step breaks a rule.
+    The one step checker, called by verify_certificate alone.  Raises
+    InvalidStep and leaves path unchanged when the step breaks a rule.
     """
 
     def broken(rule):
@@ -333,6 +334,8 @@ def apply_step(universe, path, s, context=()):
     end = s.at + len(s.old)
     if not s.old or not s.new:
         raise broken("empty window")
+    if not all(s.old) or not all(s.new):
+        raise broken("empty vertex")
     if s.at < 0 or end > len(path):
         raise broken("window outside the path")
     if tuple(path[s.at : end]) != s.old:
@@ -364,9 +367,10 @@ def apply_step(universe, path, s, context=()):
 
 
 def verify_certificate(universe, loop, cert, context=()):
-    """Replay a certificate; (True, None) or (False, first failing index)."""
+    """Replay a certificate; (True, None) or (False, first failing index).
+    The index is -1 when the loop itself is not a closed path of cut systems."""
     path = list(loop)
-    if not path or path[0] != path[-1]:
+    if not path or not all(path) or not check_path(universe, path, context, closed=True):
         return False, -1
     steps = cert.steps if isinstance(cert, HomotopyCertificate) else cert
     for i, s in enumerate(steps):
@@ -383,21 +387,15 @@ def verify_certificate(universe, loop, cert, context=()):
 
 
 class PathRewriter:
-    """Holds the evolving path and accumulates steps; with check set, each
-    step passes apply_step before it is spliced in."""
+    """Holds the evolving path and accumulates steps.  It splices each step
+    in unchecked; verify_certificate checks them when it replays the steps."""
 
-    def __init__(self, universe, vertices, context=(), check=True):
-        self.universe = universe
+    def __init__(self, vertices):
         self.path = list(vertices)
-        self.context = tuple(context)
         self.steps = []
-        self.check = check
 
     def _emit(self, step):
-        if self.check:
-            apply_step(self.universe, self.path, step, self.context)
-        else:
-            self.path[step.at : step.at + len(step.old)] = step.new
+        self.path[step.at : step.at + len(step.old)] = step.new
         self.steps.append(step)
 
     def fill(self, at, old_len, new_subpath, kind=""):
@@ -477,33 +475,18 @@ def contract_rebased(vertices, j, contractor):
     return steps
 
 
-def _checked(universe, vertices, steps, context, check):
-    """steps, replayed on vertices through a checking rewriter when check is
-    set: for entry points that return steps no rewriter of theirs emitted."""
-    if check:
-        PathRewriter(universe, vertices, context).apply_steps(steps)
-    return steps
-
-
 # --- the prover ------------------------------------------------------------------
 
 
 class Prover:
     """Bundles a sympZ universe, its room, and the frozen context."""
 
-    def __init__(self, universe, context=(), check=True):
+    def __init__(self, universe, context=()):
         self.u = universe
         self.ctx = tuple(context)
-        self.check = check
 
     def sub(self, *extra):
-        return Prover(self.u, self.ctx + tuple(extra), self.check)
-
-    def unchecked(self):
-        """This prover without step checks.  A public entry point checks its
-        own rewriter only and hands its helpers an unchecked prover: every
-        step they return reaches that rewriter, so each is checked once."""
-        return Prover(self.u, self.ctx, False) if self.check else self
+        return Prover(self.u, self.ctx + tuple(extra))
 
     def cut_ok(self, curves):
         return self.u.cut_ok(curves, self.ctx)
@@ -537,23 +520,8 @@ class Prover:
             return None
         if bump:
             _ha, hb = self.fresh_pair()
-            x = HClass(
-                tuple(
-                    a + b
-                    for a, b in zip(
-                        x.padded(max(x.g, hb.g)), hb.padded(max(x.g, hb.g))
-                    )
-                )
-            )
+            x = combine(x, 1, hb)
         return x
-
-    def rewriter(self, vertices):
-        return PathRewriter(self.u, vertices, self.ctx, self.check)
-
-
-def _combine(x, sign, y):
-    g = max(x.g, y.g)
-    return HClass(tuple(a + sign * b for a, b in zip(x.padded(g), y.padded(g))))
 
 
 # --- bounded path construction ----------------------------------------------------
@@ -588,8 +556,8 @@ def path_common(prover, v, w):
     if da is None or db is None:
         raise ContractionError("no dual classes at current genus")
     ha, hb = prover.fresh_pair()
-    d1 = _combine(da, 1, hb)
-    d3 = _combine(db, 1, hb)
+    d1 = combine(da, 1, hb)
+    d3 = combine(db, 1, hb)
     path = [
         v,
         prover.vertex(common + (d1,)),
@@ -640,10 +608,10 @@ def segment_connect(prover, v, w, common):
     return [prover.vertex(tuple(x) + common) for x in inner]
 
 
-# --- square and radius-1 contraction (Gamma_1) --------------------------------------
+# --- square contraction (Gamma_1) ----------------------------------------------------
 
 
-def contract_square(universe, loop, context=(), check=True):
+def contract_square(universe, loop):
     """Contract a 4-cycle of curves whose (1,3)-diagonal is disjoint.
 
     Twist powers about x1 first make the (0,2)-diagonal disjoint (each
@@ -655,7 +623,7 @@ def contract_square(universe, loop, context=(), check=True):
         raise NotApplicable("contract_square needs a based 4-cycle")
     if any(len(v) != 1 for v in vertices):
         raise NotApplicable("contract_square works on single-curve vertices")
-    rw = PathRewriter(universe, vertices, context, check)
+    rw = PathRewriter(vertices)
     y = [v[0] for v in vertices[:4]]
     if vertices[0] == vertices[2]:
         rw.remove_backtrack(0)
@@ -698,17 +666,14 @@ def contract_square(universe, loop, context=(), check=True):
     return rw.steps
 
 
-def square_any_diagonal(universe, quad, context=()):
-    """Contract [q0,q1,q2,q3,q0] given some disjoint opposite pair; the
-    steps are unchecked, for a caller whose rewriter checks them."""
+def square_any_diagonal(universe, quad):
+    """Contract [q0,q1,q2,q3,q0] given some disjoint opposite pair."""
     q0, q1, q2, q3 = quad
     loop = ((q0,), (q1,), (q2,), (q3,), (q0,))
     if universe.inter(q1, q3) == 0:
-        return contract_square(universe, loop, context, False)
+        return contract_square(universe, loop)
     if universe.inter(q0, q2) == 0:
-        return contract_rebased(
-            loop, 1, lambda vs: contract_square(universe, vs, context, False)
-        )
+        return contract_rebased(loop, 1, lambda vs: contract_square(universe, vs))
     raise NotApplicable("no disjoint diagonal")
 
 
@@ -722,89 +687,9 @@ def _dual_of(universe, a, context):
     return m0
 
 
-def contract_radius1(universe, loop, a0, context=(), check=True):
-    """Contract a closed path of curves with radius at most 1 about a0.
-
-    Implements the three cases: a fan of triangles when every curve meets a0
-    once, a split-off square for an isolated disjoint curve, and twist
-    insertions shrinking longer disjoint runs.  Needs no extra genus.
-    """
-    vertices = tuple(loop)
-    if any(len(v) != 1 for v in vertices):
-        raise NotApplicable("radius-1 contraction works in Gamma_1")
-    if vertices[0] != vertices[-1]:
-        raise NotApplicable("loop must be closed")
-    if (a0,) not in vertices:
-        raise InvalidReference("center must lie on the loop")
-    j = vertices.index((a0,))
-    if j:
-        steps = contract_rebased(
-            vertices, j, lambda vs: contract_radius1(universe, vs, a0, context, False)
-        )
-        return _checked(universe, vertices, steps, context, check)
-    if radius(universe, vertices, a0) > 1:
-        raise NotApplicable("loop has radius > 1 about the center")
-    return _radius1_based(universe, vertices, a0, context, check)
-
-
-def _radius1_based(universe, vertices, a0, context, check):
-    rw = PathRewriter(universe, vertices, context, check)
-    rw.clean_backtracks()
-    while True:
-        path = rw.path
-        n = len(path) - 1
-        if n == 0:
-            return rw.steps
-        # split at interior revisits of the basepoint
-        for i in range(1, n):
-            if path[i] == path[0]:
-                sub = _radius1_based(universe, tuple(path[: i + 1]), a0, context, False)
-                rw.apply_steps(sub)
-                rw.clean_backtracks()
-                break
-        else:
-            path = rw.path
-            n = len(path) - 1
-            if n == 0:
-                return rw.steps
-            if n == 3:
-                rw.fill(0, 2, (path[0], path[2]), "triangle")
-                rw.remove_backtrack(0)
-                return rw.steps
-            curves = [v[0] for v in path]
-            zeros = [i for i in range(1, n) if universe.inter(a0, curves[i]) == 0]
-            if not zeros:
-                # fan of triangles about the center
-                while len(rw.path) > 4:
-                    rw.fill(0, 2, (rw.path[0], rw.path[2]), "triangle")
-                rw.fill(0, 2, (rw.path[0], rw.path[2]), "triangle")
-                rw.remove_backtrack(0)
-                return rw.steps
-            l = zeros[0]
-            r = l
-            while r + 1 in zeros:
-                r += 1
-            _shrink_zero_run(universe, rw, a0, l, r, context)
-            rw.clean_backtracks()
-
-
-def _shrink_zero_run(universe, rw, a0, l, r, context):
-    """Replace the window (flank, run..., flank) by (flank, a0, flank).
-
-    Justified by contracting the flanked loop (fl, a0, fr, x_r, ..., x_l, fl),
-    whose single disjoint run shrinks by twist insertions about clean flanks.
-    """
-    path = rw.path
-    fl, fr = path[l - 1], path[r + 1]
-    target = [fl, (a0,), fr]
-    loop = tuple([fl, (a0,), fr] + [path[i] for i in range(r, l - 2, -1)])
-    steps = contract_rebased(loop, 1, lambda vs: _flanked_based(universe, vs, a0, context))
-    rw.replace(l - 1, (r + 1) - (l - 1), target, steps)
-
-
 def _flanked_based(universe, vertices, a0, context):
-    # vertices = [a0, fr, x_r, ..., x_l, fl, a0]; the caller checks the steps
-    rw = PathRewriter(universe, vertices, context, check=False)
+    # vertices = [a0, fr, x_r, ..., x_l, fl, a0]
+    rw = PathRewriter(vertices)
     while len(rw.path) > 5:
         # path = [a0, fr', x_i, x_{i-1}, ..., fl, a0]
         f = rw.path[1][0]
@@ -812,7 +697,7 @@ def _flanked_based(universe, vertices, a0, context):
         xnext = rw.path[3][0]
         if universe.inter(f, xnext) != 0:
             fstar = _clean_flank(universe, a0, xi, xnext, context)
-            steps = square_any_diagonal(universe, (a0, fstar, xi, f), context)
+            steps = square_any_diagonal(universe, (a0, fstar, xi, f))
             rw.replace(0, 2, ((a0,), (fstar,), (xi,)), steps)
             f = fstar
         b = universe.twist(f, 1, xi)
@@ -822,9 +707,7 @@ def _flanked_based(universe, vertices, a0, context):
         rw.fill(2, 2, ((b,), (xnext,)), "triangle")
         rw.fill(0, 2, ((a0,), (b,)), "triangle")
     # [a0, f, x_l, fl, a0]
-    steps = contract_rebased(
-        tuple(rw.path), 1, lambda vs: contract_square(universe, vs, context, False)
-    )
+    steps = contract_rebased(tuple(rw.path), 1, lambda vs: contract_square(universe, vs))
     rw.apply_steps(steps)
     return rw.steps
 
@@ -871,8 +754,8 @@ def escort_triple(prover, loop_curves):
     b2 = ha
     e01 = prover.u.signed(x1, x0)
     assert abs(e01) == 1
-    b0 = _combine(hb, 1, x1)  # meets x0 once via the x1 component
-    b1 = _combine(hb, 1, x0) if e01 == 1 else _combine(hb, -1, x0)
+    b0 = combine(hb, 1, x1)  # meets x0 once via the x1 component
+    b1 = combine(hb, 1, x0) if e01 == 1 else combine(hb, -1, x0)
     assert prover.u.inter(b0, x0) == 1 and prover.u.inter(b1, x1) == 1
     assert prover.u.inter(b2, b0) == 1 and prover.u.inter(b2, b1) == 1
     assert all(prover.u.inter(b2, c) == 0 for c in loop_curves)
@@ -887,7 +770,7 @@ def contract_gamma1(prover, vertices):
     twist insertions with freshly cleaned flanks.
     """
     u = prover.u
-    rw = prover.rewriter(vertices)
+    rw = PathRewriter(vertices)
     rw.clean_backtracks()
     if len(rw.path) == 1:
         return rw.steps
@@ -942,13 +825,12 @@ def sp_radius0(prover, vertices, c):
     assert all(c in v for v in vertices)
     k = len(vertices[0])
     if k == 1:
-        rw = prover.rewriter(vertices)
+        rw = PathRewriter(vertices)
         rw.clean_backtracks()
         assert len(rw.path) == 1, "a one-curve segment loop must be constant"
         return rw.steps
-    inner = contract(prover.sub(c).unchecked(), _strip(vertices, c))
-    steps = _lift_steps(prover.u, inner, c)
-    return _checked(prover.u, vertices, steps, prover.ctx, prover.check)
+    inner = contract(prover.sub(c), _strip(vertices, c))
+    return _lift_steps(prover.u, inner, c)
 
 
 def _maximal_run(vertices, c, start):
@@ -972,7 +854,7 @@ def _ladder_steps(prover, rail_b, rail_t):
     loop = [rail_b[m], rail_t[m]]
     loop += [rail_t[i] for i in range(m - 1, -1, -1)]
     loop += [rail_b[i] for i in range(0, m + 1)]
-    rw = prover.rewriter(loop)
+    rw = PathRewriter(loop)
     for j in range(m):
         i = m - 1 - j
         rw.fill(j, 2, (rail_b[i + 1], rail_b[i], rail_t[i]), "rectangle")
@@ -989,8 +871,7 @@ def contract_radius0(prover, vertices, a0, _no_recenter=False):
         raise NotApplicable("loop must have radius 0 about the center")
     if not any(a0 in v for v in vertices):
         raise InvalidReference("center must lie in a loop vertex")
-    rw = prover.rewriter(vertices)
-    prover = prover.unchecked()
+    rw = PathRewriter(vertices)
     rw.clean_backtracks()
     work = tuple(rw.path)
     if len(work) == 1:
@@ -1034,7 +915,7 @@ def _radius0_based(prover, vertices, a0, no_recenter=False):
         (c for c in shared if _maximal_run(vertices, c, e1) == best), key=u.key
     )
     e2 = best
-    rw = prover.rewriter(vertices)
+    rw = PathRewriter(vertices)
     if e2 == n:
         _two_segment(prover, rw, a0, a1, e1)
         rw.apply_steps(sp_radius0(prover, tuple(rw.path), a0))
@@ -1166,7 +1047,7 @@ def _hexagon_cert(prover, a0, a1, a2, b0, b1, b2, common):
     v3p, w1, v5p = V(b0, a2), V(a1, a2), V(a1, b2)
     W0, W1, W2 = V(b1, b2), V(c, b2), V(c, a2)
     hexagon = (w0, v1p, w2, v3p, w1, v5p, w0)
-    rw = prover.rewriter(hexagon)
+    rw = PathRewriter(hexagon)
     rw.fill(2, 1, (w2, W2, v3p), "triangle")
     rw.fill(3, 2, (W2, w1), "triangle")
     rw.fill(3, 2, (W2, W1, v5p), "rectangle")
@@ -1286,7 +1167,7 @@ def _recenter_or_fail(prover, vertices, a0, no_recenter):
 
 
 def hex_escorts(prover, a0, a1, a2, common=()):
-    """Escorts and a verified contraction for the hexagon of a separating
+    """Escorts and a contraction certificate for the hexagon of a separating
     triple whose pairwise unions are non-separating."""
     u = prover.u
     triple = (a0, a1, a2)
@@ -1315,8 +1196,7 @@ def contract(prover, loop):
     vertices = tuple(loop)
     if vertices[0] != vertices[-1]:
         raise NotApplicable("loop must be closed")
-    rw = prover.rewriter(vertices)
-    prover = prover.unchecked()
+    rw = PathRewriter(vertices)
     rw.clean_backtracks()
     work = tuple(rw.path)
     if len(work) == 1:
@@ -1350,7 +1230,7 @@ def contract(prover, loop):
     b = ha
     w0 = prover.vertex((a0, ha) + fills)
     u_in = prover.vertex((a0, hb) + fills)
-    u_out = prover.vertex((a0, _combine(hb, 1, a0)) + fills)
+    u_out = prover.vertex((a0, combine(hb, 1, a0)) + fills)
     s1 = segment_connect(prover, v0, u_in, (a0,))
     s2 = segment_connect(prover, u_out, v1, (a0,))
     y = _reduce_path(list(s1) + [w0] + list(s2))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from . import homotopy as H
 from . import intlin
-from .sympcurves import SympSpace, stack_rows
+from .sympcurves import SympSpace, combine, stack_rows
 
 
 class NotAnAutomorphism(ValueError):
@@ -212,11 +212,7 @@ def build_filling_chain(universe, room, stage_count, pair):
         # displace into the next stage: keeps every prescribed pairing and
         # frees the later links from rational dependences
         _ha, hb = room.fresh_pair()
-        g = max(nxt.g, hb.g)
-        nxt = type(nxt)(
-            tuple(x + y for x, y in zip(nxt.padded(g), hb.padded(g)))
-        )
-        chain.append(nxt)
+        chain.append(combine(nxt, 1, hb))
     return chain
 
 

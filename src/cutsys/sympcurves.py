@@ -181,6 +181,12 @@ def transvect(a, n, b):
     return HClass(transvect_vec(a.coords, n, b.coords))
 
 
+def combine(x, sign, y):
+    """The class of x + sign * y, in the larger of their two genera."""
+    g = max(x.g, y.g)
+    return HClass(tuple(a + sign * b for a, b in zip(x.padded(g), y.padded(g))))
+
+
 def stack_rows(classes, g=None):
     classes = list(classes)
     if g is None:

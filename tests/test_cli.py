@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import pytest
 
-from cutsys import cli
+from cutsys import cli, homotopy
+from cutsys.sympcurves import HClass, SympSpace
 
 
 def run(argv):
@@ -61,6 +63,52 @@ def test_verify_rejects_tampered(tmp_path):
     rep = json.loads(v.read_text())
     assert rep["verified"] is False
     assert rep["failing_step"] is not None
+
+
+def test_verify_rejects_loop_that_is_not_a_path(tmp_path):
+    S = SympSpace(2)
+    a = (S.basis_a(1), S.basis_a(2))
+    mid = tuple(sorted((S.basis_a(1), HClass((0, 1, 0, 1)))))  # not a cut system
+    spike = (a, mid, a)
+    cert = homotopy.HomotopyCertificate([homotopy.Step(homotopy.BT_REMOVE, 0, spike, (a,))])
+    c = tmp_path / "c.json"
+    c.write_text(json.dumps({"loop": homotopy.loop_to_json(spike), "certificate": cert.to_json()}))
+    v = tmp_path / "v.json"
+    assert run(["verify", str(c), "--out", str(v)]) == 1
+    assert json.loads(v.read_text()) == {"verified": False, "failing_step": -1}
+
+
+def test_contract_prover_fault_exits_1(tmp_path, capsys, monkeypatch):
+    lift = homotopy._lift_steps
+
+    def corrupt(universe, steps, c):
+        out = lift(universe, steps, c)
+        return [homotopy.Step(s.op, s.at, s.old, s.new, "pentagon" if s.kind == "triangle" else "triangle")
+                if s.op == homotopy.CELL_FILL else s for s in out]
+
+    monkeypatch.setattr(homotopy, "_lift_steps", corrupt)
+    c = tmp_path / "c.json"
+    assert run(["contract", "--g", "3", "--k", "3", "--steps", "2", "--seed", "1", "--out", str(c)]) == 1
+    assert json.loads(c.read_text())["verified"] is False
+    assert capsys.readouterr().err.startswith("certificate fails its replay at step ")
+
+
+# sha256 of `cutsys contract` reports; a change here changes certificates
+PINNED_REPORTS = [
+    (["--seed", "1", "--g", "3", "--k", "1", "--steps", "5"],
+     "031641099781610a84ffbab8cb77527d73c96c6d9519df576382a962f7d7c232"),
+    (["--seed", "2", "--g", "3", "--k", "2", "--steps", "8"],
+     "cd3c2b51fa1b8ad6fcee5f412d8a794c2d6462287fe619041a9032ae85d294e6"),
+    (["--seed", "3", "--g", "4", "--k", "3", "--steps", "8"],
+     "e57e2c6ca24340078fcee4c1e2f9894f9bc25e9a451ce82b90b89be88a0dd0cc"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_REPORTS, ids=["k1", "k2", "k3"])
+def test_contract_report_pinned(tmp_path, argv, digest):
+    out = tmp_path / "c.json"
+    assert run(["contract"] + argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def _break_loop_key(data):

@@ -162,54 +162,6 @@ def test_contract_square_not_applicable_on_slopes():
         H.contract_square(us, loop)
 
 
-def test_contract_radius1_triangle_and_fan():
-    u = zu(2)
-    tri = ((a1,), (b1,), (HClass((1, 1, 0, 0)),), (a1,))
-    steps = H.contract_radius1(u, tri, a1)
-    assert H.verify_certificate(u, tri, _cert(steps))[0]
-    # fan: all curves meet the center once
-    x = HClass((1, 1, 0, 0))
-    y = HClass((2, 1, 0, 0))
-    fan = ((a1,), (b1,), (x,), (y,), (a1,))
-    if H.check_path(u, fan, closed=True):
-        assert H.radius(u, fan, a1) == 1
-        steps = H.contract_radius1(u, fan, a1)
-        assert H.verify_certificate(u, fan, _cert(steps))[0]
-        assert all(s.kind == "triangle" for s in steps if s.op == H.CELL_FILL)
-
-
-def test_contract_radius1_with_disjoint_vertex():
-    u = zu(2)
-    # 4-cycle visiting a2, which is disjoint from the center a1
-    x = HClass((0, 1, 0, 1))  # b1 + b2
-    y = HClass((0, 1, 0, -1))  # b1 - b2
-    loop = ((a1,), (x,), (a2,), (y,), (a1,))
-    assert H.check_path(u, loop, closed=True), [
-        (u.inter(loop[i][0], loop[i + 1][0])) for i in range(4)
-    ]
-    assert H.radius(u, loop, a1) == 1
-    steps = H.contract_radius1(u, loop, a1)
-    ok, idx = H.verify_certificate(u, loop, _cert(steps))
-    assert ok, idx
-
-
-def test_contract_radius1_rejects_radius2():
-    u = zu(2)
-    heavy = HClass((1, 2, 0, 0))
-    mid = u.solve([(a1, 1), (heavy, 1)])
-    loop = ((a1,), (mid,), (heavy,), (mid,), (a1,))
-    if H.check_path(u, loop, closed=True) and H.radius(u, loop, a1) > 1:
-        with pytest.raises(H.NotApplicable):
-            H.contract_radius1(u, loop, a1)
-
-
-def test_contract_radius1_on_slopes():
-    us = make_universe("slope", bound=3)
-    fan = ((Slope(1, 0),), (Slope(0, 1),), (Slope(1, 1),), (Slope(1, 0),))
-    steps = H.contract_radius1(us, fan, Slope(1, 0))
-    assert H.verify_certificate(us, fan, _cert(steps))[0]
-
-
 # --- escorts and the hexagon ----------------------------------------------------
 
 
@@ -384,6 +336,19 @@ def test_verify_rejects_tampering():
     # delete a step: replay desynchronizes
     ok, idx = H.verify_certificate(u, tri, _cert(steps[1:]))
     assert not ok
+    # a spike out to an empty vertex is no cut system: a failing step, not a raise
+    spike = H.Step(H.BT_INSERT, 0, (tri[0],), (tri[0], (), tri[0]))
+    assert H.verify_certificate(u, tri, _cert([spike] + steps)) == (False, 0)
+
+
+def test_verify_rejects_loop_that_is_not_a_path():
+    u = zu(2)
+    a, mid = (a1, a2), (a1, HClass((0, 1, 0, 1)))  # b1 + b2 meets a1: no cut system
+    loop = (a, mid, a)
+    steps = [H.Step(H.BT_REMOVE, 0, loop, (a,))]
+    assert not u.cut_ok(mid)
+    assert H.verify_certificate(u, loop, _cert(steps)) == (False, -1)
+    assert H.verify_certificate(u, (a, (), a), _cert(steps)) == (False, -1)
 
 
 def test_certificate_json_roundtrip():
@@ -432,7 +397,7 @@ def test_termination_trace_segment_counts_decrease(monkeypatch):
     s1 = H.segment_connect(p, v0, w0, (shared,))
     s2 = H.segment_connect(p, w0, v1, (shared,))
     y = s1[:-1] + s2
-    rw = p.rewriter(loop)
+    rw = H.PathRewriter(loop)
     just = H.sp_radius0(p, tuple(y + [v0]), shared)
     rw.replace(0, 1, y, just)
     trace = []
@@ -566,7 +531,7 @@ def test_merge_when_next_segment_returns_to_center():
 
 def test_case2_merge_worker_k3():
     # at k >= 3 with a non-separating triple, the worker merges through a
-    # common vertex; every emitted step is validated live by the rewriter
+    # common vertex; every emitted step passes the step checker on replay
     u = zu(4)
     S = SympSpace(4)
     A1, A2, A3, A4 = (S.basis_a(i) for i in range(1, 5))
@@ -576,8 +541,12 @@ def test_case2_merge_worker_k3():
     seg2 = [V(A1, A2, A4), V(B1, A2, A4), V(a13, A2, A4), V(B3, A2, A4), V(A3, A2, A4)]
     assert H.check_path(u, seg2)
     p = H.Prover(u)
-    rw = p.rewriter(seg2)
+    rw = H.PathRewriter(seg2)
     H._case2(p, rw, A1, A2, A3, 0, len(seg2) - 1)
+    path = list(seg2)
+    for s in rw.steps:
+        H.apply_step(u, path, s)
+    assert path == rw.path
     assert rw.path[0] == seg2[0] and rw.path[-1] == seg2[-1]
     assert all(A1 in v or A3 in v for v in rw.path)
 
@@ -625,25 +594,20 @@ def _corrupt_first_lift(monkeypatch):
 def test_contract_checks_each_fill_once(monkeypatch):
     u, loop = _k3_loop()
     calls = []
-    pattern = H.cell_pattern
-    monkeypatch.setattr(H, "cell_pattern", lambda *a: calls.append(1) or pattern(*a))
-    steps = H.contract(H.Prover(u, check=True), loop)
-    fills = sum(s.op == H.CELL_FILL for s in steps)
-    assert fills > 100
-    # one check per emitted fill, plus the cell detection contract makes on
-    # each 3-5-edge loop it is given (once, for this loop)
-    assert len(calls) <= fills + 1, (len(calls), fills)
+    apply = H.apply_step
+    monkeypatch.setattr(H, "apply_step", lambda *a: calls.append(1) or apply(*a))
+    steps = H.contract(H.Prover(u), loop)
+    assert sum(s.op == H.CELL_FILL for s in steps) > 100
+    # the prover checks nothing; the verifier checks each step once
+    assert calls == []
     assert H.verify_certificate(u, loop, _cert(steps))[0]
+    assert len(calls) == len(steps)
 
 
 def test_contract_rejects_corrupted_inner_step(monkeypatch):
     u, loop = _k3_loop()
     _corrupt_first_lift(monkeypatch)
-    with pytest.raises(H.InvalidStep, match="cell is a"):
-        H.contract(H.Prover(u, check=True), loop)
-    _corrupt_first_lift(monkeypatch)
-    u = zu(3)
-    steps = H.contract(H.Prover(u, check=False), loop)
+    steps = H.contract(H.Prover(u), loop)
     ok, idx = H.verify_certificate(u, loop, _cert(steps))
     assert not ok and steps[idx].op == H.CELL_FILL
 
@@ -656,7 +620,7 @@ def test_prover_vertex_rejects_non_cut_system():
 
 def test_from_json_interns_curves():
     u, loop = _k3_loop()
-    cert = _cert(H.contract(H.Prover(u, check=False), loop))
+    cert = _cert(H.contract(H.Prover(u), loop))
     blob = cert.to_json()
     back = H.HomotopyCertificate.from_json(blob)
     assert back.steps == cert.steps
@@ -805,6 +769,7 @@ def test_soundness_checks_survive_optimize_flag():
     script = """
 import random, sys
 from cutsys import homotopy as H, walks
+from cutsys.sympcurves import HClass, SympSpace
 from cutsys.universe import make_universe
 if __debug__:
     sys.exit("not running under -O")
@@ -818,12 +783,11 @@ s = bad[0]
 bad[0] = H.Step(s.op, s.at, s.old + s.old[:1], s.new, s.kind)
 if H.verify_certificate(u, loop, bad)[0]:
     sys.exit("corrupted certificate accepted")
-rw = H.PathRewriter(u, loop)
-try:
-    rw.apply_steps(bad)
-    sys.exit("rewriter emitted a corrupted step")
-except H.InvalidStep:
-    pass
+S = SympSpace(2)
+a, mid = (S.basis_a(1), S.basis_a(2)), (S.basis_a(1), HClass((0, 1, 0, 1)))
+spike = (a, mid, a)
+if H.verify_certificate(make_universe("sympZ", g=2), spike, [H.Step(H.BT_REMOVE, 0, spike, (a,))]) != (False, -1):
+    sys.exit("loop through a non-cut-system accepted")
 try:
     H.Prover(u).vertex((loop[0][0], loop[0][0]))
     sys.exit("invalid vertex built")
