@@ -16,7 +16,7 @@ import sys
 
 from . import complexes as cx
 from . import geomcurves, homotopy, rigidity, walks
-from .sympcurves import SympSpace, pairing, transvect_vec, pairing_vec
+from .sympcurves import SympSpace, transvect_vec, pairing_vec
 from .universe import make_universe
 
 
@@ -30,13 +30,7 @@ def _dump(obj, out):
 
 
 def _universe(args):
-    return make_universe(
-        args.backend,
-        g=args.g,
-        bound=getattr(args, "bound", 2),
-        word_bound=getattr(args, "word_bound", 12),
-        boundary=getattr(args, "boundary", 1),
-    )
+    return make_universe(args.backend, g=args.g, bound=args.bound)
 
 
 def cmd_build(args):
@@ -152,8 +146,6 @@ def cmd_rigidity(args):
 
 
 def _props_tasks(args):
-    tasks = []
-
     def twist_identity():
         rng = random.Random(args.seed)
         S = SympSpace(3)
@@ -212,8 +204,7 @@ def _props_tasks(args):
             "failed": None if ok else f"step {idx}",
         }
 
-    tasks = [twist_identity, slope_inequality, schmutz_equality, contract_roundtrip]
-    return tasks
+    return [twist_identity, slope_inequality, schmutz_equality, contract_roundtrip]
 
 
 def cmd_props(args):
@@ -233,13 +224,12 @@ def make_parser():
     shared.add_argument("--out", default=None, help="report file (default: stdout)")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(q, backends=("sympF2", "sympZ", "slope", "word")):
-        q.add_argument("--backend", choices=backends, default="sympF2")
+    def common(q):
+        # the enumerable backends: sympZ and word universes need seed vertices
+        q.add_argument("--backend", choices=("sympF2", "slope"), default="sympF2")
         q.add_argument("--g", type=int, default=2)
         q.add_argument("--k", type=int, default=1)
         q.add_argument("--bound", type=int, default=2, help="slope box bound")
-        q.add_argument("--word-bound", type=int, default=12, dest="word_bound")
-        q.add_argument("--boundary", type=int, default=1)
 
     q = sub.add_parser("build", parents=[shared], help="build a complex, write JSON and DOT")
     common(q)

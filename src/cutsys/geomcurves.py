@@ -444,7 +444,7 @@ def is_simple(u, surface=None):
 # --- separating test ----------------------------------------------------------
 
 
-def _f2_class(letters, edges):
+def _f2_class(letters):
     vec = 0
     for x in letters:
         vec ^= 1 << (abs(x) - 1)
@@ -456,10 +456,10 @@ def is_separating(u, surface=None):
     surface = surface or u.surface
     if not is_simple(u, surface):
         raise NotSimple("separating test requires a simple curve")
-    target = _f2_class(u.letters, surface.edges)
+    target = _f2_class(u.letters)
     basis = []
     for walk in surface.boundary_walks():
-        vec = _f2_class(walk, surface.edges)
+        vec = _f2_class(walk)
         for b in basis:
             vec = min(vec, vec ^ b)
         if vec:

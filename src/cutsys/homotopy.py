@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .surfaces import NoRoom
-from .sympcurves import HClass, combine
+from .sympcurves import HClass, combine, is_primitive_frame
 
 
 class NotApplicable(ValueError):
@@ -78,22 +78,19 @@ def segment_decomposition(universe, loop, a0):
     Returns [(curve, start, end)] covering the closed path, consecutive
     entries overlapping in one vertex.
     """
-    vertices = loop
-    n = len(vertices) - 1
-    if a0 not in vertices[0]:
+    n = len(loop) - 1
+    if a0 not in loop[0]:
         raise InvalidReference("decomposition starts at a vertex containing the curve")
     segs = []
     start, cur = 0, a0
     while start < n:
-        end = start
-        while end < n and cur in vertices[end + 1]:
-            end += 1
+        end = _maximal_run(loop, cur, start)
         segs.append((cur, start, end))
         if end == n:
             break
-        if end == start and cur not in vertices[end]:
+        if end == start and cur not in loop[end]:
             raise InvalidReference("segment curve missing from its own segment")
-        shared = [c for c in vertices[end] if c in vertices[end + 1] and c != cur]
+        shared = [c for c in loop[end] if c in loop[end + 1] and c != cur]
         if not shared:
             raise NotApplicable("consecutive vertices share no curve")
         cur = min(shared, key=universe.key)
@@ -410,20 +407,22 @@ class PathRewriter:
         for s in steps:
             self._emit(s.shifted(offset) if offset else s)
 
-    def replace(self, at, old_edges, new_subpath, loop_steps):
-        """Swap the window [at .. at+old_edges] for new_subpath.
+    def replace(self, at, old_edges, new_subpath, contractor):
+        """Swap the window [at .. at+old_edges] for new_subpath, which must
+        keep the window's endpoints.
 
-        loop_steps must contract the closed path new_subpath + reverse(old
-        window)[1:], based at the window's first vertex.
+        contractor(loop) must return steps contracting the closed path
+        loop = new_subpath + reverse(old window)[1:], based at the window's
+        first vertex; their inverse, spliced in at the window, leaves
+        new_subpath followed by a spike per old edge, which is then removed.
         """
-        old = list(self.path[at : at + old_edges + 1])
+        old = self.path[at : at + old_edges + 1]
         new = list(new_subpath)
-        assert old[0] == new[0] and old[-1] == new[-1]
-        inverse = [s.inverted() for s in reversed(loop_steps)]
-        self.apply_steps(inverse, offset=at)
-        m = old_edges
-        ylen = len(new) - 1
-        for j in range(at + ylen + m - 1, at + ylen - 1, -1):
+        if not old or not new or old[0] != new[0] or old[-1] != new[-1]:
+            raise InvalidStep(f"replace at {at}: the new subpath changes the window's endpoints")
+        loop = tuple(new + old[::-1][1:])
+        self.apply_steps([s.inverted() for s in reversed(contractor(loop))], offset=at)
+        for j in range(at + len(new) + old_edges - 2, at + len(new) - 2, -1):
             self.remove_backtrack(j)
 
     def clean_backtracks(self):
@@ -435,20 +434,6 @@ class PathRewriter:
                     self.remove_backtrack(j)
                     changed = True
                     break
-
-
-def _reduce_path(vertices):
-    """Remove backtrack spikes from an open path; endpoints keep their values."""
-    out = list(vertices)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(out) - 2):
-            if out[i] == out[i + 2]:
-                del out[i + 1 : i + 3]
-                changed = True
-                break
-    return out
 
 
 def rotate_left(vertices, j):
@@ -666,10 +651,10 @@ def contract_square(universe, loop):
     return rw.steps
 
 
-def square_any_diagonal(universe, quad):
-    """Contract [q0,q1,q2,q3,q0] given some disjoint opposite pair."""
-    q0, q1, q2, q3 = quad
-    loop = ((q0,), (q1,), (q2,), (q3,), (q0,))
+def square_any_diagonal(universe, loop):
+    """Contract a based 4-cycle [q0,q1,q2,q3,q0] of single curves given some
+    disjoint opposite pair."""
+    q0, q1, q2, q3 = (v[0] for v in loop[:4])
     if universe.inter(q1, q3) == 0:
         return contract_square(universe, loop)
     if universe.inter(q0, q2) == 0:
@@ -677,7 +662,7 @@ def square_any_diagonal(universe, quad):
     raise NotApplicable("no disjoint diagonal")
 
 
-def _dual_of(universe, a, context):
+def _dual_of(a, context):
     from .sympcurves import SympSpace, solve_pairings
 
     g = max([a.g] + [c.g for c in context] + [1])
@@ -697,8 +682,7 @@ def _flanked_based(universe, vertices, a0, context):
         xnext = rw.path[3][0]
         if universe.inter(f, xnext) != 0:
             fstar = _clean_flank(universe, a0, xi, xnext, context)
-            steps = square_any_diagonal(universe, (a0, fstar, xi, f))
-            rw.replace(0, 2, ((a0,), (fstar,), (xi,)), steps)
+            rw.replace(0, 2, ((a0,), (fstar,), (xi,)), lambda loop: square_any_diagonal(universe, loop))
             f = fstar
         b = universe.twist(f, 1, xi)
         if universe.inter(b, a0) != 1:
@@ -721,7 +705,7 @@ def _clean_flank(universe, a0, xi, xnext, context):
     """
     if not isinstance(a0, HClass):
         raise NotApplicable("flank cleaning needs the integer shadow")
-    m0 = _dual_of(universe, a0, tuple(context))
+    m0 = _dual_of(a0, tuple(context))
     e = universe.signed(xi, xnext)
     assert abs(e) == 1
     alpha = -e * universe.signed(m0, xnext)
@@ -763,34 +747,26 @@ def escort_triple(prover, loop_curves):
 
 
 def contract_gamma1(prover, vertices):
-    """Contract any closed path of curves, stabilizing once for the escorts.
+    """Contract a closed path of single curves, stabilizing once for the
+    escorts.  The path must have no backtrack and no triangle boundary:
+    contract removes those first.
 
     The first edge is re-routed through the escort bridge, after which the
     whole loop is a single disjoint run about the fresh center and shrinks by
     twist insertions with freshly cleaned flanks.
     """
-    u = prover.u
     rw = PathRewriter(vertices)
-    rw.clean_backtracks()
-    if len(rw.path) == 1:
-        return rw.steps
-    if len(rw.path) == 4:
-        rw.fill(0, 2, (rw.path[0], rw.path[2]), "triangle")
-        rw.remove_backtrack(0)
-        return rw.steps
-    curves = [v[0] for v in rw.path]
-    x0, x1 = curves[0], curves[1]
+    x0, x1 = vertices[0][0], vertices[1][0]
     b0, b1, b2 = escort_triple(prover, [x0, x1])
+
+    def shrink(loop):
+        # rebase at b2, two steps along, and shrink the run about it
+        return contract_rebased(loop, 2, lambda vs: _flanked_based(prover.u, vs, b2, prover.ctx))
+
     # bridge the first edge: x0 -> b0 -> b2 -> b1 -> x1, a 5-cycle with x0-x1
-    bridge = [(x0,), (b0,), (b2,), (b1,), (x1,)]
-    penta = tuple(bridge + [(x0,)])
-    steps = contract_rebased(penta, 2, lambda vs: _flanked_based(u, vs, b2, prover.ctx))
-    rw.replace(0, 1, bridge, steps)
-    # now [x0, b0, b2, b1, x1, x2, ..., x0]: rebase at b2 and run the shrink
-    j = 2
-    whole = tuple(rw.path)
-    inner = contract_rebased(whole, j, lambda vs: _flanked_based(u, vs, b2, prover.ctx))
-    rw.apply_steps(inner)
+    rw.replace(0, 1, [(x0,), (b0,), (b2,), (b1,), (x1,)], shrink)
+    # now [x0, b0, b2, b1, x1, x2, ..., x0]
+    rw.apply_steps(shrink(tuple(rw.path)))
     return rw.steps
 
 
@@ -842,18 +818,16 @@ def _maximal_run(vertices, c, start):
     return end
 
 
-def _ladder_steps(prover, rail_b, rail_t):
-    """Contract the rectangle ladder loop based at rail_b[-1]:
+def _ladder_steps(loop):
+    """Contract the rectangle ladder loop based at B[m]:
 
         [B[m], T[m], T[m-1], ..., T[0], B[0], B[1], ..., B[m]]
 
     where B[i] and T[i] differ by one curve swap of intersection one and the
-    rails are parallel paths.
+    rails B and T are parallel paths.
     """
-    m = len(rail_b) - 1
-    loop = [rail_b[m], rail_t[m]]
-    loop += [rail_t[i] for i in range(m - 1, -1, -1)]
-    loop += [rail_b[i] for i in range(0, m + 1)]
+    m = (len(loop) - 3) // 2
+    rail_b, rail_t = loop[m + 2 :], loop[m + 1 : 0 : -1]
     rw = PathRewriter(loop)
     for j in range(m):
         i = m - 1 - j
@@ -869,8 +843,6 @@ def contract_radius0(prover, vertices, a0, _no_recenter=False):
     u = prover.u
     if radius(u, vertices, a0) != 0:
         raise NotApplicable("loop must have radius 0 about the center")
-    if not any(a0 in v for v in vertices):
-        raise InvalidReference("center must lie in a loop vertex")
     rw = PathRewriter(vertices)
     rw.clean_backtracks()
     work = tuple(rw.path)
@@ -951,11 +923,7 @@ def _radius0_based(prover, vertices, a0, no_recenter=False):
 
 
 def _stack_primitive(prover, curves):
-    from . import intlin
-    from .sympcurves import stack_rows
-
-    rows, _ = stack_rows(list(curves) + list(prover.ctx))
-    return intlin.is_primitive_stack(rows)
+    return is_primitive_frame(list(curves) + list(prover.ctx))
 
 
 def _two_segment(prover, rw, a0, a1, e1):
@@ -963,10 +931,7 @@ def _two_segment(prover, rw, a0, a1, e1):
     n = len(rw.path) - 1
     v1, v0 = rw.path[e1], rw.path[0]
     r = segment_connect(prover, v1, v0, (a0, a1))
-    old = list(rw.path[e1:])
-    loop = r + list(reversed(old))[1:]
-    steps = sp_radius0(prover, tuple(loop), a1)
-    rw.replace(e1, n - e1, r, steps)
+    rw.replace(e1, n - e1, r, lambda loop: sp_radius0(prover, loop, a1))
 
 
 def _merge_a0(prover, rw, a0, a1, e1, e2):
@@ -975,10 +940,7 @@ def _merge_a0(prover, rw, a0, a1, e1, e2):
     vmid = prover.fresh_fill([a0, a1], len(v1) - 2)
     r1 = segment_connect(prover, v1, vmid, (a0, a1))
     r2 = segment_connect(prover, vmid, v2, (a0, a1))
-    y = r1[:-1] + r2
-    loop = y + list(reversed(rw.path[e1 : e2 + 1]))[1:]
-    steps = sp_radius0(prover, tuple(loop), a1)
-    rw.replace(e1, e2 - e1, y, steps)
+    rw.replace(e1, e2 - e1, r1[:-1] + r2, lambda loop: sp_radius0(prover, loop, a1))
 
 
 def _case1(prover, rw, a0, a1, a2, e1, e2):
@@ -1001,17 +963,13 @@ def _case1(prover, rw, a0, a1, a2, e1, e2):
     r0 = segment_connect(prover, v1, u1, (a0, a1))
     # (i) seg2 -> r0 + reverse(bottom rail), inside an a1-segment loop
     y1 = r0[:-1] + list(reversed(rail_b))
-    old = list(rw.path[e1 : e2 + 1])
-    loop = y1 + list(reversed(old))[1:]
-    steps = sp_radius0(prover, tuple(loop), a1)
-    rw.replace(e1, e2 - e1, y1, steps)
+    rw.replace(e1, e2 - e1, y1, lambda loop: sp_radius0(prover, loop, a1))
     # (ii) reverse(bottom rail) + junction edge -> top rail, by the ladder
     at = e1 + len(r0) - 1
     m = len(q) - 1
     y2 = [u1] + list(reversed(rail_t))
-    if y2 != list(rw.path[at : at + m + 2]):
-        steps = _ladder_steps(prover, rail_b, rail_t)
-        rw.replace(at, m + 1, y2, steps)
+    if y2 != rw.path[at : at + m + 2]:
+        rw.replace(at, m + 1, y2, _ladder_steps)
 
 
 def _hex_pattern(prover, a0, a1, a2):
@@ -1071,11 +1029,7 @@ def _case2(prover, rw, a0, a1, a2, e1, e2):
         vmid = prover.fresh_fill(list(triple), k - 3)
         r1 = segment_connect(prover, v1, vmid, (a0, a1))
         r2 = segment_connect(prover, vmid, v2, (a1, a2))
-        y = r1[:-1] + r2
-        old = list(rw.path[e1 : e2 + 1])
-        loop = y + list(reversed(old))[1:]
-        steps = sp_radius0(prover, tuple(loop), a1)
-        rw.replace(e1, e2 - e1, y, steps)
+        rw.replace(e1, e2 - e1, r1[:-1] + r2, lambda loop: sp_radius0(prover, loop, a1))
         return
     b0, b1, b2 = _hex_pattern(prover, a0, a1, a2)
     common = tuple(prover.fresh_pair()[0] for _ in range(k - 2))
@@ -1085,14 +1039,9 @@ def _case2(prover, rw, a0, a1, a2, e1, e2):
     r2 = segment_connect(prover, v2, w1, (a1, a2))
     # (i) seg2 -> r1 + hexagon a1-side + reverse(r2), an a1-segment loop
     y1 = r1[:-1] + [w0, v5p, w1] + list(reversed(r2))[1:]
-    old = list(rw.path[e1 : e2 + 1])
-    loop = y1 + list(reversed(old))[1:]
-    steps = sp_radius0(prover, tuple(loop), a1)
-    rw.replace(e1, e2 - e1, y1, steps)
-    # (ii) hexagon a1-side -> a0-side + a2-side, justified by the hexagon
-    at = e1 + len(r1) - 1
-    y2 = [w0, v1p, w2, v3p, w1]
-    rw.replace(at, 2, y2, hex_steps)
+    rw.replace(e1, e2 - e1, y1, lambda loop: sp_radius0(prover, loop, a1))
+    # (ii) hexagon a1-side -> a0-side + a2-side: the loop is the hexagon
+    rw.replace(e1 + len(r1) - 1, 2, [w0, v1p, w2, v3p, w1], lambda loop: hex_steps)
 
 
 def _case3(prover, rw, a0, a1, candidates, e1, e2, no_recenter):
@@ -1123,18 +1072,11 @@ def _case3(prover, rw, a0, a1, candidates, e1, e2, no_recenter):
     rmid = segment_connect(prover, w, v2, (a1,))
     ra = segment_connect(prover, w, v3, (a3,))
     # (i) seg2 -> r1 + rmid
-    y1 = r1[:-1] + rmid
-    old = list(rw.path[e1 : e2 + 1])
-    loop = y1 + list(reversed(old))[1:]
-    steps = sp_radius0(prover, tuple(loop), a1)
-    rw.replace(e1, e2 - e1, y1, steps)
+    rw.replace(e1, e2 - e1, r1[:-1] + rmid, lambda loop: sp_radius0(prover, loop, a1))
     # (ii) rmid + seg3 -> ra, a three-run loop
     start = e1 + len(r1) - 1
-    end = start + len(rmid) - 1 + (e3 - e2)
-    oldw = list(rw.path[start : end + 1])
-    loop2 = ra + list(reversed(oldw))[1:]
-    steps2 = contract_radius0(prover, tuple(loop2), a0, _no_recenter=True)
-    rw.replace(start, end - start, ra, steps2)
+    edges = len(rmid) - 1 + (e3 - e2)
+    rw.replace(start, edges, ra, lambda loop: contract_radius0(prover, loop, a0, _no_recenter=True))
     return True
 
 
@@ -1233,11 +1175,10 @@ def contract(prover, loop):
     u_out = prover.vertex((a0, combine(hb, 1, a0)) + fills)
     s1 = segment_connect(prover, v0, u_in, (a0,))
     s2 = segment_connect(prover, u_out, v1, (a0,))
-    y = _reduce_path(list(s1) + [w0] + list(s2))
-    assert any(b in v for v in y)
-    loop1 = list(y) + [v0]
-    steps = sp_radius0(prover, tuple(loop1), a0)
-    rw.replace(0, 1, y, steps)
+    bridge = PathRewriter(s1 + [w0] + s2)
+    bridge.clean_backtracks()
+    assert any(b in v for v in bridge.path)
+    rw.replace(0, 1, bridge.path, lambda loop: sp_radius0(prover, loop, a0))
     rw.clean_backtracks()
     assert any(b in v for v in rw.path)
     sub = contract_radius0(prover, tuple(rw.path), b)

@@ -15,8 +15,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import homotopy as H
-from . import intlin
-from .sympcurves import SympSpace, combine, stack_rows
+from .sympcurves import SympSpace, combine, is_primitive_frame
 
 
 class NotAnAutomorphism(ValueError):
@@ -82,7 +81,6 @@ class InducedCurveMap:
     cache: dict = field(default_factory=dict)
 
     def __call__(self, a, companions=None, partner=None):
-        key = (a, companions, partner)
         if companions is None and a in self.cache:
             return self.cache[a]
         value = induced_curve_map(
@@ -102,7 +100,6 @@ def _companions(universe, a, k, g, rng=None, forbid=()):
         if len(out) == k - 1:
             break
         cons = [(a, 0)] + [(c, 0) for c in out]
-        jitter = []
         pool = [space.basis_a(i) for i in range(1, g + 1)] + [
             space.basis_b(i) for i in range(1, g + 1)
         ]
@@ -194,8 +191,7 @@ def build_filling_chain(universe, room, stage_count, pair):
     a, b = pair
     if universe.inter(a, b) != 0:
         raise ValueError("the distinguished pair must be disjoint")
-    rows, _ = stack_rows([a, b])
-    if intlin.is_primitive_stack(rows):
+    if is_primitive_frame([a, b]):
         raise ValueError("the distinguished pair must have separating union")
     chain = []
     c0 = universe.solve([(a, 1), (b, 1)])

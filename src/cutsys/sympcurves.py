@@ -187,11 +187,12 @@ def combine(x, sign, y):
     return HClass(tuple(a + sign * b for a, b in zip(x.padded(g), y.padded(g))))
 
 
-def stack_rows(classes, g=None):
+def is_primitive_frame(classes):
+    """True iff the classes, padded to a common genus, stack to a matrix whose
+    Smith invariant factors are all 1 (a primitive frame)."""
     classes = list(classes)
-    if g is None:
-        g = max((c.g for c in classes), default=1)
-    return [list(c.padded(g)) for c in classes], g
+    g = max((c.g for c in classes), default=1)
+    return intlin.is_primitive_stack([list(c.padded(g)) for c in classes])
 
 
 _CUT_CACHE = {}
@@ -235,8 +236,7 @@ def _cut_shadow_uncached(classes, extra):
                 return False
         if u in extra:
             return False
-    rows, _ = stack_rows(classes + extra)
-    return intlin.is_primitive_stack(rows)
+    return is_primitive_frame(classes + extra)
 
 
 def _pairing_row(vec, n):

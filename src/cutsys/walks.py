@@ -13,17 +13,14 @@ from __future__ import annotations
 import random
 
 from . import homotopy as H
-from . import intlin
-from .sympcurves import SympSpace, stack_rows
+from .sympcurves import SympSpace, is_primitive_frame
 
 
 def _tame(universe, d, vertices):
     for v in vertices:
         for c in v:
-            if c != d and universe.inter(c, d) == 0:
-                rows, _ = stack_rows([c, d])
-                if not intlin.is_primitive_stack(rows):
-                    return False
+            if c != d and universe.inter(c, d) == 0 and not is_primitive_frame([c, d]):
+                return False
     return True
 
 

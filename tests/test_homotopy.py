@@ -398,8 +398,7 @@ def test_termination_trace_segment_counts_decrease(monkeypatch):
     s2 = H.segment_connect(p, w0, v1, (shared,))
     y = s1[:-1] + s2
     rw = H.PathRewriter(loop)
-    just = H.sp_radius0(p, tuple(y + [v0]), shared)
-    rw.replace(0, 1, y, just)
+    rw.replace(0, 1, y, lambda l: H.sp_radius0(p, l, shared))
     trace = []
     based = H._radius0_based
 
@@ -791,6 +790,11 @@ if H.verify_certificate(make_universe("sympZ", g=2), spike, [H.Step(H.BT_REMOVE,
 try:
     H.Prover(u).vertex((loop[0][0], loop[0][0]))
     sys.exit("invalid vertex built")
+except H.InvalidStep:
+    pass
+try:
+    H.PathRewriter(loop).replace(0, 1, (loop[0], loop[2]), lambda l: [])
+    sys.exit("replace that moves the window's end accepted")
 except H.InvalidStep:
     pass
 print("ok")

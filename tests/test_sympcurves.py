@@ -17,7 +17,6 @@ from cutsys.sympcurves import (
     pairing_vec,
     reduce,
     solve_pairings,
-    stack_rows,
     transvect,
     transvect_vec,
 )
