@@ -9,10 +9,6 @@ from __future__ import annotations
 from math import gcd
 
 
-def mat_copy(m):
-    return [row[:] for row in m]
-
-
 def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -52,41 +48,39 @@ def _min_pivot(m, r, c):
     return best
 
 
-def smith_normal_form(m, want_transforms=False):
+def smith_normal_form(m, want_transforms=False, ops=None):
     """Return (d, u, v) with u*m*v = d diagonal, divisibility-ordered.
 
-    u, v are unimodular; they are None unless want_transforms is set.
-    The diagonal of d is the list of invariant factors (nonnegative).
+    The diagonal of d is the list of invariant factors (nonnegative).  The
+    elimination appends each elementary operation to `ops`, if given, as
+    (kind, i, j, c): ("rswap", i, j, 0), ("radd", src, dst, c) for
+    row_dst += c*row_src, ("rneg", i, i, 0), ("cswap", i, j, 0) and
+    ("cadd", src, dst, c) for col_dst += c*col_src.  With want_transforms,
+    u and v are those row and column operations replayed on identities (both
+    unimodular); otherwise they are None.
     """
-    a = mat_copy(m)
+    a = [row[:] for row in m]
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    u = identity(rows) if want_transforms else None
-    v = identity(cols) if want_transforms else None
+    ops = [] if ops is None else ops
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
-        if u is not None:
-            u[i], u[j] = u[j], u[i]
+        ops.append(("rswap", i, j, 0))
 
     def swap_cols(i, j):
         for row in a:
             row[i], row[j] = row[j], row[i]
-        if v is not None:
-            for row in v:
-                row[i], row[j] = row[j], row[i]
+        ops.append(("cswap", i, j, 0))
 
     def add_row(src, dst, c):
         a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
-        if u is not None:
-            u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
+        ops.append(("radd", src, dst, c))
 
     def add_col(src, dst, c):
         for row in a:
             row[dst] += c * row[src]
-        if v is not None:
-            for row in v:
-                row[dst] += c * row[src]
+        ops.append(("cadd", src, dst, c))
 
     t = 0
     while True:
@@ -128,13 +122,27 @@ def smith_normal_form(m, want_transforms=False):
             add_row(bad, t, 1)
             continue
         if p < 0:
-            for j in range(cols):
-                a[t][j] = -a[t][j]
-            if u is not None:
-                u[t] = [-x for x in u[t]]
+            a[t] = [-x for x in a[t]]
+            ops.append(("rneg", t, t, 0))
         t += 1
         if t == rows or t == cols:
             break
+    if not want_transforms:
+        return a, None, None
+    u, v = identity(rows), identity(cols)
+    for kind, i, j, c in ops:
+        if kind == "rswap":
+            u[i], u[j] = u[j], u[i]
+        elif kind == "radd":
+            u[j] = [x + c * y for x, y in zip(u[j], u[i])]
+        elif kind == "rneg":
+            u[i] = [-x for x in u[i]]
+        else:
+            for row in v:
+                if kind == "cswap":
+                    row[i], row[j] = row[j], row[i]
+                else:
+                    row[j] += c * row[i]
     return a, u, v
 
 
@@ -142,11 +150,7 @@ def invariant_factors(m):
     if not m or not m[0]:
         return []
     d, _, _ = smith_normal_form(m)
-    out = []
-    for i in range(min(len(d), len(d[0]))):
-        if d[i][i]:
-            out.append(abs(d[i][i]))
-    return out
+    return [abs(d[i][i]) for i in range(min(len(d), len(d[0]))) if d[i][i]]
 
 
 def is_primitive_stack(m):
@@ -167,8 +171,17 @@ def solve_integer(m, rhs):
     if rows == 0:
         return None
     cols = len(m[0])
-    d, u, v = smith_normal_form(m, want_transforms=True)
-    b = mat_vec(u, rhs)
+    ops = []
+    d, _, _ = smith_normal_form(m, ops=ops)
+    # b = u*rhs: the row operations, in order, on rhs
+    b = list(rhs)
+    for kind, i, j, c in ops:
+        if kind == "rswap":
+            b[i], b[j] = b[j], b[i]
+        elif kind == "radd":
+            b[j] += c * b[i]
+        elif kind == "rneg":
+            b[i] = -b[i]
     y = [0] * cols
     r = min(rows, cols)
     for i in range(r):
@@ -181,7 +194,13 @@ def solve_integer(m, rhs):
     for i in range(r, rows):
         if b[i]:
             return None
-    return mat_vec(v, y)
+    # x = v*y with v = C_1 ... C_k: the column operations, last first, on y
+    for kind, i, j, c in reversed(ops):
+        if kind == "cswap":
+            y[i], y[j] = y[j], y[i]
+        elif kind == "cadd":
+            y[i] += c * y[j]
+    return y
 
 
 def kernel_basis(m):
@@ -189,16 +208,10 @@ def kernel_basis(m):
     rows = len(m)
     cols = len(m[0]) if rows else 0
     if rows == 0:
-        return [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+        return identity(cols)
     d, _, v = smith_normal_form(m, want_transforms=True)
-    r = 0
-    for i in range(min(rows, cols)):
-        if d[i][i]:
-            r += 1
-    basis = []
-    for j in range(r, cols):
-        basis.append([v[i][j] for i in range(cols)])
-    return basis
+    r = sum(1 for i in range(min(rows, cols)) if d[i][i])
+    return [[row[j] for row in v] for j in range(r, cols)]
 
 
 def rational_rank(m):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 
 from . import intlin
 
@@ -48,18 +49,15 @@ class SympSpace:
         return HClass._make(tuple(1 if t == 2 * i - 1 else 0 for t in range(2 * i)))
 
 def pairing_vec(u, v):
-    """Signed symplectic pairing of two coordinate vectors (zero-padded)."""
-    n = max(len(u), len(v))
-    if n % 2:
+    """Signed symplectic pairing of two coordinate vectors (zero-padded).
+
+    Padding zeros add nothing, so only the common prefix is summed; the
+    slices run one past it, so an odd-length shorter vector keeps its last
+    a-coordinate."""
+    if max(len(u), len(v)) % 2:
         raise SpaceMismatch("odd-length coordinate vector")
-    s = 0
-    for i in range(0, n, 2):
-        ua = u[i] if i < len(u) else 0
-        ub = u[i + 1] if i + 1 < len(u) else 0
-        va = v[i] if i < len(v) else 0
-        vb = v[i + 1] if i + 1 < len(v) else 0
-        s += ua * vb - ub * va
-    return s
+    n = min(len(u), len(v)) + 1
+    return sum(map(mul, u[0:n:2], v[1:n:2])) - sum(map(mul, u[1:n:2], v[0:n:2]))
 
 
 def transvect_vec(a, n, b):
@@ -314,11 +312,13 @@ def reduce(space, isotropic):
         rows = [_pairing_row(c, n) for c in cs] + [_pairing_row(e, n) for e in duals]
         rhs = [1 if j == i else 0 for j in range(m)] + [0] * len(duals)
         sol = intlin.solve_integer(rows, rhs)
-        assert sol is not None, "primitive frame always has duals"
+        if sol is None:
+            raise ArithmeticError("a primitive frame has duals, but none was found")
         duals.append(sol)
     rows = [_pairing_row(v, n) for v in cs + duals]
     wbasis = intlin.kernel_basis(rows)
-    assert len(wbasis) == n - 2 * m
+    if len(wbasis) != n - 2 * m:
+        raise ArithmeticError("the complement of a frame and its duals has rank 2g - 2m")
     gram = [
         [pairing_vec(u, v) for v in wbasis] for u in wbasis
     ]
@@ -339,11 +339,13 @@ def reduce(space, isotropic):
             alpha = pairing_vec(v, e)
             w = [a - alpha * b for a, b in zip(w, c)]
         coords = intlin.solve_integer(wcols, w)
-        assert coords is not None
+        if coords is None:
+            raise ArithmeticError("a class minus its frame part lies in the complement")
         if not any(coords):
             return None
         new = intlin.solve_integer(stdcols, coords)
-        assert new is not None
+        if new is None:
+            raise ArithmeticError("the standard basis spans the complement")
         if intlin.vec_gcd(new) != 1:
             return None
         return HClass(new)

@@ -797,6 +797,13 @@ try:
     sys.exit("replace that moves the window's end accepted")
 except H.InvalidStep:
     pass
+from cutsys import intlin, sympcurves
+intlin.solve_integer = lambda m, rhs: None
+try:
+    sympcurves.reduce(S, [S.basis_a(1)])
+    sys.exit("reduce without duals returned")
+except ArithmeticError:
+    pass
 print("ok")
 """
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -127,3 +128,45 @@ def test_snf_transforms_match_full_scan_pivot(monkeypatch):
     monkeypatch.setattr(intlin, "_min_pivot", _full_scan_min_pivot)
     for m, got in zip(cases, fast):
         assert got == intlin.smith_normal_form(m, want_transforms=True)
+
+
+def _prover_like_systems(rng, count):
+    """Seeded systems shaped like the prover's pairing systems: 1-8 rows over
+    2-170 columns, all but 2-12 columns zero, entries in [-3, 3].  Every third
+    system gets a dependent last row and a random right-hand side, so it is
+    rank-deficient or unsolvable; the others are solvable by construction."""
+    out = []
+    for t in range(count):
+        rows, cols = rng.randint(1, 8), rng.randint(2, 170)
+        live = rng.sample(range(cols), min(cols, rng.randint(2, 12)))
+        m = [[0] * cols for _ in range(rows)]
+        for row in m:
+            for j in live:
+                if rng.random() < 0.4:
+                    row[j] = rng.randint(-3, 3)
+        x = [0] * cols
+        for j in live:
+            x[j] = rng.randint(-3, 3)
+        rhs = intlin.mat_vec(m, x)
+        if t % 3 == 0:
+            if rows > 1:
+                m[-1] = [a - b for a, b in zip(m[0], m[1])]
+            rhs = [rng.randint(-3, 3) for _ in range(rows)]
+        out.append((m, rhs))
+    return out
+
+
+def test_solve_and_kernel_outputs_pinned():
+    """solve_integer and kernel_basis return exactly the vectors they always
+    returned: certificates are built from these solutions."""
+    digest = hashlib.sha256()
+    solved = 0
+    for m, rhs in _prover_like_systems(random.Random(9), 300):
+        x = intlin.solve_integer(m, rhs)
+        kb = intlin.kernel_basis(m)
+        if x is not None:
+            solved += 1
+            assert intlin.mat_vec(m, x) == rhs
+        digest.update(repr((x, kb)).encode())
+    assert solved == 215
+    assert digest.hexdigest() == "0a053e9432d6dcadf12399d7cb1cdf5f2130dd79e570399d6e1789ffb5782fff"

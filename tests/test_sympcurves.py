@@ -7,6 +7,7 @@ from cutsys import intlin
 from cutsys.complexes import _parity_matrix
 from cutsys.sympcurves import (
     HClass,
+    SpaceMismatch,
     SympSpace,
     f2_is_cut,
     f2_pairing,
@@ -31,6 +32,35 @@ def test_pairing_defining_relations():
     assert pairing(a1, b1) == 1
     assert pairing(a1, a2) == 0
     assert pairing(b1, a1) == -1
+
+
+def _padded_pairing(u, v):
+    """The pairing as a zero-padded loop over the longer vector."""
+    n = max(len(u), len(v))
+    if n % 2:
+        raise SpaceMismatch("odd-length coordinate vector")
+    s = 0
+    for i in range(0, n, 2):
+        ua = u[i] if i < len(u) else 0
+        ub = u[i + 1] if i + 1 < len(u) else 0
+        va = v[i] if i < len(v) else 0
+        vb = v[i + 1] if i + 1 < len(v) else 0
+        s += ua * vb - ub * va
+    return s
+
+
+def test_pairing_vec_matches_padded_loop():
+    rng = random.Random(11)
+    for _ in range(400):
+        lu, lv = 2 * rng.randint(0, 85), 2 * rng.randint(0, 85)
+        if rng.random() < 0.2:  # an odd shorter vector still pairs in full
+            lu, lv = min(lu, lv) - 1 if min(lu, lv) else 0, max(lu, lv)
+        u = tuple(rng.randint(-5, 5) for _ in range(lu))
+        v = tuple(rng.randint(-5, 5) for _ in range(lv))
+        assert pairing_vec(u, v) == _padded_pairing(u, v) == -pairing_vec(v, u)
+    for u, v in (((1, 2, 3), (1, 0)), ((1, 0), (1, 2, 3)), ((1,), ()), ((1, 2, 3), (4, 5, 6))):
+        with pytest.raises(SpaceMismatch):
+            pairing_vec(u, v)
 
 
 def test_pairing_f2_bilinear_example():
