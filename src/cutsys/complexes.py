@@ -64,7 +64,7 @@ class ComplexGraph:
         self.edges = sorted(set(self.edges), key=lambda e: (self.index[e[0]], self.index[e[1]]))
         for v in self.adj:
             self.adj[v] = sorted(set(self.adj[v]), key=self.index.get)
-        self.cells = cells
+        self.cells = sorted(cells, key=lambda c: (c.kind, tuple(self.index[v] for v in c.cycle)))
         self.tag = tag or getattr(universe, "tag", "?")
 
     def degree(self, v):
@@ -101,40 +101,16 @@ class ComplexGraph:
         return "\n".join(lines)
 
 
-def _enumerate_vertices(universe, k):
-    curves = list(universe.all_curves())
-    out = []
-    for combo in combinations(curves, k):
-        if universe.cut_ok(combo):
-            out.append(vertex_of(universe, combo))
-    return out, curves
-
-
-def _edges_between(universe, vertices, curves):
-    vset = set(vertices)
-    edges = []
-    for v in vertices:
-        for c in v:
-            rest = tuple(x for x in v if x != c)
-            for c2 in curves:
-                if c2 == c or c2 in rest:
-                    continue
-                if universe.inter(c, c2) != 1:
-                    continue
-                w = vertex_of(universe, rest + (c2,))
-                if w in vset and universe.key(c2) > universe.key(c):
-                    if universe.cut_ok(w):
-                        edges.append((v, w))
-    return edges
-
-
 def _cells(universe, curves, common, free):
-    """The 2-cells whose vertices all contain the curves of `common`.
+    """The edges and 2-cells whose vertices all contain the curves of `common`.
 
-    free = 1 gives the triangles, free = 2 the rectangles and pentagons.
+    free = 1 gives the edges, which are the once-pairs of the pool, and the
+    triangles; free = 2 gives no edges, and the rectangles and pentagons.
     Curves are named by their position in the pool, the curves that complete
     `common` to a cut system (in `curves` order), and each cell is generated
     once, in the rotation and direction that starts from its earliest curves.
+    Every side of a cell is a once-pair of the pool of its own common curves,
+    so it is an edge of the free = 1 pass there.
     """
     pool = [c for c in curves if c not in common and universe.cut_ok((c,) + common)]
 
@@ -146,20 +122,24 @@ def _cells(universe, curves, common, free):
                 out[j].add(i)
         return out
 
-    def vertex(*bs):
-        return vertex_of(universe, tuple(pool[b] for b in bs) + common)
-
     once = linked(lambda x, y: universe.inter(x, y) == 1)
     pairs = [(b0, b1) for b0, ends in enumerate(once) for b1 in ends if b0 < b1]
     if free == 1:
-        return [
-            Cell("triangle", (vertex(b0), vertex(b1), vertex(b2)))
+        v = [vertex_of(universe, (c,) + common) for c in pool]
+        edges = [(v[b0], v[b1]) for b0, b1 in pairs]
+        return edges, [
+            Cell("triangle", (v[b0], v[b1], v[b2]))
             for b0, b1 in pairs
             for b2 in once[b0] & once[b1]
             if b1 < b2
         ]
     # a pair passing the cut test is two distinct disjoint curves, in every universe
     apart = linked(lambda x, y: universe.cut_ok((x, y) + common))
+    v = {}  # the vertex of each apart pair, under both orders
+    for b0, ends in enumerate(apart):
+        for b1 in ends:
+            if b0 < b1:
+                v[b0, b1] = v[b1, b0] = vertex_of(universe, (pool[b0], pool[b1]) + common)
     cells = []
     for b0, b1 in pairs:
         # rectangles: a second once-edge c0-c1, later in pool order, with
@@ -168,7 +148,7 @@ def _cells(universe, curves, common, free):
         for c0 in both:
             for c1 in once[c0] & both:
                 if b0 < c0 < c1:
-                    cyc = (vertex(b0, c0), vertex(b0, c1), vertex(b1, c1), vertex(b1, c0))
+                    cyc = (v[b0, c0], v[b0, c1], v[b1, c1], v[b1, c0])
                     cells.append(Cell("rectangle", cyc))
         # pentagons: once-walks b0-b1-b2-b3-b4-b0 with b0 the earliest curve
         # and b1 before b4; the vertices are the five pairs at distance 2
@@ -177,68 +157,45 @@ def _cells(universe, curves, common, free):
                 for b4 in once[b3] & once[b0] & apart[b1] & apart[b2]:
                     if b0 < min(b2, b3) and b1 < b4:
                         ring = ((b0, b2), (b2, b4), (b4, b1), (b1, b3), (b3, b0))
-                        cells.append(Cell("pentagon", tuple(vertex(*p) for p in ring)))
-    return cells
+                        cells.append(Cell("pentagon", tuple(v[p] for p in ring)))
+    return [], cells
 
 
 def build_gamma(universe, k, seeds=None, radius=None):
-    """The complex on cut systems of size k over an enumerable universe,
-    or the ball of the given radius around seed vertices otherwise."""
+    """The complex on cut systems of size k over an enumerable universe.
+
+    Otherwise the ball of the given radius around the seed vertices: the
+    complex on cut systems of the seeds' curves, cut to the vertices within
+    `radius` moves of a seed and the edges and cells among them.
+    """
     if universe.enumerable:
-        vertices, curves = _enumerate_vertices(universe, k)
-        if not vertices:
-            raise ValueError(f"no cut system of size {k} at genus {universe.g}")
+        curves = list(universe.all_curves())
+    elif not seeds:
+        raise NeedsSeed("non-enumerable universe needs seed vertices")
     else:
-        if seeds is None:
-            raise NeedsSeed("non-enumerable universe needs seed vertices")
-        vertices, curves = _ball_vertices(universe, k, seeds, radius or 0)
-    edges = _edges_between(universe, vertices, curves)
-    cells = []
+        for seed in seeds:
+            if len(seed) != k or not universe.cut_ok(seed):
+                raise ValueError(f"seed {seed} is not a cut system of size {k}")
+        curves = sorted({c for v in seeds for c in v}, key=universe.key)
+    vertices = [vertex_of(universe, c) for c in combinations(curves, k) if universe.cut_ok(c)]
+    if not vertices:
+        raise ValueError(f"no cut system of size {k} at genus {universe.g}")
+    edges, cells = [], []
     for free in range(1, min(k, 2) + 1):
-        commons = [c for c in combinations(curves, k - free) if not c or universe.cut_ok(c)]
-        for common in commons:
-            cells += _cells(universe, curves, common, free)
-    cells = _prune_cells_to_graph(universe, vertices, edges, cells)
+        for common in combinations(curves, k - free):
+            if not common or universe.cut_ok(common):
+                more_edges, more_cells = _cells(universe, curves, common, free)
+                edges += more_edges
+                cells += more_cells
+    if not universe.enumerable:
+        ball = frontier = {vertex_of(universe, s) for s in seeds}
+        for _ in range(radius or 0):
+            near = {w for v, w in edges if v in frontier} | {v for v, w in edges if w in frontier}
+            frontier, ball = near - ball, ball | near
+        vertices = [v for v in vertices if v in ball]
+        edges = [(v, w) for v, w in edges if v in ball and w in ball]
+        cells = [c for c in cells if all(v in ball for v in c.cycle)]
     return ComplexGraph(universe, k, vertices, edges, cells)
-
-
-def _ball_vertices(universe, k, seeds, radius):
-    """Vertices within the given move-radius of the seeds, using the seeds'
-    curves as the candidate pool (bounded exploration)."""
-    curves = sorted({c for v in seeds for c in v}, key=universe.key)
-    vertices = {vertex_of(universe, v) for v in seeds}
-    frontier = set(vertices)
-    for _ in range(radius):
-        new = set()
-        for v in frontier:
-            for c in v:
-                rest = tuple(x for x in v if x != c)
-                for c2 in curves:
-                    if c2 == c or c2 in rest or universe.inter(c, c2) != 1:
-                        continue
-                    w = vertex_of(universe, rest + (c2,))
-                    if w not in vertices and universe.cut_ok(w):
-                        new.add(w)
-        vertices |= new
-        frontier = new
-    return sorted(vertices, key=lambda v: tuple(universe.key(c) for c in v)), curves
-
-
-def _prune_cells_to_graph(universe, vertices, edges, cells):
-    vset = set(vertices)
-    eset = set()
-    for a, b in edges:
-        eset.add((a, b))
-        eset.add((b, a))
-    out = []
-    for cell in cells:
-        cyc = cell.cycle
-        if all(v in vset for v in cyc) and all(
-            (cyc[i], cyc[(i + 1) % len(cyc)]) in eset for i in range(len(cyc))
-        ):
-            out.append(cell)
-    key = lambda c: (c.kind, tuple(tuple(universe.key(x) for x in v) for v in c.cycle))
-    return sorted(out, key=key)
 
 
 def build_schmutz(universe):

@@ -13,26 +13,6 @@ def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a, b):
-    n, k = len(a), len(b)
-    p = len(b[0]) if b else 0
-    out = [[0] * p for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            c = ai[t]
-            if c:
-                bt = b[t]
-                for j in range(p):
-                    oi[j] += c * bt[j]
-    return out
-
-
-def mat_vec(a, v):
-    return [sum(c * x for c, x in zip(row, v)) for row in a]
-
-
 def _min_pivot(m, r, c):
     """Position of the first nonzero entry of least absolute value in m[r:][c:],
     scanning row by row.  A unit ends the scan: nothing later can be smaller,

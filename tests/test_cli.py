@@ -29,6 +29,23 @@ def test_diam_window(tmp_path):
     assert data["in_window"] and 2 <= data["diameter"] <= 12
 
 
+def test_diam_implicit_k2_matches_explicit(tmp_path):
+    reports = []
+    for extra in ([], ["--implicit"]):
+        out = tmp_path / f"d{len(extra)}.json"
+        assert run(["diam", "--g", "2", "--k", "2", "--out", str(out)] + extra) == 0
+        reports.append(json.loads(out.read_text()))
+    assert reports[0] == reports[1]
+    assert reports[1]["diameter"] == 3
+
+
+def test_diam_implicit_k3_exit_2(tmp_path, capsys):
+    out = tmp_path / "d.json"
+    assert run(["diam", "--g", "3", "--k", "3", "--implicit", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "implicit diameter supports k in {1, 2}\n"
+    assert not out.exists()
+
+
 def test_homology(tmp_path):
     out = tmp_path / "h.json"
     assert run(["homology", "--backend", "sympF2", "--g", "2", "--k", "1",

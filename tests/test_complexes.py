@@ -1,3 +1,4 @@
+import functools
 import random
 from itertools import combinations
 
@@ -5,11 +6,17 @@ import pytest
 
 from cutsys import complexes as cx
 from cutsys import intlin
-from cutsys.sympcurves import f2_is_cut, f2_pairing
+from cutsys.sympcurves import HClass, SympSpace, f2_is_cut, f2_pairing
 from cutsys.universe import make_universe
 
 U2 = make_universe("sympF2", g=2)
 U3 = make_universe("sympF2", g=3)
+
+
+@functools.cache
+def _gamma_g3_k2():
+    # the slowest build here: the tests that read it share one per session
+    return cx.build_gamma(U3, 2)
 
 
 def test_gamma1_vertex_count_with_enumeration_oracle():
@@ -121,9 +128,7 @@ def test_diameter_disconnected():
 
 
 def test_implicit_matches_explicit_g3_k2():
-    verts, curves = cx._enumerate_vertices(U3, 2)
-    edges = cx._edges_between(U3, verts, curves)
-    g32 = cx.ComplexGraph(U3, 2, verts, edges, [])
+    g32 = _gamma_g3_k2()
     explicit = cx.diameter(g32)
     layers = []
     implicit, total = cx.f2_gamma_k2_eccentricity(3, lambda d, size: layers.append(size))
@@ -163,9 +168,7 @@ def test_implicit_gamma1_matches_explicit():
 
 
 def test_vertex_transitivity_samples():
-    verts, curves = cx._enumerate_vertices(U3, 2)
-    edges = cx._edges_between(U3, verts, curves)
-    g32 = cx.ComplexGraph(U3, 2, verts, edges, [])
+    g32 = _gamma_g3_k2()
     rng = random.Random(0)
     eccs = {cx.eccentricity(g32, rng.choice(g32.vertices)) for _ in range(4)}
     assert len(eccs) == 1
@@ -244,24 +247,38 @@ def test_ball_build_needs_seed():
 
 
 def test_ball_build_sympz():
-    from cutsys.sympcurves import SympSpace
-
-    uz = make_universe("sympZ", g=2)
-    S = SympSpace(2)
-    seeds = [(S.basis_a(1),), (S.basis_b(1),)]
-    g = cx.build_gamma(uz, 1, seeds=seeds, radius=2)
+    g = _ball("sympZ g=2 k=1 ball")
     assert all(len(v) == 1 for v in g.vertices)
     assert len(g.vertices) >= 2
 
 
-def _sympz_ball():
-    from cutsys.sympcurves import HClass, SympSpace
+def test_ball_seeds_must_be_cut_systems_of_size_k():
+    S = SympSpace(2)
+    a1, b1, a2 = S.basis_a(1), S.basis_b(1), S.basis_a(2)
+    uz = make_universe("sympZ", g=2)
+    with pytest.raises(ValueError, match=r"seed \(b1, a1\) is not a cut system of size 2"):
+        cx.build_gamma(uz, 2, seeds=[(b1, a1), (a1, a2)], radius=1)  # b1 meets a1 once
+    with pytest.raises(ValueError, match=r"seed \(a1, a2\) is not a cut system of size 1"):
+        cx.build_gamma(uz, 1, seeds=[(a1, a2)], radius=0)
 
-    S = SympSpace(3)
-    a1, b1, a2, b2 = S.basis_a(1), S.basis_b(1), S.basis_a(2), S.basis_b(2)
-    a1b1, a2b2 = HClass((1, 1, 0, 0)), HClass((0, 0, 1, 1))
-    seeds = [(a1, a2), (b1, a2), (a1b1, a2), (a1, b2), (a1, a2b2), (b1, b2)]
-    return cx.build_gamma(make_universe("sympZ", g=3), 2, seeds=seeds, radius=1)
+
+S3 = SympSpace(3)
+A1, B1, A2, B2 = S3.basis_a(1), S3.basis_b(1), S3.basis_a(2), S3.basis_b(2)
+A1B1, A2B2 = HClass((1, 1, 0, 0)), HClass((0, 0, 1, 1))
+# genus, k, seeds and radius of each sympZ ball the tests build
+BALLS = {
+    "sympZ g=2 k=1 ball": (2, 1, [(SympSpace(2).basis_a(1),), (SympSpace(2).basis_b(1),)], 2),
+    "sympZ g=3 k=2 ball": (
+        3, 2, [(A1, A2), (B1, A2), (A1B1, A2), (A1, B2), (A1, A2B2), (B1, B2)], 1
+    ),
+    # radius 0 keeps 3 of the 9 cut systems over these curves
+    "sympZ g=3 k=2 radius 0": (3, 2, [(A1, A2), (B1, B2), (A1B1, A2B2)], 0),
+}
+
+
+def _ball(name):
+    g, k, seeds, radius = BALLS[name]
+    return cx.build_gamma(make_universe("sympZ", g=g), k, seeds=seeds, radius=radius)
 
 
 # sha256 of the sorted-key JSON export, and (vertices, edges, triangles,
@@ -287,12 +304,74 @@ PINNED_BUILDS = {
         (16, 29, 14, 0, 0),
         "b45b2f197a66fcdd5af1d06b7866b56714f08b93174e13f85bc2232cef322f50",
     ),
+    "sympF2 g=3 k=2": (
+        _gamma_g3_k2,
+        (945, 15120, 40320, 30240, 96768),
+        "2bbf7b9bd4169e134484ca14d2d78ca3cbd67d4e5776c173f414318a6997b627",
+    ),
     "sympZ g=3 k=2 ball": (
-        _sympz_ball,
+        lambda: _ball("sympZ g=3 k=2 ball"),
         (9, 18, 6, 9, 0),
         "9a9e6219068aa1490c05b29c8c8acce38395a5f0cc5eb9bf926eb99d40f31004",
     ),
 }
+
+
+def _edges_between(universe, vertices, curves):
+    """Oracle: every move between two of the vertices, found by swapping each
+    curve of each vertex for each curve that meets it once."""
+    vset = set(vertices)
+    edges = set()
+    for v in vertices:
+        for c in v:
+            rest = tuple(x for x in v if x != c)
+            for c2 in curves:
+                if c2 == c or c2 in rest or universe.inter(c, c2) != 1:
+                    continue
+                w = cx.vertex_of(universe, rest + (c2,))
+                if w in vset:
+                    edges.add(frozenset((v, w)))
+    return edges
+
+
+def _ball_vertices(universe, seeds, radius):
+    """Oracle: the vertices within `radius` moves of the seeds, with moves
+    only to the seeds' curves, found by a move search from each frontier."""
+    curves = sorted({c for v in seeds for c in v}, key=universe.key)
+    vertices = {cx.vertex_of(universe, v) for v in seeds}
+    frontier = set(vertices)
+    for _ in range(radius):
+        new = set()
+        for v in frontier:
+            for c in v:
+                rest = tuple(x for x in v if x != c)
+                for c2 in curves:
+                    if c2 == c or c2 in rest or universe.inter(c, c2) != 1:
+                        continue
+                    w = cx.vertex_of(universe, rest + (c2,))
+                    if w not in vertices and universe.cut_ok(w):
+                        new.add(w)
+        vertices |= new
+        frontier = new
+    return vertices, curves
+
+
+@pytest.mark.parametrize(
+    "name", ["sympF2 g=2 k=1", "sympF2 g=2 k=2", "sympF2 g=3 k=2", "slope bound=3"]
+)
+def test_edges_are_every_move(name):
+    g = PINNED_BUILDS[name][0]()
+    curves = list(g.universe.all_curves())
+    assert {frozenset(e) for e in g.edges} == _edges_between(g.universe, g.vertices, curves)
+
+
+@pytest.mark.parametrize("name", sorted(BALLS))
+def test_ball_is_every_vertex_and_move_within_radius(name):
+    _, _, seeds, radius = BALLS[name]
+    g = _ball(name)
+    vertices, curves = _ball_vertices(g.universe, seeds, radius)
+    assert set(g.vertices) == vertices
+    assert {frozenset(e) for e in g.edges} == _edges_between(g.universe, vertices, curves)
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_BUILDS))
