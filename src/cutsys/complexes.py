@@ -164,18 +164,20 @@ def _cells(universe, curves, common, free):
 def build_gamma(universe, k, seeds=None, radius=None):
     """The complex on cut systems of size k over an enumerable universe.
 
-    Otherwise the ball of the given radius around the seed vertices: the
-    complex on cut systems of the seeds' curves, cut to the vertices within
-    `radius` moves of a seed and the edges and cells among them.
+    With seeds, the ball of the given radius around the seed vertices: the
+    complex (on all curves, or on the seeds' curves when the universe is not
+    enumerable) cut to the vertices within `radius` moves of a seed and the
+    edges and cells among them.
     """
-    if universe.enumerable:
-        curves = list(universe.all_curves())
-    elif not seeds:
-        raise NeedsSeed("non-enumerable universe needs seed vertices")
-    else:
+    if seeds is not None or not universe.enumerable:
+        if not seeds:
+            raise NeedsSeed("a ball needs seed vertices")
         for seed in seeds:
             if len(seed) != k or not universe.cut_ok(seed):
                 raise ValueError(f"seed {seed} is not a cut system of size {k}")
+    if universe.enumerable:
+        curves = list(universe.all_curves())
+    else:
         curves = sorted({c for v in seeds for c in v}, key=universe.key)
     vertices = [vertex_of(universe, c) for c in combinations(curves, k) if universe.cut_ok(c)]
     if not vertices:
@@ -187,7 +189,7 @@ def build_gamma(universe, k, seeds=None, radius=None):
                 more_edges, more_cells = _cells(universe, curves, common, free)
                 edges += more_edges
                 cells += more_cells
-    if not universe.enumerable:
+    if seeds:
         ball = frontier = {vertex_of(universe, s) for s in seeds}
         for _ in range(radius or 0):
             near = {w for v, w in edges if v in frontier} | {v for v, w in edges if w in frontier}

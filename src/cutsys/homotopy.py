@@ -18,6 +18,8 @@ emits, and a certificate is sound only once verify_certificate accepts it.
 
 from __future__ import annotations
 
+import functools
+import threading
 from dataclasses import dataclass, field
 
 from .surfaces import NoRoom
@@ -113,13 +115,6 @@ class Step:
     old: tuple  # replaced vertex window, old[0] == new[0], old[-1] == new[-1]
     new: tuple
     kind: str = ""  # claimed cell type for fills
-
-    def inverted(self):
-        op = {CELL_FILL: CELL_FILL, BT_INSERT: BT_REMOVE, BT_REMOVE: BT_INSERT}[self.op]
-        return Step(op, self.at, self.new, self.old, self.kind)
-
-    def shifted(self, delta):
-        return Step(self.op, self.at + delta, self.old, self.new, self.kind)
 
 
 @dataclass
@@ -380,20 +375,91 @@ def verify_certificate(universe, loop, cert, context=()):
     return True, None
 
 
+# --- composed steps ------------------------------------------------------------
+
+
+_UNDO = {CELL_FILL: CELL_FILL, BT_INSERT: BT_REMOVE, BT_REMOVE: BT_INSERT}
+
+
+@dataclass(frozen=True)
+class Steps:
+    """The steps of `parts` (a Step, a Steps or a list of them) shifted
+    `offset` places along the path, with the curves `lift` added to every
+    vertex (sorted by `key`), and undone in reverse order when `inverted`."""
+
+    parts: object
+    offset: int = 0
+    lift: tuple = ()
+    key: object = None
+    inverted: bool = False
+
+
+def flatten(parts):
+    """The list[Step] of composed steps, each built once.  Offsets add, lifts
+    unite (one sort per vertex: the key is a total order) and inversions cancel."""
+    out = []
+    lift = functools.lru_cache(None)(lambda v, curves, key: tuple(sorted(v + curves, key=key)))
+
+    def walk(t, offset, curves, key, inverted):
+        if isinstance(t, Steps):
+            walk(t.parts, offset + t.offset, curves + t.lift, t.key or key, inverted != t.inverted)
+        elif isinstance(t, list):
+            for p in reversed(t) if inverted else t:
+                walk(p, offset, curves, key, inverted)
+        elif offset or curves or inverted:
+            op, old, new = (_UNDO[t.op], t.new, t.old) if inverted else (t.op, t.old, t.new)
+            if curves:
+                old, new = (tuple([lift(v, curves, key) for v in w]) for w in (old, new))
+            out.append(Step(op, t.at + offset, old, new, t.kind))
+        else:
+            out.append(t)
+
+    walk(parts, 0, (), None, False)
+    return out
+
+
+_open = threading.local()  # .depth: this thread's prover calls on the stack
+
+
+def _flat_outside(fn):
+    """fn's composed steps, flattened for a caller outside the prover."""
+
+    @functools.wraps(fn)
+    def entry(*args, **kwargs):
+        depth = getattr(_open, "depth", 0)
+        _open.depth = depth + 1
+        try:
+            parts = fn(*args, **kwargs)
+        finally:
+            _open.depth = depth
+        return parts if depth else flatten(parts)
+
+    return entry
+
+
+def _ensure(ok, what):  # a prover postcondition that python -O keeps
+    if not ok:
+        raise ContractionError(what)
+
+
 # --- the rewriter ---------------------------------------------------------------
 
 
 class PathRewriter:
-    """Holds the evolving path and accumulates steps.  It splices each step
-    in unchecked; verify_certificate checks them when it replays the steps."""
+    """Holds the evolving path and accumulates composed steps, unchecked:
+    verify_certificate checks them when it replays the flattened steps."""
 
     def __init__(self, vertices):
         self.path = list(vertices)
-        self.steps = []
+        self.parts = []
+
+    @property
+    def steps(self):
+        return flatten(self.parts)
 
     def _emit(self, step):
         self.path[step.at : step.at + len(step.old)] = step.new
-        self.steps.append(step)
+        self.parts.append(step)
 
     def fill(self, at, old_len, new_subpath, kind=""):
         old = tuple(self.path[at : at + old_len + 1])
@@ -403,9 +469,11 @@ class PathRewriter:
         old = tuple(self.path[at : at + 3])
         self._emit(Step(BT_REMOVE, at, old, (old[0],)))
 
-    def apply_steps(self, steps, offset=0):
-        for s in steps:
-            self._emit(s.shifted(offset) if offset else s)
+    def apply_steps(self, steps):
+        """Append a contraction of the whole path to its base vertex; returns all parts."""
+        self.parts.append(steps)
+        del self.path[1:]
+        return self.parts
 
     def replace(self, at, old_edges, new_subpath, contractor):
         """Swap the window [at .. at+old_edges] for new_subpath, which must
@@ -421,7 +489,8 @@ class PathRewriter:
         if not old or not new or old[0] != new[0] or old[-1] != new[-1]:
             raise InvalidStep(f"replace at {at}: the new subpath changes the window's endpoints")
         loop = tuple(new + old[::-1][1:])
-        self.apply_steps([s.inverted() for s in reversed(contractor(loop))], offset=at)
+        self.parts.append(Steps(contractor(loop), offset=at, inverted=True))
+        self.path[at : at + 1] = loop
         for j in range(at + len(new) + old_edges - 2, at + len(new) - 2, -1):
             self.remove_backtrack(j)
 
@@ -443,6 +512,7 @@ def rotate_left(vertices, j):
     return tuple(vertices[j:-1]) + tuple(vertices[: j + 1])
 
 
+@_flat_outside
 def contract_rebased(vertices, j, contractor):
     """Contract a closed path by contracting its rebase j steps along.
 
@@ -455,7 +525,7 @@ def contract_rebased(vertices, j, contractor):
     n = len(V) - 1
     j %= n
     steps = [Step(BT_INSERT, n + i, (V[i],), (V[i], V[i + 1], V[i])) for i in range(j)]
-    steps += [s.shifted(j) for s in contractor(rotate_left(V, j))]
+    steps.append(Steps(contractor(rotate_left(V, j)), offset=j))
     steps += [Step(BT_REMOVE, i, (V[i], V[i + 1], V[i]), (V[i],)) for i in reversed(range(j))]
     return steps
 
@@ -550,7 +620,7 @@ def path_common(prover, v, w):
         prover.vertex(common + (d3,)),
         w,
     ]
-    assert check_path(u, path, prover.ctx)
+    _ensure(check_path(u, path, prover.ctx), "the bridge through a fresh handle is no path")
     return path
 
 
@@ -562,7 +632,7 @@ def connect(prover, v, w):
     sv, sw = set(v), set(w)
     diff_v = sorted(sv - sw, key=prover.u.key)
     diff_w = sorted(sw - sv, key=prover.u.key)
-    assert len(diff_v) == len(diff_w)
+    _ensure(len(diff_v) == len(diff_w), "cut systems of different sizes")
     if len(diff_v) == 1:
         return path_common(prover, v, w)
     a, b = diff_v[0], diff_w[0]
@@ -573,21 +643,21 @@ def connect(prover, v, w):
     p2 = connect(prover, v2, w2)
     p3 = path_common(prover, w2, w)
     out = p1[:-1] + p2[:-1] + p3
-    assert len(out) - 1 <= 8 * len(diff_v) - 4
+    _ensure(len(out) - 1 <= 8 * len(diff_v) - 4, "path longer than 8k - 4")
     return out
 
 
 def segment_connect(prover, v, w, common):
     """Path from v to w all of whose vertices contain the given curves."""
     common = tuple(sorted(common, key=prover.u.key))
-    assert all(c in v and c in w for c in common)
+    _ensure(all(c in v and c in w for c in common), "an end misses a common curve")
     if v == w:
         return [v]
     sub = prover.sub(*common)
     sv = tuple(x for x in v if x not in common)
     sw = tuple(x for x in w if x not in common)
     if not sv:
-        assert v == w
+        _ensure(v == w, "ends with only common curves differ")
         return [v]
     inner = connect(sub, sub.vertex(sv), sub.vertex(sw))
     return [prover.vertex(tuple(x) + common) for x in inner]
@@ -613,11 +683,11 @@ def contract_square(universe, loop):
     if vertices[0] == vertices[2]:
         rw.remove_backtrack(0)
         rw.remove_backtrack(0)
-        return rw.steps
+        return rw.parts
     if vertices[1] == vertices[3]:
         rw.remove_backtrack(1)
         rw.remove_backtrack(0)
-        return rw.steps
+        return rw.parts
     if universe.inter(y[1], y[3]) != 0:
         raise NotApplicable("the (1,3)-diagonal must be disjoint")
     y2 = y[2]
@@ -631,7 +701,7 @@ def contract_square(universe, loop):
             if best is None or val < best[1]:
                 best = (s, val)
         s, val = best
-        assert val < abs(t), "twist reduction must strictly decrease the pairing"
+        _ensure(val < abs(t), "twist reduction must strictly decrease the pairing")
         y2n = universe.twist(y[1], s, y2)
         rw.fill(1, 1, ((y[1],), (y2n,), (y2,)), "triangle")
         rw.fill(2, 2, ((y2n,), (y[3],)), "triangle")
@@ -639,7 +709,7 @@ def contract_square(universe, loop):
         if (y2,) == vertices[0]:
             rw.remove_backtrack(0)
             rw.remove_backtrack(0)
-            return rw.steps
+            return rw.parts
     b = universe.twist(y[1], 1, y2)
     if universe.inter(b, y[0]) != 1:
         b = universe.twist(y[1], -1, y2)
@@ -648,7 +718,7 @@ def contract_square(universe, loop):
     rw.fill(1, 2, ((b,), (y[3],)), "triangle")
     rw.fill(0, 2, ((y[0],), (y[3],)), "triangle")
     rw.remove_backtrack(0)
-    return rw.steps
+    return rw.parts
 
 
 def square_any_diagonal(universe, loop):
@@ -691,9 +761,7 @@ def _flanked_based(universe, vertices, a0, context):
         rw.fill(2, 2, ((b,), (xnext,)), "triangle")
         rw.fill(0, 2, ((a0,), (b,)), "triangle")
     # [a0, f, x_l, fl, a0]
-    steps = contract_rebased(tuple(rw.path), 1, lambda vs: contract_square(universe, vs))
-    rw.apply_steps(steps)
-    return rw.steps
+    return rw.apply_steps(contract_rebased(tuple(rw.path), 1, lambda vs: contract_square(universe, vs)))
 
 
 def _clean_flank(universe, a0, xi, xnext, context):
@@ -707,7 +775,7 @@ def _clean_flank(universe, a0, xi, xnext, context):
         raise NotApplicable("flank cleaning needs the integer shadow")
     m0 = _dual_of(a0, tuple(context))
     e = universe.signed(xi, xnext)
-    assert abs(e) == 1
+    _ensure(abs(e) == 1, "run curves x_i, x_next do not meet once")
     alpha = -e * universe.signed(m0, xnext)
     beta = e * (universe.signed(m0, xi) - 1)
     g = max(m0.g, xi.g, xnext.g)
@@ -716,9 +784,9 @@ def _clean_flank(universe, a0, xi, xnext, context):
         for a, b, c in zip(m0.padded(g), xi.padded(g), xnext.padded(g))
     ]
     f = HClass(vec)
-    assert universe.inter(f, a0) == 1
-    assert universe.inter(f, xi) == 1
-    assert universe.inter(f, xnext) == 0
+    _ensure(universe.inter(f, a0) == 1, "clean flank does not meet a0 once")
+    _ensure(universe.inter(f, xi) == 1, "clean flank does not meet x_i once")
+    _ensure(universe.inter(f, xnext) == 0, "clean flank meets x_next")
     return f
 
 
@@ -737,15 +805,16 @@ def escort_triple(prover, loop_curves):
     ha, hb = prover.fresh_pair()
     b2 = ha
     e01 = prover.u.signed(x1, x0)
-    assert abs(e01) == 1
+    _ensure(abs(e01) == 1, "first two loop curves do not meet once")
     b0 = combine(hb, 1, x1)  # meets x0 once via the x1 component
     b1 = combine(hb, 1, x0) if e01 == 1 else combine(hb, -1, x0)
-    assert prover.u.inter(b0, x0) == 1 and prover.u.inter(b1, x1) == 1
-    assert prover.u.inter(b2, b0) == 1 and prover.u.inter(b2, b1) == 1
-    assert all(prover.u.inter(b2, c) == 0 for c in loop_curves)
+    _ensure(prover.u.inter(b0, x0) == 1 and prover.u.inter(b1, x1) == 1, "escorts b0, b1 miss their loop curves")
+    _ensure(prover.u.inter(b2, b0) == 1 and prover.u.inter(b2, b1) == 1, "escort b2 does not meet b0 and b1 once")
+    _ensure(all(prover.u.inter(b2, c) == 0 for c in loop_curves), "escort b2 meets a loop curve")
     return b0, b1, b2
 
 
+@_flat_outside
 def contract_gamma1(prover, vertices):
     """Contract a closed path of single curves, stabilizing once for the
     escorts.  The path must have no backtrack and no triangle boundary:
@@ -766,8 +835,7 @@ def contract_gamma1(prover, vertices):
     # bridge the first edge: x0 -> b0 -> b2 -> b1 -> x1, a 5-cycle with x0-x1
     rw.replace(0, 1, [(x0,), (b0,), (b2,), (b1,), (x1,)], shrink)
     # now [x0, b0, b2, b1, x1, x2, ..., x0]
-    rw.apply_steps(shrink(tuple(rw.path)))
-    return rw.steps
+    return rw.apply_steps(shrink(tuple(rw.path)))
 
 
 # --- radius-0 engine ------------------------------------------------------------
@@ -778,33 +846,20 @@ def _strip(vertices, c):
 
 
 def _lift_steps(universe, steps, c):
-    def lift_v(v):
-        return tuple(sorted(v + (c,), key=universe.key))
-
-    out = []
-    for s in steps:
-        out.append(
-            Step(
-                s.op,
-                s.at,
-                tuple(lift_v(v) for v in s.old),
-                tuple(lift_v(v) for v in s.new),
-                s.kind,
-            )
-        )
-    return out
+    return Steps(steps, lift=(c,), key=universe.key)
 
 
+@_flat_outside
 def sp_radius0(prover, vertices, c):
     """Contract a loop all of whose vertices contain the curve c, by
     contracting the stripped loop one level down and lifting the steps."""
-    assert all(c in v for v in vertices)
+    _ensure(all(c in v for v in vertices), "a vertex misses the segment curve")
     k = len(vertices[0])
     if k == 1:
         rw = PathRewriter(vertices)
         rw.clean_backtracks()
-        assert len(rw.path) == 1, "a one-curve segment loop must be constant"
-        return rw.steps
+        _ensure(len(rw.path) == 1, "a one-curve segment loop must be constant")
+        return rw.parts
     inner = contract(prover.sub(c), _strip(vertices, c))
     return _lift_steps(prover.u, inner, c)
 
@@ -835,9 +890,10 @@ def _ladder_steps(loop):
     rw.remove_backtrack(m)
     for j in range(m - 1, -1, -1):
         rw.remove_backtrack(j)
-    return rw.steps
+    return rw.parts
 
 
+@_flat_outside
 def contract_radius0(prover, vertices, a0, _no_recenter=False):
     """Contract a loop of radius 0 about a0 by the segment induction."""
     u = prover.u
@@ -847,25 +903,15 @@ def contract_radius0(prover, vertices, a0, _no_recenter=False):
     rw.clean_backtracks()
     work = tuple(rw.path)
     if len(work) == 1:
-        return rw.steps
+        return rw.parts
     if not any(a0 in v for v in work):
-        raise InvalidReference(
-            "backtrack collapse removed every vertex through the center"
-        )
+        raise InvalidReference("backtrack collapse removed every vertex through the center")
     # rebase at the start of a maximal a0-run
     n = len(work) - 1
-    starts = [
-        i for i in range(n) if a0 in work[i] and a0 not in work[(i - 1) % n]
-    ]
+    starts = [i for i in range(n) if a0 in work[i] and a0 not in work[(i - 1) % n]]
     if not starts:  # a0 in every vertex
-        rw.apply_steps(sp_radius0(prover, work, a0))
-        return rw.steps
-    j = starts[0]
-    inner = contract_rebased(
-        work, j, lambda vs: _radius0_based(prover, vs, a0, _no_recenter)
-    )
-    rw.apply_steps(inner)
-    return rw.steps
+        return rw.apply_steps(sp_radius0(prover, work, a0))
+    return rw.apply_steps(contract_rebased(work, starts[0], lambda vs: _radius0_based(prover, vs, a0, _no_recenter)))
 
 
 def _radius0_based(prover, vertices, a0, no_recenter=False):
@@ -890,8 +936,7 @@ def _radius0_based(prover, vertices, a0, no_recenter=False):
     rw = PathRewriter(vertices)
     if e2 == n:
         _two_segment(prover, rw, a0, a1, e1)
-        rw.apply_steps(sp_radius0(prover, tuple(rw.path), a0))
-        return rw.steps
+        return rw.apply_steps(sp_radius0(prover, tuple(rw.path), a0))
     v2 = vertices[e2]
     after = vertices[e2 + 1]
     candidates = sorted((c for c in after if u.inter(a0, c) == 0), key=u.key)
@@ -916,10 +961,7 @@ def _radius0_based(prover, vertices, a0, no_recenter=False):
             done = _case3(prover, rw, a0, a1, candidates, e1, e2, no_recenter)
             if not done:
                 return _recenter_or_fail(prover, vertices, a0, no_recenter)
-    out = tuple(rw.path)
-    sub = contract_radius0(prover, out, a0, _no_recenter=no_recenter)
-    rw.apply_steps(sub)
-    return rw.steps
+    return rw.apply_steps(contract_radius0(prover, tuple(rw.path), a0, _no_recenter=no_recenter))
 
 
 def _stack_primitive(prover, curves):
@@ -948,7 +990,7 @@ def _case1(prover, rw, a0, a1, a2, e1, e2):
     ladder across the cut along the meeting pair."""
     u = prover.u
     v1, v2, after = rw.path[e1], rw.path[e2], rw.path[e2 + 1]
-    assert u.inter(a1, a2) == 1
+    _ensure(u.inter(a1, a2) == 1, "junction curves do not meet once")
     mid = tuple(c for c in v2 if c != a1)
     sub = prover.sub(a1, a2)
     if a0 in mid:
@@ -958,7 +1000,7 @@ def _case1(prover, rw, a0, a1, a2, e1, e2):
     q = connect(sub, sub.vertex(mid), target)
     rail_b = [prover.vertex(x + (a1,)) for x in q]  # from v2 to u1
     rail_t = [prover.vertex(x + (a2,)) for x in q]  # from `after` to u2
-    assert rail_b[0] == v2 and rail_t[0] == after
+    _ensure(rail_b[0] == v2 and rail_t[0] == after, "ladder rails start off the junction")
     u1, u2 = rail_b[-1], rail_t[-1]
     r0 = segment_connect(prover, v1, u1, (a0, a1))
     # (i) seg2 -> r0 + reverse(bottom rail), inside an a1-segment loop
@@ -1014,8 +1056,8 @@ def _hexagon_cert(prover, a0, a1, a2, b0, b1, b2, common):
     rw.fill(0, 2, (w0, v5p, W0), "rectangle")
     rw.remove_backtrack(1)
     rw.remove_backtrack(0)
-    assert len(rw.path) == 1
-    return hexagon, rw.steps
+    _ensure(len(rw.path) == 1, "hexagon certificate leaves more than a vertex")
+    return hexagon, rw.parts
 
 
 def _case2(prover, rw, a0, a1, a2, e1, e2):
@@ -1132,6 +1174,7 @@ def hex_escorts(prover, a0, a1, a2, common=()):
 # --- master contraction ----------------------------------------------------------
 
 
+@_flat_outside
 def contract(prover, loop):
     """Contract any closed loop, drawing fresh genus as the proofs do."""
     u = prover.u
@@ -1142,24 +1185,22 @@ def contract(prover, loop):
     rw.clean_backtracks()
     work = tuple(rw.path)
     if len(work) == 1:
-        return rw.steps
+        return rw.parts
     m = len(work) - 1
     kind = cell_pattern(u, work[:-1], prover.ctx) if m in (3, 4, 5) else None
     if kind:
         rw.fill(0, m - 1, (work[0], work[m - 1]), kind)
         rw.remove_backtrack(0)
-        return rw.steps
+        return rw.parts
     k = len(work[0])
     commons = set(work[0])
     for v in work[1:]:
         commons &= set(v)
     if commons:
         c = min(commons, key=u.key)
-        rw.apply_steps(sp_radius0(prover, work, c))
-        return rw.steps
+        return rw.apply_steps(sp_radius0(prover, work, c))
     if k == 1:
-        rw.apply_steps(contract_gamma1(prover, work))
-        return rw.steps
+        return rw.apply_steps(contract_gamma1(prover, work))
     # theorem flow: bridge the first edge over a fresh curve, then the loop
     # has radius 0 about it.  The bridge enters and leaves its fresh vertex
     # through two distinct partners of the new handle, so the vertex occurs
@@ -1177,10 +1218,8 @@ def contract(prover, loop):
     s2 = segment_connect(prover, u_out, v1, (a0,))
     bridge = PathRewriter(s1 + [w0] + s2)
     bridge.clean_backtracks()
-    assert any(b in v for v in bridge.path)
+    _ensure(any(b in v for v in bridge.path), "backtrack collapse removed the bridge's fresh curve")
     rw.replace(0, 1, bridge.path, lambda loop: sp_radius0(prover, loop, a0))
     rw.clean_backtracks()
-    assert any(b in v for v in rw.path)
-    sub = contract_radius0(prover, tuple(rw.path), b)
-    rw.apply_steps(sub)
-    return rw.steps
+    _ensure(any(b in v for v in rw.path), "backtrack collapse removed the fresh curve")
+    return rw.apply_steps(contract_radius0(prover, tuple(rw.path), b))

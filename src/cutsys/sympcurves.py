@@ -12,6 +12,7 @@ stabilization.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from math import gcd
 from operator import mul
@@ -92,18 +93,26 @@ def _canonical(coords):
 
 
 class HClass:
-    """Primitive homology class mod sign (shadow of a non-separating curve)."""
+    """Primitive homology class mod sign (shadow of a non-separating curve),
+    interned: equal classes are one object, compared and hashed by identity."""
 
-    __slots__ = ("coords",)
+    __slots__ = ("coords", "__weakref__")
+    _live = weakref.WeakValueDictionary()  # canonical coords -> the one instance
 
-    def __init__(self, coords):
-        object.__setattr__(self, "coords", _canonical(coords))
+    def __new__(cls, coords):
+        return cls._make(_canonical(coords))
 
     @classmethod
     def _make(cls, canonical_coords):
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "coords", canonical_coords)
+        obj = cls._live.get(canonical_coords)
+        if obj is None:
+            obj = object.__new__(cls)
+            object.__setattr__(obj, "coords", canonical_coords)
+            cls._live[canonical_coords] = obj
         return obj
+
+    def __reduce__(self):
+        return HClass, (self.coords,)
 
     @property
     def g(self):
@@ -117,12 +126,6 @@ class HClass:
 
     def __setattr__(self, *a):
         raise AttributeError("HClass is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, HClass) and self.coords == other.coords
-
-    def __hash__(self):
-        return hash(self.coords)
 
     def __lt__(self, other):
         return (len(self.coords), self.coords) < (len(other.coords), other.coords)
@@ -150,19 +153,15 @@ class HClass:
         return cls(obj["coords"])
 
 
-_PAIR_CACHE = {}
+_PAIR_CACHE = {}  # keyed on the interned classes themselves
 
 
 def pairing(u, v):
     """Signed pairing of the canonical representatives of two classes."""
-    if isinstance(u, HClass):
-        u = u.coords
-    if isinstance(v, HClass):
-        v = v.coords
     key = (u, v)
     hit = _PAIR_CACHE.get(key)
     if hit is None:
-        hit = pairing_vec(u, v)
+        hit = pairing_vec(u.coords, v.coords)
         _PAIR_CACHE[key] = hit
         if len(_PAIR_CACHE) > 1_000_000:
             _PAIR_CACHE.clear()

@@ -99,7 +99,7 @@ def test_contract_prover_fault_exits_1(tmp_path, capsys, monkeypatch):
     lift = homotopy._lift_steps
 
     def corrupt(universe, steps, c):
-        out = lift(universe, steps, c)
+        out = homotopy.flatten(lift(universe, steps, c))
         return [homotopy.Step(s.op, s.at, s.old, s.new, "pentagon" if s.kind == "triangle" else "triangle")
                 if s.op == homotopy.CELL_FILL else s for s in out]
 
@@ -126,6 +126,32 @@ def test_contract_report_pinned(tmp_path, argv, digest):
     out = tmp_path / "c.json"
     assert run(["contract"] + argv + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_contract_reports_pinned_at_other_addresses(tmp_path):
+    # classes hash by identity, so their addresses must not reach a report:
+    # unrelated allocations before and between the runs move every class
+    import os
+    import subprocess
+    import sys
+
+    script = """
+import json, sys
+keep = [bytearray(i % 97 + 1) for i in range(30000)]
+from cutsys.cli import main
+for i, argv in enumerate(json.loads(sys.argv[1])):
+    keep += [object() for _ in range(7919 * (i + 1))]
+    if main(["contract"] + argv + ["--out", sys.argv[2] + str(i)]) != 0:
+        sys.exit("contract failed")
+"""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argvs = json.dumps([argv for argv, _ in PINNED_REPORTS])
+    out = subprocess.run([sys.executable, "-c", script, argvs, str(tmp_path / "c")],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    for i, (_, digest) in enumerate(PINNED_REPORTS):
+        assert hashlib.sha256((tmp_path / f"c{i}").read_bytes()).hexdigest() == digest
 
 
 def _break_loop_key(data):

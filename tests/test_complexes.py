@@ -262,6 +262,21 @@ def test_ball_seeds_must_be_cut_systems_of_size_k():
         cx.build_gamma(uz, 1, seeds=[(a1, a2)], radius=0)
 
 
+def test_ball_on_enumerable_universe():
+    # bits 1 and 2 are a1 and b1, which meet once: no cut system
+    with pytest.raises(ValueError, match=r"seed \(1, 2\) is not a cut system of size 2"):
+        cx.build_gamma(U2, 2, seeds=[(1, 2)], radius=0)
+    with pytest.raises(cx.NeedsSeed):
+        cx.build_gamma(U2, 2, seeds=[], radius=1)
+    seed = (1, 4)  # (a1, a2)
+    assert cx.build_gamma(U2, 2, seeds=[seed], radius=0).vertices == [seed]
+    full = cx.build_gamma(U2, 2)
+    ball = cx.build_gamma(U2, 2, seeds=[seed], radius=1)
+    assert set(ball.vertices) == {seed, *full.adj[seed]} and len(ball.vertices) == 9
+    inside = set(ball.vertices)
+    assert ball.edges == [e for e in full.edges if inside.issuperset(e)]
+
+
 S3 = SympSpace(3)
 A1, B1, A2, B2 = S3.basis_a(1), S3.basis_b(1), S3.basis_a(2), S3.basis_b(2)
 A1B1, A2B2 = HClass((1, 1, 0, 0)), HClass((0, 0, 1, 1))

@@ -578,7 +578,7 @@ def _corrupt_first_lift(monkeypatch):
     done = []
 
     def corrupt(universe, steps, c):
-        out = lift(universe, steps, c)
+        out = H.flatten(lift(universe, steps, c))
         fills = [i for i, s in enumerate(out) if s.op == H.CELL_FILL]
         if fills and not done:
             s = out[fills[0]]
@@ -609,6 +609,149 @@ def test_contract_rejects_corrupted_inner_step(monkeypatch):
     steps = H.contract(H.Prover(u), loop)
     ok, idx = H.verify_certificate(u, loop, _cert(steps))
     assert not ok and steps[idx].op == H.CELL_FILL
+
+
+# --- composed steps ------------------------------------------------------------
+
+
+def _criterion6_loops(n=104):
+    """The first n loops of the criterion-6 sequence, as (g, k, universe, loop)."""
+    rng = random.Random(606)
+    out = []
+    while len(out) < n:
+        g = rng.choice((2, 3, 4, 5))
+        k = min(rng.choice((1, 2, 3)), max(1, g - 1))
+        u = zu(g)
+        loop = walks.random_closed_walk(u, g, k, rng, steps=rng.randint(2, 6))
+        if loop is not None:
+            out.append((g, k, u, loop))
+    return out
+
+
+# the eager shift, lift and inversion the prover once applied at every level
+def _shifted(s, delta):
+    return H.Step(s.op, s.at + delta, s.old, s.new, s.kind)
+
+
+def _inverted(s):
+    op = {H.CELL_FILL: H.CELL_FILL, H.BT_INSERT: H.BT_REMOVE, H.BT_REMOVE: H.BT_INSERT}[s.op]
+    return H.Step(op, s.at, s.new, s.old, s.kind)
+
+
+def _lifted(key, steps, c):
+    def lift(v):
+        return tuple(sorted(v + (c,), key=key))
+
+    return [H.Step(s.op, s.at, tuple(map(lift, s.old)), tuple(map(lift, s.new)), s.kind) for s in steps]
+
+
+def _eager(t):
+    """Composed steps flattened one level at a time by the eager operations."""
+    if isinstance(t, H.Steps):
+        steps = _eager(t.parts)
+        for c in t.lift:
+            steps = _lifted(t.key, steps, c)
+        steps = [_shifted(s, t.offset) for s in steps]
+        return [_inverted(s) for s in reversed(steps)] if t.inverted else steps
+    if isinstance(t, list):
+        return [s for p in t for s in _eager(p)]
+    return [t]
+
+
+def test_flatten_matches_eager_composition_on_nested_views():
+    u, loop = _k3_loop()
+    steps = H.contract(H.Prover(u), loop)
+    a7, b8 = SympSpace(8).basis_a(7), SympSpace(8).basis_b(8)  # on no vertex of the certificate
+    inner = H.Steps([steps[:5], H.Steps(steps[5:], offset=3, inverted=True)], offset=2, lift=(b8,), key=u.key)
+    tree = H.Steps([steps[0], inner, H.Steps(inner, inverted=True)], offset=1, lift=(a7,), key=u.key, inverted=True)
+    flat = H.flatten(tree)
+    assert len(flat) == 2 * len(steps) + 1 and flat == _eager(tree)
+    assert any(v.index(a7) < v.index(b8) for s in flat for v in s.old)  # the two lifts sorted together
+    assert H.flatten(H.Steps(H.Steps(steps, inverted=True), inverted=True)) == steps
+    # steps that nothing transforms are passed through, not rebuilt
+    assert all(x is y for x, y in zip(H.flatten([steps[:3], H.Steps(steps[3:])]), steps))
+
+
+def test_flatten_matches_eager_composition_on_criterion_6_loops(monkeypatch):
+    monkeypatch.setattr(H._open, "depth", 1, raising=False)  # as if nested in a proof: contract returns its composition
+    fills = 0
+    for g, k, u, loop in _criterion6_loops(60):
+        if k >= 2:
+            tree = H.contract(H.Prover(u), loop)
+            flat = H.flatten(tree)
+            assert flat == _eager(tree)
+            assert H.verify_certificate(u, loop, flat)[0]
+            fills += sum(s.op == H.CELL_FILL for s in flat)
+    assert fills > 1000
+
+
+def test_contract_builds_at_most_two_steps_per_final_step(monkeypatch):
+    built = []
+    step = H.Step
+    monkeypatch.setattr(H, "Step", lambda *a, **kw: built.append(1) or step(*a, **kw))
+    final = 0
+    for g, k, u, loop in _criterion6_loops():
+        if k == 3 and g >= 4:
+            built.clear()
+            steps = H.contract(H.Prover(u), loop)
+            assert len(built) <= 2 * len(steps), (g, len(loop) - 1, len(built), len(steps))
+            final += len(steps)
+    assert final > 10_000
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda p: H.sp_radius0(p, ((a1, a2), (a2, b1), (a1, a2)), a1), "a vertex misses the segment curve"),
+        (lambda p: H.escort_triple(p, [a1, a2]), "first two loop curves do not meet once"),
+        (lambda p: H.connect(p, (a1,), (a1, b2)), "cut systems of different sizes"),
+        (lambda p: H.segment_connect(p, (a1, a2), (a2, b1), (a1,)), "an end misses a common curve"),
+        (lambda p: H._clean_flank(p.u, a1, a2, b1, ()), "run curves x_i, x_next do not meet once"),
+    ],
+)
+def test_prover_postconditions_raise_contraction_error(call, message):
+    with pytest.raises(H.ContractionError, match=re.escape(message)):
+        call(H.Prover(zu(2)))
+
+
+# sha256 of the certificate JSON that contract gives for _k3_loop()
+K3_DIGEST = "aba42d4ccf7d233a3e4aa79fb626be26c4184631cecf5de2daa5fec86526a79c"
+
+
+def test_contract_digest_under_optimize_flag():
+    import hashlib
+    import os
+    import subprocess
+    import sys
+
+    script = """
+import hashlib, json, random, sys
+from cutsys import homotopy as H, walks
+from cutsys.sympcurves import SympSpace
+from cutsys.universe import make_universe
+if __debug__:
+    sys.exit("not running under -O")
+u = make_universe("sympZ", g=3)
+loop = walks.random_closed_walk(u, 3, 3, random.Random(1), steps=2)
+cert = H.HomotopyCertificate(H.contract(H.Prover(u), loop))
+S = SympSpace(2)
+a1, a2, b1 = S.basis_a(1), S.basis_a(2), S.basis_b(1)
+try:
+    H.sp_radius0(H.Prover(u), ((a1, a2), (a2, b1), (a1, a2)), a1)
+    sys.exit("a loop off its segment curve contracted")
+except H.ContractionError:
+    pass
+print(hashlib.sha256(json.dumps(cert.to_json()).encode()).hexdigest())
+"""
+    u, loop = _k3_loop()
+    here = hashlib.sha256(json.dumps(_cert(H.contract(H.Prover(u), loop)).to_json()).encode()).hexdigest()
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == here == K3_DIGEST
 
 
 def test_prover_vertex_rejects_non_cut_system():

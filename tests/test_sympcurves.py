@@ -1,3 +1,7 @@
+import copy
+import gc
+import json
+import pickle
 import random
 from itertools import product
 
@@ -254,3 +258,55 @@ def test_f2_is_cut_counts():
         if f2_is_cut([u, v], g)
     ]
     assert len(pairs) == 45
+
+
+# --- interning ---------------------------------------------------------------
+
+
+def test_equal_classes_are_one_object():
+    from cutsys import homotopy as H
+    from cutsys import walks
+    from cutsys.sympcurves import combine
+    from cutsys.universe import make_universe
+
+    x = HClass((1, 1, 0, 0))
+    assert HClass([-1, -1, 0, 0, 0, 0]) is x  # canonical sign, trailing handles dropped
+    assert HClass._make((1, 1)) is x  # _make takes canonical coords
+    assert transvect(a1, 1, b1) is x and combine(a1, 1, b1) is x
+    assert S3.basis_a(2) is a2 and SympSpace(7).basis_b(1) is b1 is HClass((0, 1))
+    u = make_universe("sympZ", g=3)
+    loop = walks.random_closed_walk(u, 3, 2, random.Random(3), steps=3)
+    cert = H.HomotopyCertificate(H.contract(H.Prover(u), loop))
+    back = H.HomotopyCertificate.from_json(json.loads(json.dumps(cert.to_json())))
+    for s, t in zip(back.steps, cert.steps):
+        assert all(c is d for v, w in zip(s.old + s.new, t.old + t.new) for c, d in zip(v, w))
+    again = H.loop_from_json(json.loads(json.dumps(H.loop_to_json(loop))))
+    assert all(c is d for v, w in zip(again, loop) for c, d in zip(v, w))
+
+
+def test_class_order_is_the_dense_order():
+    rng = random.Random(5)
+    classes = []
+    while len(classes) < 500:
+        coords = [rng.randint(-3, 3) for _ in range(2 * rng.randint(1, 4))]
+        if any(coords) and intlin.vec_gcd(coords) == 1:
+            classes.append(HClass(coords))
+    dense = sorted({c.coords for c in classes}, key=lambda t: (len(t), t))
+    assert [c.coords for c in sorted(set(classes))] == dense
+    assert len(dense) > 400
+
+
+def test_copies_and_pickles_are_the_interned_object():
+    x = HClass((2, 1, 0, -1))
+    assert copy.copy(x) is x and copy.deepcopy(x) is x
+    assert copy.deepcopy(((x, a1),)) == ((x, a1),)
+    assert pickle.loads(pickle.dumps(x)) is x
+    assert pickle.loads(pickle.dumps([x, b2])) == [x, b2]
+
+
+def test_unreferenced_class_leaves_the_table():
+    key = HClass((0,) * 40 + (3, 7)).coords  # no other reference to this class
+    gc.collect()
+    assert key not in HClass._live
+    x = HClass(key)
+    assert HClass._live[key] is x
