@@ -214,18 +214,6 @@ def build_schmutz(universe):
     return ComplexGraph(universe, 1, vertices, edges, [], tag=f"{universe.tag}-schmutz")
 
 
-def build_curve_graph(universe):
-    """The curve complex as a disjointness graph (reporting only, no cells)."""
-    curves = list(universe.all_curves())
-    vertices = [(c,) for c in curves]
-    edges = [
-        ((u,), (w,))
-        for (u,), (w,) in combinations(vertices, 2)
-        if universe.inter(u, w) == 0
-    ]
-    return ComplexGraph(universe, 1, vertices, edges, [], tag=f"{universe.tag}-curves")
-
-
 def bfs(graph, v, w):
     """Exact distance and one geodesic; (inf, None) when disconnected."""
     if v not in graph.index or w not in graph.index:
@@ -390,32 +378,69 @@ def f2_count_vertices_k2(g):
 # --- chain homology -----------------------------------------------------------
 
 
-def chain_homology(graph):
-    """Betti numbers (b0, b1) of the 2-complex, over Z via Smith normal form,
-    cross-checked against rational ranks."""
+def coreduce(graph):
+    """One BFS spanning forest and the kill pass over the cell boundaries.
+
+    Vertices and edges are named by their positions in graph.vertices and
+    graph.edges.  Returns (parent, kills, rows): parent[v] is the BFS parent
+    of v (None at each component's root); kills lists, in order, the
+    (cell, edge) pairs where the cell's boundary had one edge left outside the
+    forest and the earlier kills, with coefficient +-1, and so killed it;
+    rows[cell] is the cell's boundary {edge: coefficient} on the edges still
+    live (empty for a killing cell, and for any cell with no live edge).  A boundary is a closed walk, and cycles
+    project injectively onto the non-forest edges, so the rows lose no rank
+    there; the kill rows form a unit triangular minor, zero on the live edges.
+    """
     vid = graph.index
-    nv, ne = len(graph.vertices), len(graph.edges)
-    eid = {e: i for i, e in enumerate(graph.edges)}
-    d1 = [[0] * nv for _ in range(ne)]
-    for (a, b), i in eid.items():
-        d1[i][vid[a]] = -1
-        d1[i][vid[b]] = 1
-    d2 = [[0] * ne for _ in range(len(graph.cells))]
-    for ci, cell in enumerate(graph.cells):
-        cyc = cell.cycle
-        for t in range(len(cyc)):
-            a, b = cyc[t], cyc[(t + 1) % len(cyc)]
-            if (a, b) in eid:
-                d2[ci][eid[a, b]] += 1
-            else:
-                d2[ci][eid[b, a]] -= 1
-    r1 = len(intlin.invariant_factors(d1)) if ne else 0
-    r2 = len(intlin.invariant_factors(d2)) if graph.cells else 0
-    q1 = intlin.rational_rank(d1) if ne else 0
-    q2 = intlin.rational_rank(d2) if graph.cells else 0
-    for name, r, q in (("d1", r1, q1), ("d2", r2, q2)):
-        if r != q:
-            raise ArithmeticError(f"Smith rank {r} and rational rank {q} of {name} disagree")
-    b0 = nv - r1
-    b1 = ne - r1 - r2
-    return b0, b1
+    eid = {(vid[a], vid[b]): i for i, (a, b) in enumerate(graph.edges)}
+    adj = [[vid[w] for w in graph.adj[v]] for v in graph.vertices]
+    parent = [-1] * len(adj)  # -1 until visited
+    for root in range(len(adj)):
+        if parent[root] == -1:
+            parent[root], queue = None, [root]
+            for x in queue:  # the loop also visits what it appends
+                for y in adj[x]:
+                    if parent[y] == -1:
+                        parent[y] = x
+                        queue.append(y)
+    tree = {eid[min(v, p), max(v, p)] for v, p in enumerate(parent) if p is not None}
+    rows, cols = [], {}
+    for c, cell in enumerate(graph.cells):
+        cyc = [vid[v] for v in cell.cycle]
+        row = {}
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            e, sign = (eid[a, b], 1) if a < b else (eid[b, a], -1)
+            if e not in tree:
+                row[e] = row.get(e, 0) + sign
+        rows.append({e: x for e, x in row.items() if x})
+        for e in rows[-1]:
+            cols.setdefault(e, []).append(c)
+    kills = []
+    queue = [c for c, row in enumerate(rows) if len(row) == 1 and abs(*row.values()) == 1]
+    for c in queue:  # a queued row keeps its one +-1 entry unless a kill took it
+        if rows[c]:
+            (e,) = rows[c]
+            kills.append((c, e))
+            for other in cols.pop(e):
+                row = rows[other]
+                del row[e]
+                if len(row) == 1 and abs(*row.values()) == 1:
+                    queue.append(other)
+    return parent, kills, rows
+
+
+def chain_homology(graph):
+    """Betti numbers (b0, b1) of the 2-complex.
+
+    rank d1 is V minus the number of components, and rank d2 the number of
+    kills of `coreduce` plus the rank of the rows it leaves; those go to Smith
+    normal form, cross-checked against their rational rank.
+    """
+    parent, kills, rows = coreduce(graph)
+    b0, left = parent.count(None), [row for row in rows if row]
+    live = sorted({e for row in left for e in row})
+    m = [[row.get(e, 0) for e in live] for row in left]
+    r, q = (len(intlin.invariant_factors(m)), intlin.rational_rank(m)) if m else (0, 0)
+    if r != q:
+        raise ArithmeticError(f"Smith rank {r} and rational rank {q} of d2 disagree")
+    return b0, len(graph.edges) - (len(parent) - b0) - len(kills) - r

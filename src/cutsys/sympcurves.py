@@ -192,6 +192,8 @@ def is_primitive_frame(classes):
     return intlin.is_primitive_stack([list(c.padded(g)) for c in classes])
 
 
+# keyed on the interned classes in id order: a key holds its classes, so their
+# ids cannot be reused while it is cached
 _CUT_CACHE = {}
 
 
@@ -207,10 +209,7 @@ def is_cut_shadow(classes, extra=()):
     extra = list(extra)
     if not classes:
         raise ValueError("a cut system has at least one curve")
-    key = (
-        tuple(sorted(c.coords for c in classes)),
-        tuple(sorted(c.coords for c in extra)),
-    )
+    key = (tuple(sorted(classes, key=id)), tuple(sorted(extra, key=id)))
     hit = _CUT_CACHE.get(key)
     if hit is not None:
         return hit

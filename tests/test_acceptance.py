@@ -342,7 +342,8 @@ def test_criterion_10_homology_probe():
     for k in (1, 2):
         u = make_universe("sympF2", g=2)
         graph = cx.build_gamma(u, k)
-        # chain_homology raises if the Smith and rational ranks disagree
+        # chain_homology raises if the Smith and rational ranks of the d2 rows
+        # its kill pass leaves disagree; at g=2 the pass kills every generator
         b0, b1 = cx.chain_homology(graph)
         values[k] = (b0, b1)
         ok &= b0 == 1

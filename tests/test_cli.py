@@ -54,6 +54,13 @@ def test_homology(tmp_path):
     assert (data["b0"], data["b1"]) == (1, 0)
 
 
+def test_homology_g3_k1(tmp_path):
+    out = tmp_path / "h.json"
+    assert run(["homology", "--g", "3", "--k", "1", "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert (data["b0"], data["b1"]) == (1, 0)
+
+
 def test_contract_verify_roundtrip_and_determinism(tmp_path):
     c1 = tmp_path / "c1.json"
     c2 = tmp_path / "c2.json"

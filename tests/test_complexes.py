@@ -174,53 +174,152 @@ def test_vertex_transitivity_samples():
     assert len(eccs) == 1
 
 
-def test_chain_homology_disk_and_circle():
-    # triangle with its 2-cell: a disk
-    u = U2
-    a, b, c = (1,), (2,), (3,)
-    tri = cx.Cell("triangle", (a, b, c))
-    disk = cx.ComplexGraph(u, 1, [a, b, c], [(a, b), (b, c), (a, c)], [tri])
-    assert cx.chain_homology(disk) == (1, 0)
-    circle = cx.ComplexGraph(u, 1, [a, b, c], [(a, b), (b, c), (a, c)], [])
-    assert cx.chain_homology(circle) == (1, 1)
+def _dense_homology(graph):
+    """Oracle: (b0, b1, torsion) from dense d1 and d2 over Z, by Smith normal
+    form cross-checked against rational ranks; torsion is the list of the
+    invariant factors of d2 above 1."""
+    vid = graph.index
+    nv, ne = len(graph.vertices), len(graph.edges)
+    eid = {e: i for i, e in enumerate(graph.edges)}
+    d1 = [[0] * nv for _ in range(ne)]
+    for (a, b), i in eid.items():
+        d1[i][vid[a]] = -1
+        d1[i][vid[b]] = 1
+    d2 = [[0] * ne for _ in range(len(graph.cells))]
+    for ci, cell in enumerate(graph.cells):
+        cyc = cell.cycle
+        for t in range(len(cyc)):
+            a, b = cyc[t], cyc[(t + 1) % len(cyc)]
+            if (a, b) in eid:
+                d2[ci][eid[a, b]] += 1
+            else:
+                d2[ci][eid[b, a]] -= 1
+    f1 = intlin.invariant_factors(d1) if ne else []
+    f2 = intlin.invariant_factors(d2) if graph.cells else []
+    assert len(f1) == (intlin.rational_rank(d1) if ne else 0)
+    assert len(f2) == (intlin.rational_rank(d2) if graph.cells else 0)
+    return nv - len(f1), ne - len(f1) - len(f2), [f for f in f2 if f > 1]
 
 
-def test_chain_homology_rp2_counts_torsion_in_rank(monkeypatch):
+A, B, C = (1,), (2,), (3,)
+TRIANGLE = [(A, B), (B, C), (A, C)]
+
+
+def _disk():
+    return cx.ComplexGraph(U2, 1, [A, B, C], TRIANGLE, [cx.Cell("triangle", (A, B, C))])
+
+
+def _rp2():
     # the 6-vertex real projective plane: H_0 = Z, H_1 = Z/2, H_2 = 0
     faces = [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 6, 2),
              (2, 3, 5), (3, 4, 6), (4, 5, 2), (5, 6, 3), (6, 2, 4)]
     verts = [(i,) for i in range(1, 7)]
-    edges = list(combinations(verts, 2))
     cells = [cx.Cell("triangle", tuple((i,) for i in f)) for f in faces]
-    rp2 = cx.ComplexGraph(U2, 1, verts, edges, cells)
-    assert len(rp2.edges) == 15 and len(rp2.cells) == 10
+    return cx.ComplexGraph(U2, 1, verts, list(combinations(verts, 2)), cells)
+
+
+def _two_disks():
+    D, E, F = (4,), (5,), (6,)
+    cells = [cx.Cell("triangle", (A, B, C)), cx.Cell("triangle", (D, E, F))]
+    return cx.ComplexGraph(U2, 1, [A, B, C, D, E, F],
+                           TRIANGLE + [(D, E), (E, F), (D, F)], cells)
+
+
+def _spy_leftover(monkeypatch):
+    """Record the invariant factors and rational rank of every matrix that
+    chain_homology hands to intlin, keyed by its shape."""
     seen = {}
     for name in ("invariant_factors", "rational_rank"):
         real = getattr(intlin, name)
 
         def spy(m, real=real, name=name):
-            seen[name, len(m)] = out = real(m)
+            seen[name, len(m), len(m[0])] = out = real(m)
             return out
 
         monkeypatch.setattr(intlin, name, spy)
+    return seen
+
+
+def test_chain_homology_disk_and_circle():
+    assert cx.chain_homology(_disk()) == (1, 0)
+    circle = cx.ComplexGraph(U2, 1, [A, B, C], TRIANGLE, [])
+    assert cx.chain_homology(circle) == (1, 1)
+
+
+def test_chain_homology_rp2_counts_torsion_in_rank(monkeypatch):
+    rp2 = _rp2()
+    assert len(rp2.edges) == 15 and len(rp2.cells) == 10
+    _, kills, _ = cx.coreduce(rp2)
+    assert len(kills) == 5  # of the 15 - 5 = 10 generators: H_1 = Z/2 stops the pass
+    seen = _spy_leftover(monkeypatch)
     assert cx.chain_homology(rp2) == (1, 0)
-    assert seen["invariant_factors", 10] == [1] * 9 + [2]
-    assert seen["rational_rank", 10] == 10
-    assert seen["rational_rank", 15] == len(seen["invariant_factors", 15]) == 5
+    assert seen == {("invariant_factors", 5, 5): [1, 1, 1, 1, 2], ("rational_rank", 5, 5): 5}
 
 
-@pytest.mark.parametrize("matrix, smith, rational", [("d1", 2, 3), ("d2", 1, 2)])
-def test_chain_homology_cross_check_raises(monkeypatch, matrix, smith, rational):
-    a, b, c = (1,), (2,), (3,)
-    disk = cx.ComplexGraph(U2, 1, [a, b, c], [(a, b), (b, c), (a, c)],
-                           [cx.Cell("triangle", (a, b, c))])
+def test_chain_homology_cross_check_raises(monkeypatch):
     real = intlin.rational_rank
-    rows = 3 if matrix == "d1" else 1
     monkeypatch.setattr(intlin, "rational_rank",
-                        lambda m: real(m) + 1 if len(m) == rows else real(m))
+                        lambda m: real(m) + 1 if len(m) == 5 else real(m))
     with pytest.raises(ArithmeticError,
-                       match=f"Smith rank {smith} and rational rank {rational} of {matrix}"):
-        cx.chain_homology(disk)
+                       match="Smith rank 5 and rational rank 6 of d2 disagree"):
+        cx.chain_homology(_rp2())
+
+
+def test_chain_homology_two_components():
+    two = _two_disks()
+    assert cx.chain_homology(two) == _dense_homology(two)[:2] == (2, 0)
+    circles = cx.ComplexGraph(U2, 1, two.vertices, two.edges, [])
+    assert cx.chain_homology(circles) == _dense_homology(circles)[:2] == (2, 2)
+
+
+def _oracle_complexes():
+    """The named complexes and 24 seeded random subcomplexes (each cell kept
+    with probability 0.6) of three of them."""
+    full = {
+        "sympF2 g=2 k=1": cx.build_gamma(U2, 1),
+        "sympF2 g=2 k=2": cx.build_gamma(U2, 2),
+        "slope 3": cx.build_gamma(make_universe("slope", bound=3), 1),
+        "slope 5": cx.build_gamma(make_universe("slope", bound=5), 1),
+    }
+    named = {
+        "disk": _disk(),
+        "circle": cx.ComplexGraph(U2, 1, [A, B, C], TRIANGLE, []),
+        "rp2": _rp2(),
+        # a disk glued twice around a triangle: its one live edge has
+        # coefficient +-2, which the pass must not kill (H_1 = Z/2)
+        "degree-2 disk": cx.ComplexGraph(U2, 1, [A, B, C], TRIANGLE,
+                                         [cx.Cell("triangle", (A, B, C, A, B, C))]),
+        "two disks": _two_disks(),
+        "empty": cx.ComplexGraph(U2, 1, [], [], []),
+    }
+    rng = random.Random(12)
+    subs = {}
+    for name in ("sympF2 g=2 k=1", "sympF2 g=2 k=2", "slope 5"):
+        g = full[name]
+        for i in range(8):
+            cells = [c for c in g.cells if rng.random() < 0.6]
+            subs[f"{name} sub {i}"] = cx.ComplexGraph(g.universe, g.k, g.vertices, g.edges, cells)
+    return full, named, subs
+
+
+def test_chain_homology_matches_dense_oracle(monkeypatch):
+    full, named, subs = _oracle_complexes()
+    fallback = set()
+    for name, graph in {**full, **named, **subs}.items():
+        *betti, torsion = _dense_homology(graph)
+        seen = _spy_leftover(monkeypatch)
+        assert list(cx.chain_homology(graph)) == betti, name
+        monkeypatch.undo()
+        smith = [f for key, fs in seen.items() if key[0] == "invariant_factors" for f in fs]
+        assert [f for f in smith if f > 1] == torsion, name  # the leftover keeps the torsion
+        if seen:
+            fallback.add(name)
+            (_, cols), = {key[1:] for key in seen}  # one matrix, over the generators at most
+            assert cols <= len(graph.edges) - len(graph.vertices) + betti[0], name
+    assert cx.chain_homology(named["empty"]) == (0, 0)
+    assert not fallback & set(full)  # every generator of a whole complex is killed
+    assert {"rp2", "degree-2 disk"} <= fallback
+    assert sum(name in fallback for name in subs) >= 5, sorted(fallback)
 
 
 def test_chain_homology_full_complexes_report():
@@ -229,6 +328,10 @@ def test_chain_homology_full_complexes_report():
         b0, b1 = cx.chain_homology(g)  # internal SNF/rational cross-check
         assert b0 == 1
         assert b1 >= 0
+
+
+def test_chain_homology_g3_k2():
+    assert cx.chain_homology(_gamma_g3_k2()) == (1, 0)
 
 
 def test_exports_stable():

@@ -168,6 +168,13 @@ def test_cut_shadow_examples():
     assert not is_cut_shadow([a1, HClass((1, 0, 2, 0))])
 
 
+def test_cut_shadow_cache_keeps_duplicates_apart():
+    assert is_cut_shadow([a1, a2])
+    assert not is_cut_shadow([a1, a2, a1])
+    assert is_cut_shadow([a1], extra=[a2])
+    assert not is_cut_shadow([a1], extra=[a2, a2])
+
+
 def test_cut_shadow_symplectic_completion_oracle():
     # [a1, a1+a2] extends to a symplectic basis of Z^4: explicit witness
     u = [1, 0, 0, 0]
