@@ -387,9 +387,10 @@ def coreduce(graph):
     (cell, edge) pairs where the cell's boundary had one edge left outside the
     forest and the earlier kills, with coefficient +-1, and so killed it;
     rows[cell] is the cell's boundary {edge: coefficient} on the edges still
-    live (empty for a killing cell, and for any cell with no live edge).  A boundary is a closed walk, and cycles
-    project injectively onto the non-forest edges, so the rows lose no rank
-    there; the kill rows form a unit triangular minor, zero on the live edges.
+    live (empty for a killing cell, and for any cell with no live edge).  A
+    boundary is a closed walk, and cycles project injectively onto the
+    non-forest edges, so the rows lose no rank there; the kill rows form a
+    unit triangular minor, zero on the live edges.
     """
     vid = graph.index
     eid = {(vid[a], vid[b]): i for i, (a, b) in enumerate(graph.edges)}

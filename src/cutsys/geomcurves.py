@@ -143,7 +143,8 @@ class RibbonSurface:
     def genus(self):
         b = self.boundary_count
         g2 = 1 + self.edges - b
-        assert g2 % 2 == 0
+        if g2 % 2:
+            raise ArithmeticError(f"odd 2g = {g2}: not an orientable ribbon surface")
         return g2 // 2
 
     def to_json(self):
@@ -162,7 +163,8 @@ class RibbonSurface:
             z = 2 * g + j + 1
             order += [z, -z]
         surf = cls(2 * g + b - 1, tuple(order))
-        assert surf.genus == g and surf.boundary_count == b
+        if (surf.genus, surf.boundary_count) != (g, b):
+            raise ArithmeticError(f"standard model has genus {surf.genus}, {surf.boundary_count} boundaries")
         return surf
 
 
@@ -306,7 +308,8 @@ def _rank_string(surface, ray):
     for t in range(1, len(ray)):
         d = -ray[t - 1]
         r = (pos[ray[t]] - pos[d]) % nslots
-        assert r != 0, "ray is not reduced"
+        if r == 0:
+            raise ValueError("ray is not reduced")
         out.append(r)
     return tuple(out)
 
@@ -433,7 +436,8 @@ def self_crossings(u, surface=None):
                 continue
             if _linked_fast(surface, root, p, root, q, depth):
                 total += 1
-    assert total % 2 == 0
+    if total % 2:
+        raise ArithmeticError(f"{total} ordered crossings: each is seen from both strands")
     return total // 2
 
 

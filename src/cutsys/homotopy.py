@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import threading
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .surfaces import NoRoom
 from .sympcurves import HClass, combine, is_primitive_frame
@@ -166,15 +167,22 @@ class HomotopyCertificate:
                 raise ValueError(f"curve {j}: duplicate of curve {first[c]}")
             table.append(c)
         n = len(table)
+        vertices = {}  # each distinct index list, as a tuple of exact ints -> its vertex
 
         def window(s, i, name):
             w = s.get(name)
             if not isinstance(w, list) or not all(isinstance(v, list) for v in w):
                 raise ValueError(f"step {i}: {name!r} must be a list of vertex lists")
+            out = []
             for v in w:
-                if not v or not all(type(x) is int and 0 <= x < n for x in v):
-                    raise ValueError(f"step {i}: {name!r} holds {v!r}, not a non-empty list of indices below {n}")
-            return tuple(tuple(table[x] for x in v) for v in w)
+                # True and 1.0 equal 1: only a list of exact ints is a safe key
+                vertex = vertices.get(tuple(v)) if all(type(x) is int for x in v) else None
+                if vertex is None:
+                    if not v or not all(type(x) is int and 0 <= x < n for x in v):
+                        raise ValueError(f"step {i}: {name!r} holds {v!r}, not a non-empty list of indices below {n}")
+                    vertex = vertices[tuple(v)] = tuple(table[x] for x in v)
+                out.append(vertex)
+            return tuple(out)
 
         steps = []
         for i, s in enumerate(obj["steps"]):
@@ -244,19 +252,21 @@ def loop_from_json(obj):
     return tuple(tuple(sorted(map(curve, v))) for v in obj)
 
 
-def cell_pattern(universe, cycle, context=()):
+def cell_pattern(universe, cycle, context=(), known=0):
     """Re-derive the cell type of a vertex cycle from its curve data alone.
 
     Returns "triangle" | "rectangle" | "pentagon" | None.  This check is
-    independent of the detector and the prover.
+    independent of the detector and the prover.  The first `known` vertices
+    must be a path of cut systems already checked: they get no cut test, and
+    the known - 1 sides between them no edge test.
     """
     m = len(cycle)
     if len(set(cycle)) != m:
         return None
-    for v in cycle:
+    for v in cycle[known:]:
         if not universe.cut_ok(v, context):
             return None
-    for i in range(m):
+    for i in range(max(known - 1, 0), m):
         if not _edge_ok(universe, cycle[i], cycle[(i + 1) % m]):
             return None
     common = set(cycle[0])
@@ -269,7 +279,7 @@ def cell_pattern(universe, cycle, context=()):
         bs = [next(iter(set(v) - common)) for v in cycle]
         if len(set(bs)) != 3:
             return None
-        if all(universe.inter(x, y) == 1 for x in bs for y in bs if x != y):
+        if all(universe.inter(x, y) == 1 for x, y in combinations(bs, 2)):
             return "triangle"
         return None
     if m == 4:
@@ -318,6 +328,10 @@ def apply_step(universe, path, s, context=()):
 
     The one step checker, called by verify_certificate alone.  Raises
     InvalidStep and leaves path unchanged when the step breaks a rule.
+    path must be a path of cut systems, as check_path accepts and every
+    accepted step keeps; so the old window, equal to a piece of path, needs no
+    test, and only what the step adds is tested: a spike tip and its edge, or
+    a fill's new vertices and new sides.
     """
 
     def broken(rule):
@@ -342,13 +356,11 @@ def apply_step(universe, path, s, context=()):
     elif s.op == BT_REMOVE:
         if len(s.old) != 3 or len(s.new) != 1 or s.old[0] != s.old[2]:
             raise broken("not a spike v, w, v collapsing to v")
-        if not _edge_ok(universe, s.old[0], s.old[1]):
-            raise broken("spike is not an edge")
     elif s.op == CELL_FILL:
         if len(s.old) == len(s.new) == 1:
             raise broken("fill of a single vertex")
         cyc = s.old + s.new[-2:0:-1]
-        kind = cell_pattern(universe, cyc, context)
+        kind = cell_pattern(universe, cyc, context, known=len(s.old))
         if kind is None:
             raise broken("boundary is not a cell")
         if s.kind and s.kind != kind:

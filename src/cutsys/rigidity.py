@@ -160,7 +160,8 @@ def check_schmutz_simplicial(universe, fmap, samples):
     """i(a, b) = 1 must imply i(fmap(a), fmap(b)) = 1 on all samples."""
     rep = Report()
     for a, b in samples:
-        assert universe.inter(a, b) == 1
+        if universe.inter(a, b) != 1:
+            raise ValueError(f"sample pair {a}, {b} does not meet once")
         fa, fb = fmap(a), fmap(b)
         rep.checked += 1
         if universe.inter(fa, fb) != 1:
@@ -173,7 +174,8 @@ def check_nonsep_simplicial(universe, fmap, samples):
     through the same pairing check, tagged in the sample."""
     rep = Report()
     for a, b, separating_union in samples:
-        assert universe.inter(a, b) == 0
+        if universe.inter(a, b) != 0:
+            raise ValueError(f"sample pair {a}, {b} is not disjoint")
         fa, fb = fmap(a), fmap(b)
         rep.checked += 1
         if universe.inter(fa, fb) != 0:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from itertools import compress, count
 from math import gcd
 from operator import mul
 
@@ -186,10 +187,12 @@ def combine(x, sign, y):
 
 def is_primitive_frame(classes):
     """True iff the classes, padded to a common genus, stack to a matrix whose
-    Smith invariant factors are all 1 (a primitive frame)."""
+    Smith invariant factors are all 1 (a primitive frame).  Only the columns
+    where some class is nonzero are stacked: a zero column changes no factor."""
     classes = list(classes)
     g = max((c.g for c in classes), default=1)
-    return intlin.is_primitive_stack([list(c.padded(g)) for c in classes])
+    cols = sorted({j for c in classes for j in compress(count(), c.coords)})
+    return intlin.is_primitive_stack([[row[j] for j in cols] for row in (c.padded(g) for c in classes)])
 
 
 # keyed on the interned classes in id order: a key holds its classes, so their

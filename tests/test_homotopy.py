@@ -706,6 +706,137 @@ def test_contract_builds_at_most_two_steps_per_final_step(monkeypatch):
     assert final > 10_000
 
 
+# --- the replay's path invariant ---------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _criterion6_certs():
+    """The 104 criterion-6 loops with their steps, as (k, universe, loop, steps)."""
+    return tuple((k, u, loop, H.contract(H.Prover(u), loop)) for g, k, u, loop in _criterion6_loops())
+
+
+def test_replay_tests_only_what_each_step_adds(monkeypatch):
+    """check_path tests every vertex and side of the loop; after that a spike
+    insert costs one cut test and one edge test, a removal none, and a fill
+    one cut test per new interior vertex and one edge test per new side."""
+    cuts, edges = [], []
+    cut_ok, edge_ok = SympZUniverse.cut_ok, H._edge_ok
+    monkeypatch.setattr(SympZUniverse, "cut_ok", lambda *a: cuts.append(1) or cut_ok(*a))
+    monkeypatch.setattr(H, "_edge_ok", lambda *a: edges.append(1) or edge_ok(*a))
+    totals = [0, 0]
+    for k, u, loop, steps in _criterion6_certs():
+        cuts.clear()
+        edges.clear()
+        assert H.verify_certificate(u, loop, steps) == (True, None)
+        inserts = sum(s.op == H.BT_INSERT for s in steps)
+        fills = [len(s.new) for s in steps if s.op == H.CELL_FILL]
+        assert len(cuts) == len(loop) + inserts + sum(n - 2 for n in fills), k
+        assert len(edges) == len(loop) - 1 + inserts + sum(n - 1 for n in fills), k
+        totals[0] += len(cuts)
+        totals[1] += len(edges)
+    # testing every window in full made 26,062 cut tests and 29,389 edge tests
+    assert totals == [7_655, 14_832]
+
+
+def _full_replay(universe, loop, steps):
+    """The replay that tests each step's whole window, old part included:
+    the oracle for verify_certificate."""
+    path = list(loop)
+    if not path or not all(path) or not H.check_path(universe, path, closed=True):
+        return False, -1
+    for i, s in enumerate(steps):
+        end = s.at + len(s.old)
+        ok = bool(s.old and s.new and all(s.old) and all(s.new) and s.at >= 0 and end <= len(path))
+        ok = ok and tuple(path[s.at : end]) == s.old and s.old[0] == s.new[0] and s.old[-1] == s.new[-1]
+        if ok and s.op == H.BT_INSERT:
+            ok = len(s.old) == 1 and len(s.new) == 3 and s.new[0] == s.new[2]
+            ok = ok and universe.cut_ok(s.new[1]) and H._edge_ok(universe, s.new[0], s.new[1])
+        elif ok and s.op == H.BT_REMOVE:
+            ok = len(s.old) == 3 and len(s.new) == 1 and s.old[0] == s.old[2]
+            ok = ok and H._edge_ok(universe, s.old[0], s.old[1])
+        elif ok and s.op == H.CELL_FILL and not len(s.old) == len(s.new) == 1:
+            kind = H.cell_pattern(universe, s.old + s.new[-2:0:-1])
+            ok = kind is not None and s.kind in ("", kind)
+        else:
+            ok = False
+        if not ok:
+            return False, i
+        path[s.at : end] = s.new
+    return (True, None) if len(path) == 1 else (False, len(steps))
+
+
+def _replay_mutant(steps, rng, pool):
+    """A seeded corruption of one step: a vertex or curve swapped in a
+    window, a step dropped, moved or reordered, or a claimed kind changed."""
+    steps = list(steps)
+    i = rng.randrange(len(steps))
+    s = steps[i]
+    mode = rng.choice(("new", "old", "curve", "drop", "swap", "at", "kind"))
+    if mode in ("new", "old", "curve"):
+        w = list(s.new if mode != "old" else s.old)
+        j = rng.randrange(len(w))
+        if mode == "curve":
+            v = list(w[j])
+            v[rng.randrange(len(v))] = rng.choice(pool)[0]
+            w[j] = tuple(v)
+        else:
+            w[j] = rng.choice(pool)
+        old, new = (tuple(w), s.new) if mode == "old" else (s.old, tuple(w))
+        steps[i] = H.Step(s.op, s.at, old, new, s.kind)
+    elif mode == "drop":
+        del steps[i]
+    elif mode == "swap" and i + 1 < len(steps):
+        steps[i], steps[i + 1] = steps[i + 1], steps[i]
+    elif mode == "at":
+        steps[i] = H.Step(s.op, s.at + rng.choice((-1, 1)), s.old, s.new, s.kind)
+    else:
+        steps[i] = H.Step(s.op, s.at, s.old, s.new, rng.choice(("triangle", "rectangle", "pentagon")))
+    return steps
+
+
+def test_replay_matches_the_full_window_replay():
+    rng = random.Random(1313)
+    outcomes = set()
+    for k, u, loop, steps in _criterion6_certs():
+        assert H.verify_certificate(u, loop, steps) == _full_replay(u, loop, steps) == (True, None)
+        pool = list(dict.fromkeys(v for s in steps for v in s.new))
+        for _ in range(3 if k >= 2 else 1):
+            bad = _replay_mutant(steps, rng, pool)
+            got = H.verify_certificate(u, loop, bad)
+            assert got == _full_replay(u, loop, bad)
+            outcomes.add(got[0])
+    assert outcomes == {True, False}
+
+
+def test_replay_still_tests_what_a_fill_adds(monkeypatch):
+    """A fill whose new vertex is no cut system, or whose new sides are no
+    edges, is rejected at that fill: the vertex is first seen there."""
+    u, loop = _k3_loop()
+    steps = H.contract(H.Prover(u), loop)
+    seen = set(loop)
+    for i, s in enumerate(steps):
+        if s.op == H.CELL_FILL and len(s.new) == 3 and s.new[1] not in seen:
+            break
+        seen.update(s.new)
+    else:
+        raise AssertionError("no fill brings in a vertex first")
+    tip = s.new[1]
+    cut_ok, edge_ok = SympZUniverse.cut_ok, H._edge_ok
+    with monkeypatch.context() as m:
+        m.setattr(SympZUniverse, "cut_ok", lambda self, v, ctx=(): v != tip and cut_ok(self, v, ctx))
+        assert H.verify_certificate(u, loop, steps) == (False, i)
+    for side in ({s.new[0], tip}, {tip, s.new[2]}):
+        with monkeypatch.context() as m:
+            m.setattr(H, "_edge_ok", lambda uu, x, y, side=side: {x, y} != side and edge_ok(uu, x, y))
+            assert H.verify_certificate(u, loop, steps) == (False, i)
+    # and a real one: the new vertex with a curve doubled is no cut system
+    twin = tuple(sorted((tip[0],) + tip[:-1], key=u.key))
+    bad = list(steps)
+    bad[i] = H.Step(s.op, s.at, s.old, (s.new[0], twin, s.new[2]), s.kind)
+    assert not u.cut_ok(twin)
+    assert H.verify_certificate(u, loop, bad) == (False, i)
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -828,6 +959,34 @@ def test_from_json_rejects_duplicate_entry_and_bad_index():
         H.HomotopyCertificate.from_json(blob)
 
 
+def test_certificate_codec_shares_vertices_only_when_reading():
+    u, loop = _k3_loop()
+    blob = _cert(H.contract(H.Prover(u), loop)).to_json()
+    lists = [v for d in blob["steps"] for name in ("replace", "with") for v in d[name]]
+    assert len({id(v) for v in lists}) == len(lists)  # to_json: a fresh list per occurrence
+    back = H.HomotopyCertificate.from_json(blob)
+    built = [v for s in back.steps for w in (s.old, s.new) for v in w]
+    assert len(built) == len(lists)
+    one = {}
+    for v, t in zip(lists, built):
+        assert one.setdefault(tuple(v), t) is t
+    assert len({id(t) for t in built}) == len(one) < len(lists) // 5
+
+
+@pytest.mark.parametrize("fake, imitates", [(True, 1), (1.0, 1), (False, 0), (0.0, 0), ([0], 0)])
+def test_from_json_rejects_a_lookalike_of_a_vertex_already_read(fake, imitates):
+    """The last step re-reads the loop's first vertex; an element that equals
+    (or, as a list, cannot key) one of its indices is still a bad index."""
+    u, loop = _k3_loop()
+    blob = _cert(H.contract(H.Prover(u), loop)).to_json()
+    i, n = len(blob["steps"]) - 1, len(blob["curves"])
+    v = blob["steps"][i]["with"][0]
+    assert v == blob["steps"][0]["replace"][0] and imitates in v
+    v[v.index(imitates)] = fake
+    with pytest.raises(ValueError, match=f"^step {i}: 'with' holds {re.escape(repr(v))}, not a non-empty list of indices below {n}$"):
+        H.HomotopyCertificate.from_json(blob)
+
+
 @functools.lru_cache(maxsize=None)
 def _fuzz_base():
     u = zu(2)
@@ -946,6 +1105,12 @@ try:
     H.PathRewriter(loop).replace(0, 1, (loop[0], loop[2]), lambda l: [])
     sys.exit("replace that moves the window's end accepted")
 except H.InvalidStep:
+    pass
+from cutsys import rigidity
+try:
+    rigidity.check_schmutz_simplicial(u, lambda c: c, [a])
+    sys.exit("a disjoint sample pair checked as meeting once")
+except ValueError:
     pass
 from cutsys import intlin, sympcurves
 intlin.solve_integer = lambda m, rhs: None

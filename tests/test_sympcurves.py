@@ -18,6 +18,7 @@ from cutsys.sympcurves import (
     f2_transvect,
     inter,
     is_cut_shadow,
+    is_primitive_frame,
     pairing,
     pairing_vec,
     reduce,
@@ -191,6 +192,52 @@ def test_cut_shadow_symplectic_completion_oracle():
     ]
     d = intlin.invariant_factors(basis)
     assert d == [1, 1, 1, 1]
+
+
+def _padded_stack_is_primitive(classes):
+    """The Smith test on the full padded stack: the oracle for is_primitive_frame."""
+    g = max((c.g for c in classes), default=1)
+    return intlin.is_primitive_stack([list(c.padded(g)) for c in classes])
+
+
+def _sparse_class(rng, support):
+    """A primitive class on a few of the support's coordinates, in the genus
+    of the highest one."""
+    while True:
+        cols = rng.sample(support, rng.randint(1, min(3, len(support))))
+        v = [0] * (2 * (max(cols) // 2 + 1))
+        for j in cols:
+            v[j] = rng.choice((-2, -1, 1, 1, 2, 3))
+        if intlin.vec_gcd(v) == 1:
+            return HClass(v)
+
+
+def test_primitive_frame_over_supports_matches_the_padded_stack():
+    rng = random.Random(1357)
+    outcomes = {"free": [], "dependent": [], "imprimitive": []}
+    for _ in range(400):
+        g = rng.choice((2, 5, 20, 60, 82))
+        support = rng.sample(range(2 * g), min(2 * g, rng.randint(2, 6)))
+        # classes of mixed genus over a few shared coordinates
+        classes = [_sparse_class(rng, support) for _ in range(rng.randint(1, 4))]
+        mode = rng.choice(list(outcomes)) if len(classes) >= 2 else "free"
+        if mode != "free":
+            x, y = classes[0], classes[1]
+            k = max(x.g, y.g)
+            vec = [p + (1 if mode == "dependent" else 2) * q for p, q in zip(x.padded(k), y.padded(k))]
+            if not any(vec) or intlin.vec_gcd(vec) != 1:
+                continue
+            if mode == "dependent":
+                classes.append(HClass(vec))
+            else:
+                classes[1] = HClass(vec)
+        rng.shuffle(classes)
+        got = is_primitive_frame(classes)
+        assert got == _padded_stack_is_primitive(classes), classes
+        outcomes[mode].append(got)
+    # x, x + 2y has every 2 x 2 minor even
+    assert {k: set(v) for k, v in outcomes.items()} == {"free": {True, False}, "dependent": {False}, "imprimitive": {False}}
+    assert min(map(len, outcomes.values())) > 50
 
 
 def test_cut_shadow_invariances():
