@@ -297,29 +297,47 @@ def _parity_matrix(g):
     return (np.bitwise_count(f2_swap(u, g)[:, None] & u[None, :]) & 1).astype(bool)
 
 
+def _f2_orthogonal(ids, vecs):
+    """Mask of the ids whose mod-2 dot product with every vector of vecs is 0.
+
+    Each pass takes the largest vector b left (a basis vector of their span),
+    keeps the ids orthogonal to b, and replaces every x by min(x, x ^ b), which
+    clears b's top bit; at most 2g passes empty vecs.
+    """
+    inside = np.ones(ids.size, dtype=bool)
+    b = vecs.max(initial=0)
+    while b:
+        inside &= (np.bitwise_count(ids & b) & 1) == 0
+        vecs = np.minimum(vecs, vecs ^ b)
+        b = vecs.max()
+    return inside
+
+
 def f2_gamma1_eccentricity(g, start=None):
     """Eccentricity of a vertex in the mod-2 Schmutz shadow at genus g.
 
     The symplectic group acts transitively on nonzero vectors, so this equals
-    the diameter.
+    the diameter. A class is next to the frontier exactly when it lies outside
+    the orthogonal complement of the frontier's span, so each layer costs
+    O(g 4^g) and no 4^g x 4^g parity matrix is formed.
     """
     if g < 1:
         raise ValueError(f"no cut system of size 1 at genus {g}")
-    p = _parity_matrix(g)
-    n = p.shape[0]
+    if g >= 16:
+        raise ValueError(f"genus {g} is too large for uint32 class ids")
+    ids = np.arange(1 << (2 * g), dtype=np.uint32)
     start = start if start is not None else 1  # the class a_1
-    dist = np.full(n, -1, dtype=np.int32)
+    dist = np.full(ids.size, -1, dtype=np.int32)
     dist[start] = 0
-    frontier = np.array([start], dtype=np.int64)
+    frontier = ids[[start]]
     d = 0
     while frontier.size:
         d += 1
-        nbr = p[frontier].any(axis=0)
+        nbr = ~_f2_orthogonal(ids, f2_swap(frontier, g))
         nbr &= dist < 0
         nbr[0] = False
-        idx = np.where(nbr)[0]
-        dist[idx] = d
-        frontier = idx
+        frontier = ids[nbr]
+        dist[nbr] = d
     if (dist[1:] < 0).any():
         raise InfiniteDiameter("Schmutz shadow is disconnected")
     return int(dist[1:].max())
@@ -333,7 +351,8 @@ def f2_gamma_k2_eccentricity(g, progress=None):
     A set of vertices is a symmetric boolean n x n matrix F (F[u, v] for the
     pair {u, v}). Keeping u and swapping v for x needs <x, v> = 1 and
     <x, u> = 0, so the pairs one move away are ((F @ P) > 0) & ~P and its
-    transpose, with P the parity matrix.
+    transpose, with P the parity matrix; only the rows of F holding a pair
+    are multiplied.
     """
     if g < 2:
         raise ValueError(f"no cut system of size 2 at genus {g}")
@@ -343,26 +362,27 @@ def f2_gamma_k2_eccentricity(g, progress=None):
     p = _parity_matrix(g)
     pf = p.astype(np.float32)
     a1, a2 = 1, 4  # bitmask classes of the first two handle a-curves
+    count = f2_count_vertices_k2(g)
     frontier = np.zeros((n, n), dtype=bool)
     frontier[a1, a2] = frontier[a2, a1] = True
     visited = frontier.copy()
     ecc = 0
     total = 1
-    while True:
-        nxt = ((frontier.astype(np.float32) @ pf) > 0) & ~p
+    while total < count:  # every pair found is a vertex, so no final product
+        rows = np.flatnonzero(frontier.any(axis=1))
+        nxt = np.zeros((n, n), dtype=bool)
+        nxt[rows] = ((frontier[rows].astype(np.float32) @ pf) > 0) & ~p[rows]
         nxt |= nxt.T
         nxt &= ~visited
         size = int(np.count_nonzero(nxt)) // 2
         if not size:
-            break
+            raise InfiniteDiameter("k = 2 shadow is disconnected")
         visited |= nxt
         ecc += 1
         total += size
         if progress:
             progress(ecc, size)
         frontier = nxt
-    if total != f2_count_vertices_k2(g):
-        raise InfiniteDiameter("k = 2 shadow is disconnected")
     return ecc, total
 
 

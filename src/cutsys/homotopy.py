@@ -348,6 +348,8 @@ def apply_step(universe, path, s, context=()):
         raise broken("window differs from the path")
     if s.old[0] != s.new[0] or s.old[-1] != s.new[-1]:
         raise broken("window endpoints change")
+    if s.kind and s.op in (BT_INSERT, BT_REMOVE):
+        raise broken(f"a backtrack claims a {s.kind}")
     if s.op == BT_INSERT:
         if len(s.old) != 1 or len(s.new) != 3 or s.new[0] != s.new[2]:
             raise broken("not a spike v, w, v replacing v")

@@ -266,6 +266,15 @@ def test_no_cut_system_at_genus_exit_2(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+def test_diam_implicit_k1_genus_too_large_exit_2(tmp_path, capsys):
+    out = tmp_path / "d.json"
+    argv = ["diam", "--backend", "sympF2", "--g", "16", "--k", "1", "--implicit", "--out", str(out)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: genus 16 is too large") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 def test_rigidity_command(tmp_path):
     out = tmp_path / "r.json"
     assert run(["rigidity", "--g", "3", "--k", "2", "--words", "3",

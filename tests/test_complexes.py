@@ -1,7 +1,9 @@
 import functools
 import random
+import tracemalloc
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from cutsys import complexes as cx
@@ -165,6 +167,104 @@ def test_implicit_k2_detects_disconnection(monkeypatch):
 
 def test_implicit_gamma1_matches_explicit():
     assert cx.f2_gamma1_eccentricity(2) == cx.diameter(cx.build_schmutz(U2))
+
+
+@functools.cache
+def _dense_parity(g):
+    return cx._parity_matrix(g)
+
+
+def _dense_gamma1_eccentricity(g, start):
+    """Oracle: BFS over the rows of the full 4^g x 4^g parity matrix."""
+    p = _dense_parity(g)
+    dist = np.full(p.shape[0], -1)
+    dist[start] = 0
+    frontier, d = np.array([start]), 0
+    while frontier.size:
+        d += 1
+        nbr = p[frontier].any(axis=0) & (dist < 0)
+        nbr[0] = False
+        frontier = np.flatnonzero(nbr)
+        dist[frontier] = d
+    if (dist[1:] < 0).any():
+        raise cx.InfiniteDiameter("disconnected")
+    return int(dist[1:].max())
+
+
+def _dense_gamma_k2_eccentricity(g):
+    """Oracle: the k = 2 BFS that multiplies every row of every layer, and
+    runs one more product to find the empty layer."""
+    p = _dense_parity(g)
+    n = p.shape[0]
+    frontier = np.zeros((n, n), dtype=bool)
+    frontier[1, 4] = frontier[4, 1] = True
+    visited, ecc, total, layers = frontier.copy(), 0, 1, []
+    while True:
+        nxt = ((frontier.astype(np.float32) @ p.astype(np.float32)) > 0) & ~p
+        nxt |= nxt.T
+        nxt &= ~visited
+        size = int(np.count_nonzero(nxt)) // 2
+        if not size:
+            return ecc, total, layers
+        visited |= nxt
+        ecc, total, frontier = ecc + 1, total + size, nxt
+        layers.append(size)
+
+
+def test_implicit_gamma1_matches_dense_oracle():
+    for g in (1, 2, 3):
+        for start in range(1, 1 << (2 * g)):
+            assert cx.f2_gamma1_eccentricity(g, start) == _dense_gamma1_eccentricity(g, start), (g, start)
+    rng = random.Random(14)
+    for g in (4, 5, 6):
+        for start in rng.sample(range(1, 1 << (2 * g)), 20):
+            assert cx.f2_gamma1_eccentricity(g, start) == _dense_gamma1_eccentricity(g, start), (g, start)
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 5])
+def test_implicit_k2_matches_full_product_oracle(g):
+    layers = []
+    ecc, total = cx.f2_gamma_k2_eccentricity(g, lambda d, size: layers.append(size))
+    assert (ecc, total, layers) == _dense_gamma_k2_eccentricity(g)
+    assert total == cx.f2_count_vertices_k2(g)
+
+
+def test_implicit_gamma1_detects_disconnection(monkeypatch):
+    orthogonal = cx._f2_orthogonal
+
+    def cut_off_b1(ids, vecs):
+        inside = orthogonal(ids, vecs)
+        inside[2] = True  # b1 is now next to nothing
+        return inside
+
+    monkeypatch.setattr(cx, "_f2_orthogonal", cut_off_b1)
+    with pytest.raises(cx.InfiniteDiameter):
+        cx.f2_gamma1_eccentricity(3)
+
+
+def test_implicit_gamma1_memory_is_linear_in_classes():
+    # the parity matrix at g = 8 would hold 65,536^2 entries
+    tracemalloc.start()
+    try:
+        assert cx.f2_gamma1_eccentricity(8) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 << 20, peak
+
+
+def test_implicit_gamma1_rejects_genus_out_of_range():
+    # 4^16 class ids no longer fit uint32; refused before allocating
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="too large"):
+            cx.f2_gamma1_eccentricity(16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    with pytest.raises(ValueError, match="no cut system"):
+        cx.f2_gamma1_eccentricity(0)
 
 
 def test_vertex_transitivity_samples():

@@ -748,7 +748,9 @@ def _full_replay(universe, loop, steps):
         end = s.at + len(s.old)
         ok = bool(s.old and s.new and all(s.old) and all(s.new) and s.at >= 0 and end <= len(path))
         ok = ok and tuple(path[s.at : end]) == s.old and s.old[0] == s.new[0] and s.old[-1] == s.new[-1]
-        if ok and s.op == H.BT_INSERT:
+        if ok and s.op in (H.BT_INSERT, H.BT_REMOVE) and s.kind:
+            ok = False  # a backtrack claims no cell
+        elif ok and s.op == H.BT_INSERT:
             ok = len(s.old) == 1 and len(s.new) == 3 and s.new[0] == s.new[2]
             ok = ok and universe.cut_ok(s.new[1]) and H._edge_ok(universe, s.new[0], s.new[1])
         elif ok and s.op == H.BT_REMOVE:
@@ -806,6 +808,19 @@ def test_replay_matches_the_full_window_replay():
             assert got == _full_replay(u, loop, bad)
             outcomes.add(got[0])
     assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("op", [H.BT_INSERT, H.BT_REMOVE])
+def test_backtrack_claiming_a_cell_is_rejected(op):
+    """A backtrack replaces no cell, so one that claims a cell kind is
+    rejected at that step, by the replay and by its full-window oracle."""
+    u, loop = _k3_loop()
+    steps = H.contract(H.Prover(u), loop)
+    i = next(i for i, s in enumerate(steps) if s.op == op)
+    s = steps[i]
+    bad = steps[:i] + [H.Step(op, s.at, s.old, s.new, "pentagon")] + steps[i + 1 :]
+    assert H.verify_certificate(u, loop, steps) == (True, None)
+    assert H.verify_certificate(u, loop, bad) == _full_replay(u, loop, bad) == (False, i)
 
 
 def test_replay_still_tests_what_a_fill_adds(monkeypatch):
