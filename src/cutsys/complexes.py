@@ -10,9 +10,8 @@ out the toolkit.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,73 +35,62 @@ def vertex_of(universe, curves):
     return tuple(sorted(curves, key=universe.key))
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(NamedTuple):
     kind: str  # triangle | rectangle | pentagon
-    cycle: tuple  # boundary vertices in cyclic order
-
-    def __len__(self):
-        return len(self.cycle)
+    cycle: tuple  # boundary vertex ids in cyclic order
 
 
 class ComplexGraph:
-    """Immutable 2-complex: vertex list, adjacency, and cell list."""
+    """Immutable 2-complex over vertex ids, the positions in `vertices`.
+
+    The constructor takes edges and (kind, cycle) cells over vertex tuples and
+    is the one place that numbers them: `edges` holds sorted id pairs (i, j)
+    with i < j, `adj[i]` the sorted neighbour ids of vertex i, and `cells`
+    Cell(kind, cycle of ids), sorted by (kind, cycle).
+    """
 
     def __init__(self, universe, k, vertices, edges, cells, tag=None):
         self.universe = universe
         self.k = k
         self.vertices = sorted(vertices, key=lambda v: tuple(universe.key(c) for c in v))
-        self.index = {v: i for i, v in enumerate(self.vertices)}
-        self.adj = {v: [] for v in self.vertices}
-        self.edges = []
-        for v, w in edges:
-            if self.index[v] > self.index[w]:
-                v, w = w, v
-            self.edges.append((v, w))
-            self.adj[v].append(w)
-            self.adj[w].append(v)
-        self.edges = sorted(set(self.edges), key=lambda e: (self.index[e[0]], self.index[e[1]]))
-        for v in self.adj:
-            self.adj[v] = sorted(set(self.adj[v]), key=self.index.get)
-        self.cells = sorted(cells, key=lambda c: (c.kind, tuple(self.index[v] for v in c.cycle)))
+        self.index = index = {v: i for i, v in enumerate(self.vertices)}
+        ids = ((index[v], index[w]) for v, w in edges)
+        self.edges = sorted({(i, j) if i < j else (j, i) for i, j in ids})
+        self.adj = [[] for _ in self.vertices]
+        for i, j in self.edges:  # in edge order, so each list comes out sorted
+            self.adj[i].append(j)
+            self.adj[j].append(i)
+        self.cells = sorted(Cell(kind, tuple(index[v] for v in cycle)) for kind, cycle in cells)
         self.tag = tag or getattr(universe, "tag", "?")
 
     def degree(self, v):
-        return len(self.adj[v])
+        return len(self.adj[self.index[v]])
 
     # -- exports ---------------------------------------------------------
 
-    def _curve_json(self, c):
-        return c.to_json() if hasattr(c, "to_json") else c
-
     def to_json(self):
-        vid = self.index
         return {
             "backend": self.tag,
             "k": self.k,
-            "vertices": [[self._curve_json(c) for c in v] for v in self.vertices],
-            "edges": [[vid[a], vid[b]] for a, b in self.edges],
-            "cells": [
-                {"kind": c.kind, "cycle": [vid[v] for v in c.cycle]} for c in self.cells
-            ],
+            "vertices": [[c.to_json() if hasattr(c, "to_json") else c for c in v] for v in self.vertices],
+            "edges": [list(e) for e in self.edges],
+            "cells": [{"kind": c.kind, "cycle": list(c.cycle)} for c in self.cells],
         }
 
     def to_dot(self):
-        vid = self.index
         lines = ["graph complex {"]
-        for v in self.vertices:
+        for i, v in enumerate(self.vertices):
             label = ",".join(str(c) for c in v)
-            lines.append(f'  n{vid[v]} [label="{label}"];')
-        for a, b in self.edges:
-            lines.append(f"  n{vid[a]} -- n{vid[b]};")
-        for c in self.cells:
-            lines.append(f"  // {c.kind}: {[vid[v] for v in c.cycle]}")
+            lines.append(f'  n{i} [label="{label}"];')
+        lines += [f"  n{a} -- n{b};" for a, b in self.edges]
+        lines += [f"  // {c.kind}: {list(c.cycle)}" for c in self.cells]
         lines.append("}")
         return "\n".join(lines)
 
 
 def _cells(universe, curves, common, free):
-    """The edges and 2-cells whose vertices all contain the curves of `common`.
+    """The edges and (kind, cycle) 2-cells whose vertices all contain the
+    curves of `common`, over vertex tuples.
 
     free = 1 gives the edges, which are the once-pairs of the pool, and the
     triangles; free = 2 gives no edges, and the rectangles and pentagons.
@@ -128,7 +116,7 @@ def _cells(universe, curves, common, free):
         v = [vertex_of(universe, (c,) + common) for c in pool]
         edges = [(v[b0], v[b1]) for b0, b1 in pairs]
         return edges, [
-            Cell("triangle", (v[b0], v[b1], v[b2]))
+            ("triangle", (v[b0], v[b1], v[b2]))
             for b0, b1 in pairs
             for b2 in once[b0] & once[b1]
             if b1 < b2
@@ -149,7 +137,7 @@ def _cells(universe, curves, common, free):
             for c1 in once[c0] & both:
                 if b0 < c0 < c1:
                     cyc = (v[b0, c0], v[b0, c1], v[b1, c1], v[b1, c0])
-                    cells.append(Cell("rectangle", cyc))
+                    cells.append(("rectangle", cyc))
         # pentagons: once-walks b0-b1-b2-b3-b4-b0 with b0 the earliest curve
         # and b1 before b4; the vertices are the five pairs at distance 2
         for b2 in once[b1] & apart[b0]:
@@ -157,7 +145,7 @@ def _cells(universe, curves, common, free):
                 for b4 in once[b3] & once[b0] & apart[b1] & apart[b2]:
                     if b0 < min(b2, b3) and b1 < b4:
                         ring = ((b0, b2), (b2, b4), (b4, b1), (b1, b3), (b3, b0))
-                        cells.append(Cell("pentagon", tuple(v[p] for p in ring)))
+                        cells.append(("pentagon", tuple(v[p] for p in ring)))
     return [], cells
 
 
@@ -196,7 +184,7 @@ def build_gamma(universe, k, seeds=None, radius=None):
             frontier, ball = near - ball, ball | near
         vertices = [v for v in vertices if v in ball]
         edges = [(v, w) for v, w in edges if v in ball and w in ball]
-        cells = [c for c in cells if all(v in ball for v in c.cycle)]
+        cells = [(kind, cyc) for kind, cyc in cells if ball.issuperset(cyc)]
     return ComplexGraph(universe, k, vertices, edges, cells)
 
 
@@ -214,78 +202,66 @@ def build_schmutz(universe):
     return ComplexGraph(universe, 1, vertices, edges, [], tag=f"{universe.tag}-schmutz")
 
 
+def _bfs(adj, root, parent):
+    """Visit order and depths of a breadth-first search from root.
+
+    adj lists the neighbour ids of each vertex id; parent[y] is -1 for each
+    vertex not yet visited, and the search sets it to the vertex y was reached
+    from (None at root).
+    """
+    parent[root] = None
+    order, depth = [root], [0]
+    for x, d in zip(order, depth):  # the loop also visits what it appends
+        for y in adj[x]:
+            if parent[y] == -1:
+                parent[y] = x
+                order.append(y)
+                depth.append(d + 1)
+    return order, depth
+
+
 def bfs(graph, v, w):
     """Exact distance and one geodesic; (inf, None) when disconnected."""
     if v not in graph.index or w not in graph.index:
         raise NotFound("unknown vertex")
-    if v == w:
-        return 0, [v]
-    prev = {v: None}
-    frontier = [v]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y in graph.adj[x]:
-                if y not in prev:
-                    prev[y] = x
-                    if y == w:
-                        path = [y]
-                        while prev[path[-1]] is not None:
-                            path.append(prev[path[-1]])
-                        path.reverse()
-                        return len(path) - 1, path
-                    nxt.append(y)
-        frontier = nxt
-    return float("inf"), None
+    parent = [-1] * len(graph.vertices)
+    _bfs(graph.adj, graph.index[v], parent)
+    x = graph.index[w]
+    if parent[x] == -1:
+        return float("inf"), None
+    path = [x]
+    while parent[x] is not None:
+        x = parent[x]
+        path.append(x)
+    return len(path) - 1, [graph.vertices[x] for x in reversed(path)]
 
 
 def eccentricity(graph, v):
-    dist = {v: 0}
-    frontier = [v]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for x in frontier:
-            for y in graph.adj[x]:
-                if y not in dist:
-                    dist[y] = d
-                    nxt.append(y)
-        frontier = nxt
-    if len(dist) != len(graph.vertices):
+    order, depth = _bfs(graph.adj, graph.index[v], [-1] * len(graph.vertices))
+    if len(order) != len(graph.vertices):
         raise InfiniteDiameter("graph is disconnected")
-    return max(dist.values())
+    return depth[-1]
 
 
 def diameter(graph):
-    """Exact max eccentricity of a finite connected graph."""
-    if not graph.vertices:
-        return 0
+    """Exact max eccentricity of a finite connected graph: the number of
+    closure steps from the identity until every pair is reached.  Each step is
+    a float32 product of 0/1 matrices, whose counts (at most n <= 2048) are
+    exact."""
     n = len(graph.vertices)
-    if n <= 2048:
-        # dense boolean closure
-        a = np.zeros((n, n), dtype=bool)
-        for v, w in graph.edges:
-            a[graph.index[v], graph.index[w]] = True
-            a[graph.index[w], graph.index[v]] = True
-        reach = a | np.eye(n, dtype=bool)
-        dist = np.full((n, n), -1, dtype=np.int32)
-        np.fill_diagonal(dist, 0)
-        dist[a & (dist < 0)] = 1
-        d = 1
-        cur = reach
-        while True:
-            nxt = cur @ a | cur
-            newly = nxt & ~cur
-            if not newly.any():
-                break
-            d += 1
-            dist[newly] = d
-            cur = nxt
-        if (dist < 0).any():
+    if n > 2048:
+        return max(eccentricity(graph, v) for v in graph.vertices)
+    a = np.zeros((n, n), dtype=np.float32)
+    if graph.edges:
+        i, j = np.array(graph.edges).T
+        a[i, j] = a[j, i] = 1
+    reach, d = np.eye(n, dtype=bool), 0
+    while not reach.all():
+        more = reach | (reach.astype(np.float32) @ a > 0)
+        if np.array_equal(more, reach):
             raise InfiniteDiameter("graph is disconnected")
-        return int(dist.max())
-    return max(eccentricity(graph, v) for v in graph.vertices)
+        reach, d = more, d + 1
+    return d
 
 
 # --- implicit F2 universes: fast exact eccentricity -------------------------
@@ -325,8 +301,10 @@ def f2_gamma1_eccentricity(g, start=None):
         raise ValueError(f"no cut system of size 1 at genus {g}")
     if g >= 16:
         raise ValueError(f"genus {g} is too large for uint32 class ids")
+    start = 1 if start is None else start  # the class a_1
+    if type(start) is not int or not 1 <= start < 1 << (2 * g):
+        raise ValueError(f"start {start!r} is not a nonzero class id below 4^{g}")
     ids = np.arange(1 << (2 * g), dtype=np.uint32)
-    start = start if start is not None else 1  # the class a_1
     dist = np.full(ids.size, -1, dtype=np.int32)
     dist[start] = 0
     frontier = ids[[start]]
@@ -412,22 +390,15 @@ def coreduce(graph):
     non-forest edges, so the rows lose no rank there; the kill rows form a
     unit triangular minor, zero on the live edges.
     """
-    vid = graph.index
-    eid = {(vid[a], vid[b]): i for i, (a, b) in enumerate(graph.edges)}
-    adj = [[vid[w] for w in graph.adj[v]] for v in graph.vertices]
-    parent = [-1] * len(adj)  # -1 until visited
-    for root in range(len(adj)):
+    parent = [-1] * len(graph.vertices)
+    for root in range(len(parent)):
         if parent[root] == -1:
-            parent[root], queue = None, [root]
-            for x in queue:  # the loop also visits what it appends
-                for y in adj[x]:
-                    if parent[y] == -1:
-                        parent[y] = x
-                        queue.append(y)
+            _bfs(graph.adj, root, parent)
+    eid = {e: i for i, e in enumerate(graph.edges)}
     tree = {eid[min(v, p), max(v, p)] for v, p in enumerate(parent) if p is not None}
     rows, cols = [], {}
     for c, cell in enumerate(graph.cells):
-        cyc = [vid[v] for v in cell.cycle]
+        cyc = cell.cycle
         row = {}
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
             e, sign = (eid[a, b], 1) if a < b else (eid[b, a], -1)

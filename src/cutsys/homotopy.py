@@ -23,7 +23,6 @@ import threading
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .surfaces import NoRoom
 from .sympcurves import HClass, combine, is_primitive_frame
 
 

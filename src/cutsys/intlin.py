@@ -28,16 +28,15 @@ def _min_pivot(m, r, c):
     return best
 
 
-def smith_normal_form(m, want_transforms=False, ops=None):
-    """Return (d, u, v) with u*m*v = d diagonal, divisibility-ordered.
+def smith_normal_form(m, ops=None):
+    """Return d = u*m*v diagonal, divisibility-ordered, for unimodular u, v.
 
     The diagonal of d is the list of invariant factors (nonnegative).  The
     elimination appends each elementary operation to `ops`, if given, as
     (kind, i, j, c): ("rswap", i, j, 0), ("radd", src, dst, c) for
     row_dst += c*row_src, ("rneg", i, i, 0), ("cswap", i, j, 0) and
-    ("cadd", src, dst, c) for col_dst += c*col_src.  With want_transforms,
-    u and v are those row and column operations replayed on identities (both
-    unimodular); otherwise they are None.
+    ("cadd", src, dst, c) for col_dst += c*col_src; u is the row operations
+    and v the column operations, in order.
     """
     a = [row[:] for row in m]
     rows = len(a)
@@ -107,29 +106,13 @@ def smith_normal_form(m, want_transforms=False, ops=None):
         t += 1
         if t == rows or t == cols:
             break
-    if not want_transforms:
-        return a, None, None
-    u, v = identity(rows), identity(cols)
-    for kind, i, j, c in ops:
-        if kind == "rswap":
-            u[i], u[j] = u[j], u[i]
-        elif kind == "radd":
-            u[j] = [x + c * y for x, y in zip(u[j], u[i])]
-        elif kind == "rneg":
-            u[i] = [-x for x in u[i]]
-        else:
-            for row in v:
-                if kind == "cswap":
-                    row[i], row[j] = row[j], row[i]
-                else:
-                    row[j] += c * row[i]
-    return a, u, v
+    return a
 
 
 def invariant_factors(m):
     if not m or not m[0]:
         return []
-    d, _, _ = smith_normal_form(m)
+    d = smith_normal_form(m)
     return [abs(d[i][i]) for i in range(min(len(d), len(d[0]))) if d[i][i]]
 
 
@@ -152,7 +135,7 @@ def solve_integer(m, rhs):
         return None
     cols = len(m[0])
     ops = []
-    d, _, _ = smith_normal_form(m, ops=ops)
+    d = smith_normal_form(m, ops=ops)
     # b = u*rhs: the row operations, in order, on rhs
     b = list(rhs)
     for kind, i, j, c in ops:
@@ -174,7 +157,12 @@ def solve_integer(m, rhs):
     for i in range(r, rows):
         if b[i]:
             return None
-    # x = v*y with v = C_1 ... C_k: the column operations, last first, on y
+    return _times_v(ops, y)  # x = v*y
+
+
+def _times_v(ops, y):
+    """v*y, with v = C_1 ... C_k the column operations of ops: those
+    operations, last first, on y (in place)."""
     for kind, i, j, c in reversed(ops):
         if kind == "cswap":
             y[i], y[j] = y[j], y[i]
@@ -184,14 +172,16 @@ def solve_integer(m, rhs):
 
 
 def kernel_basis(m):
-    """Basis (list of int vectors) of the integer kernel of m."""
+    """Basis (list of int vectors) of the integer kernel of m: the columns of
+    v past the rank."""
     rows = len(m)
     cols = len(m[0]) if rows else 0
     if rows == 0:
         return identity(cols)
-    d, _, v = smith_normal_form(m, want_transforms=True)
+    ops = []
+    d = smith_normal_form(m, ops=ops)
     r = sum(1 for i in range(min(rows, cols)) if d[i][i])
-    return [[row[j] for row in v] for j in range(r, cols)]
+    return [_times_v(ops, [int(i == j) for i in range(cols)]) for j in range(r, cols)]
 
 
 def rational_rank(m):

@@ -10,7 +10,7 @@ end.
 from __future__ import annotations
 
 from . import geomcurves, sympcurves
-from .surfaces import NoRoom, SurfaceSpec, exhaust, stabilize
+from .surfaces import SurfaceSpec, exhaust, stabilize
 from .sympcurves import SympSpace
 
 

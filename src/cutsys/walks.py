@@ -10,8 +10,6 @@ curves on a surface.
 
 from __future__ import annotations
 
-import random
-
 from . import homotopy as H
 from .sympcurves import SympSpace, is_primitive_frame
 

@@ -21,6 +21,16 @@ def _gamma_g3_k2():
     return cx.build_gamma(U3, 2)
 
 
+def _named(graph, ids):
+    """The vertex tuples of a sequence of vertex ids, such as an edge or a
+    cell's cycle."""
+    return tuple(graph.vertices[i] for i in ids)
+
+
+def _edges_named(graph):
+    return [_named(graph, e) for e in graph.edges]
+
+
 def test_gamma1_vertex_count_with_enumeration_oracle():
     # oracle: count nonzero vectors directly
     oracle = sum(1 for u in range(1, 16))
@@ -67,17 +77,15 @@ def test_farey_fragment_edges_in_triangles():
     # Farey adjacency present
     from cutsys.geomcurves import Slope
 
-    assert ((Slope(0, 1),), (Slope(1, 0),)) in fs.edges or (
-        (Slope(1, 0),),
-        (Slope(0, 1),),
-    ) in fs.edges
+    edges = _edges_named(fs)
+    assert ((Slope(0, 1),), (Slope(1, 0),)) in edges or ((Slope(1, 0),), (Slope(0, 1),)) in edges
 
 
 def test_every_edge_is_a_move():
     from cutsys.homotopy import check_path
 
     g2 = cx.build_gamma(U2, 2)
-    for v, w in g2.edges:
+    for v, w in _edges_named(g2):
         assert check_path(U2, [v, w])
 
 
@@ -87,7 +95,7 @@ def test_cells_reverified_independently():
     g2 = cx.build_gamma(U2, 2)
     kinds = {"triangle": 0, "rectangle": 0, "pentagon": 0}
     for cell in g2.cells:
-        assert cell_pattern(U2, cell.cycle) == cell.kind
+        assert cell_pattern(U2, _named(g2, cell.cycle)) == cell.kind
         kinds[cell.kind] += 1
     assert all(n > 0 for n in kinds.values())
 
@@ -137,7 +145,8 @@ def test_implicit_matches_explicit_g3_k2():
     assert implicit == explicit
     assert total == len(g32.vertices) == cx.f2_count_vertices_k2(3)
     # oracle: BFS layer sizes of the explicit graph from the base vertex {a1, a2}
-    seen, frontier, explicit_layers = {(1, 4)}, {(1, 4)}, []
+    base = g32.index[1, 4]
+    seen, frontier, explicit_layers = {base}, {base}, []
     while frontier := {y for x in frontier for y in g32.adj[x]} - seen:
         seen |= frontier
         explicit_layers.append(len(frontier))
@@ -253,6 +262,12 @@ def test_implicit_gamma1_memory_is_linear_in_classes():
     assert peak <= 8 << 20, peak
 
 
+@pytest.mark.parametrize("start", [0, -1, 64, True, 2.0])
+def test_implicit_gamma1_rejects_start_that_is_no_class(start):
+    with pytest.raises(ValueError, match="is not a nonzero class id below 4"):
+        cx.f2_gamma1_eccentricity(3, start)
+
+
 def test_implicit_gamma1_rejects_genus_out_of_range():
     # 4^16 class ids no longer fit uint32; refused before allocating
     tracemalloc.start()
@@ -278,13 +293,12 @@ def _dense_homology(graph):
     """Oracle: (b0, b1, torsion) from dense d1 and d2 over Z, by Smith normal
     form cross-checked against rational ranks; torsion is the list of the
     invariant factors of d2 above 1."""
-    vid = graph.index
     nv, ne = len(graph.vertices), len(graph.edges)
     eid = {e: i for i, e in enumerate(graph.edges)}
     d1 = [[0] * nv for _ in range(ne)]
     for (a, b), i in eid.items():
-        d1[i][vid[a]] = -1
-        d1[i][vid[b]] = 1
+        d1[i][a] = -1
+        d1[i][b] = 1
     d2 = [[0] * ne for _ in range(len(graph.cells))]
     for ci, cell in enumerate(graph.cells):
         cyc = cell.cycle
@@ -368,7 +382,7 @@ def test_chain_homology_cross_check_raises(monkeypatch):
 def test_chain_homology_two_components():
     two = _two_disks()
     assert cx.chain_homology(two) == _dense_homology(two)[:2] == (2, 0)
-    circles = cx.ComplexGraph(U2, 1, two.vertices, two.edges, [])
+    circles = cx.ComplexGraph(U2, 1, two.vertices, _edges_named(two), [])
     assert cx.chain_homology(circles) == _dense_homology(circles)[:2] == (2, 2)
 
 
@@ -397,8 +411,8 @@ def _oracle_complexes():
     for name in ("sympF2 g=2 k=1", "sympF2 g=2 k=2", "slope 5"):
         g = full[name]
         for i in range(8):
-            cells = [c for c in g.cells if rng.random() < 0.6]
-            subs[f"{name} sub {i}"] = cx.ComplexGraph(g.universe, g.k, g.vertices, g.edges, cells)
+            cells = [(c.kind, _named(g, c.cycle)) for c in g.cells if rng.random() < 0.6]
+            subs[f"{name} sub {i}"] = cx.ComplexGraph(g.universe, g.k, g.vertices, _edges_named(g), cells)
     return full, named, subs
 
 
@@ -475,9 +489,10 @@ def test_ball_on_enumerable_universe():
     assert cx.build_gamma(U2, 2, seeds=[seed], radius=0).vertices == [seed]
     full = cx.build_gamma(U2, 2)
     ball = cx.build_gamma(U2, 2, seeds=[seed], radius=1)
-    assert set(ball.vertices) == {seed, *full.adj[seed]} and len(ball.vertices) == 9
+    near = _named(full, full.adj[full.index[seed]])
+    assert set(ball.vertices) == {seed, *near} and len(ball.vertices) == 9
     inside = set(ball.vertices)
-    assert ball.edges == [e for e in full.edges if inside.issuperset(e)]
+    assert _edges_named(ball) == [e for e in _edges_named(full) if inside.issuperset(e)]
 
 
 S3 = SympSpace(3)
@@ -580,7 +595,7 @@ def _ball_vertices(universe, seeds, radius):
 def test_edges_are_every_move(name):
     g = PINNED_BUILDS[name][0]()
     curves = list(g.universe.all_curves())
-    assert {frozenset(e) for e in g.edges} == _edges_between(g.universe, g.vertices, curves)
+    assert {frozenset(e) for e in _edges_named(g)} == _edges_between(g.universe, g.vertices, curves)
 
 
 @pytest.mark.parametrize("name", sorted(BALLS))
@@ -589,7 +604,7 @@ def test_ball_is_every_vertex_and_move_within_radius(name):
     g = _ball(name)
     vertices, curves = _ball_vertices(g.universe, seeds, radius)
     assert set(g.vertices) == vertices
-    assert {frozenset(e) for e in g.edges} == _edges_between(g.universe, vertices, curves)
+    assert {frozenset(e) for e in _edges_named(g)} == _edges_between(g.universe, vertices, curves)
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_BUILDS))
@@ -607,6 +622,39 @@ def test_build_output_pinned(name):
     assert hashlib.sha256(blob).hexdigest() == digest
 
 
+# sha256 of the DOT export of each pinned build
+PINNED_DOTS = {
+    "slope bound=3": "5c499f66594ad3a7a4835414730d673e80483e80811e462edddd7d9767e3af67",
+    "sympF2 g=2 k=1": "fbf21e14e32ac034f8cbf1a0740939df6c8df83393687658e1e6fb4c0cce3c93",
+    "sympF2 g=2 k=2": "118a8bb330060738befaea1971a2e69d73ebbabcd64492d24ba9b779498d4af2",
+    "sympF2 g=3 k=1": "c02e0190766ac63b78fa65fbeb05b6c11f10f96006af78d70ce4d488adede777",
+    "sympF2 g=3 k=2": "8ace98c2094069781fe400d7dc36a7bb72b2f246d14e192bb685956306d3a3fc",
+    "sympZ g=3 k=2 ball": "254b59178adb749120683eed405771cd522c01750ac488f7e3806aa05ccd982c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DOTS))
+def test_dot_export_pinned(name):
+    import hashlib
+
+    dot = PINNED_BUILDS[name][0]().to_dot()
+    assert hashlib.sha256(dot.encode()).hexdigest() == PINNED_DOTS[name]
+
+
+def test_graph_holds_vertex_ids():
+    g = cx.build_gamma(U2, 2)
+    n = len(g.vertices)
+    assert g.index == {v: i for i, v in enumerate(g.vertices)}
+    assert g.edges == sorted(set(g.edges)) and all(0 <= i < j < n for i, j in g.edges)
+    assert g.adj == [sorted({j for e in g.edges if i in e for j in e} - {i}) for i in range(n)]
+    assert g.cells == sorted(g.cells)
+    assert all(type(x) is int and 0 <= x < n for c in g.cells for x in c.cycle)
+    assert [g.degree(v) for v in g.vertices] == [len(a) for a in g.adj]
+    j = g.to_json()
+    assert j["edges"] == [list(e) for e in g.edges]
+    assert [c["cycle"] for c in j["cells"]] == [list(c.cycle) for c in g.cells]
+
+
 def test_pentagon_with_same_free_curves_on_two_common_sets():
     # one genus-2 pentagon ring, completed by a3 and by b3: two distinct cells
     from cutsys.homotopy import cell_pattern
@@ -620,8 +668,52 @@ def test_pentagon_with_same_free_curves_on_two_common_sets():
     g = cx.build_gamma(uz, 3, seeds=seeds, radius=0)
     pentagons = [c for c in g.cells if c.kind == "pentagon"]
     assert len(pentagons) == 2
-    assert all(cell_pattern(uz, c.cycle) == "pentagon" for c in pentagons)
-    assert {frozenset.intersection(*map(frozenset, c.cycle)) for c in pentagons} == {
+    assert all(cell_pattern(uz, _named(g, c.cycle)) == "pentagon" for c in pentagons)
+    assert {frozenset.intersection(*map(frozenset, _named(g, c.cycle))) for c in pentagons} == {
         frozenset({a3}),
         frozenset({b3}),
     }
+
+
+def _nx_graph(graph):
+    nx = pytest.importorskip("networkx")
+    out = nx.Graph()
+    out.add_nodes_from(range(len(graph.vertices)))
+    out.add_edges_from(graph.edges)
+    return nx, out
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_BUILDS))
+def test_bfs_eccentricity_diameter_match_networkx(name):
+    g = PINNED_BUILDS[name][0]()
+    nx, oracle = _nx_graph(g)
+    rng = random.Random(15)
+    for v in rng.sample(range(len(g.vertices)), min(8, len(g.vertices))):
+        dist = nx.single_source_shortest_path_length(oracle, v)
+        assert cx.eccentricity(g, g.vertices[v]) == max(dist.values())
+        for w in rng.sample(range(len(g.vertices)), min(8, len(g.vertices))):
+            d, path = cx.bfs(g, g.vertices[v], g.vertices[w])
+            assert d == dist[w] == len(path) - 1
+            ids = [g.index[x] for x in path]
+            assert ids[0] == v and ids[-1] == w
+            assert all(oracle.has_edge(x, y) for x, y in zip(ids, ids[1:]))
+    assert cx.diameter(g) == nx.diameter(oracle, usebounds=True)
+
+
+def test_diameter_past_the_dense_closure_matches_networkx():
+    # a path over more than 2,048 single-curve vertices, in shuffled vertex
+    # order, so diameter takes the maximum of per-vertex BFS eccentricities
+    n = 2100
+    labels = list(range(1, n + 1))
+    random.Random(15).shuffle(labels)
+    edges = [((a,), (b,)) for a, b in zip(labels, labels[1:])]
+    g = cx.ComplexGraph(U2, 1, [(x,) for x in labels], edges, [])
+    nx, oracle = _nx_graph(g)
+    assert cx.diameter(g) == n - 1
+    for v in random.Random(16).sample(range(n), 5):
+        assert cx.eccentricity(g, g.vertices[v]) == nx.eccentricity(oracle, v)
+    d, path = cx.bfs(g, (labels[0],), (labels[-1],))
+    assert d == n - 1 and [x for (x,) in path] == labels
+    apart = cx.ComplexGraph(U2, 1, g.vertices + [(n + 1,)], edges, [])
+    with pytest.raises(cx.InfiniteDiameter):
+        cx.diameter(apart)

@@ -15,9 +15,32 @@ def mat_vec(a, v):
     return [sum(c * x for c, x in zip(row, v)) for row in a]
 
 
+def _snf_transforms(m):
+    """(d, u, v) with u*m*v = d: the logged row and column operations of the
+    Smith normal form replayed on identities."""
+    rows, cols = len(m), len(m[0])
+    ops = []
+    d = intlin.smith_normal_form(m, ops=ops)
+    u, v = intlin.identity(rows), intlin.identity(cols)
+    for kind, i, j, c in ops:
+        if kind == "rswap":
+            u[i], u[j] = u[j], u[i]
+        elif kind == "radd":
+            u[j] = [x + c * y for x, y in zip(u[j], u[i])]
+        elif kind == "rneg":
+            u[i] = [-x for x in u[i]]
+        else:
+            for row in v:
+                if kind == "cswap":
+                    row[i], row[j] = row[j], row[i]
+                else:
+                    row[j] += c * row[i]
+    return d, u, v
+
+
 def test_snf_diagonal_divisibility():
     m = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
-    d, u, v = intlin.smith_normal_form(m, want_transforms=True)
+    d, u, v = _snf_transforms(m)
     assert mat_mul(mat_mul(u, m), v) == d
     facs = [d[i][i] for i in range(3)]
     assert facs == [2, 2, 156]
@@ -29,7 +52,7 @@ def test_snf_transforms_random():
     for _ in range(25):
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         m = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
-        d, u, v = intlin.smith_normal_form(m, want_transforms=True)
+        d, u, v = _snf_transforms(m)
         assert mat_mul(mat_mul(u, m), v) == d
         for i in range(rows):
             for j in range(cols):
@@ -133,10 +156,14 @@ def test_snf_transforms_match_full_scan_pivot(monkeypatch):
     rng = random.Random(5)
     # at 6 x 6 the SNF can inflate entries without finishing
     cases = _random_matrices(rng, 100, 5, 6) + _random_matrices(rng, 100, 5, 6, units=False)
-    fast = [intlin.smith_normal_form(m, want_transforms=True) for m in cases]
+    def snf_and_ops(m):
+        ops = []
+        return intlin.smith_normal_form(m, ops=ops), ops
+
+    fast = [snf_and_ops(m) for m in cases]
     monkeypatch.setattr(intlin, "_min_pivot", _full_scan_min_pivot)
     for m, got in zip(cases, fast):
-        assert got == intlin.smith_normal_form(m, want_transforms=True)
+        assert got == snf_and_ops(m)
 
 
 def _prover_like_systems(rng, count):
@@ -179,3 +206,22 @@ def test_solve_and_kernel_outputs_pinned():
         digest.update(repr((x, kb)).encode())
     assert solved == 215
     assert digest.hexdigest() == "0a053e9432d6dcadf12399d7cb1cdf5f2130dd79e570399d6e1789ffb5782fff"
+
+
+def _transform_kernel_basis(m):
+    """Oracle: the columns past the rank of the full column transform v."""
+    d, _, v = _snf_transforms(m)
+    r = sum(1 for i in range(min(len(m), len(m[0]))) if d[i][i])
+    return [[row[j] for row in v] for j in range(r, len(m[0]))]
+
+
+def test_kernel_basis_matches_transform_route():
+    """kernel_basis replays the column operations on unit vectors; it returns
+    exactly the columns of the full transform v that it once built."""
+    rng = random.Random(15)
+    cases = [m for m, _ in _prover_like_systems(rng, 100)] + _random_matrices(rng, 100, 5, 6)
+    for m in cases + [[[0, 0, 0]], [[1, 2, 3]], [[0]]]:
+        kb = intlin.kernel_basis(m)
+        assert kb == _transform_kernel_basis(m), m
+        for kv in kb:
+            assert mat_vec(m, kv) == [0] * len(m)
