@@ -8,7 +8,7 @@ curve maps), walks (seeded loop generators), cli (batch front door).
 """
 
 from .surfaces import Exhaustion, FiniteApprox, NoRoom, SurfaceSpec, exhaust, stabilize
-from .sympcurves import HClass, SympSpace, inter, is_cut_shadow, pairing, reduce, solve_pairings, transvect
+from .sympcurves import HClass, SympSpace, inter, is_cut_shadow, pairing, solve_pairings, transvect
 from .geomcurves import ArcWord, CyclicWord, RibbonSurface, Slope, islope, is_separating, iword, splice, twist_slope
 from .universe import Room, make_universe
 from .complexes import ComplexGraph, bfs, build_gamma, build_schmutz, chain_homology, diameter
@@ -25,10 +25,9 @@ from .homotopy import (
     hex_escorts,
     path_common,
     radius,
-    segment_decomposition,
     verify_certificate,
 )
-from .rigidity import AutoOracle, InducedCurveMap, TwistWord, build_filling_chain, induced_curve_map
+from .rigidity import AutoOracle, InducedCurveMap, TwistWord, induced_curve_map
 
 __all__ = [n for n in dir() if not n.startswith("_")]
 __version__ = "0.1.0"

@@ -35,7 +35,7 @@ def _universe(args):
 
 def cmd_build(args):
     u = _universe(args)
-    if args.k == 1 and args.schmutz:
+    if args.schmutz:
         graph = cx.build_schmutz(u)
     else:
         graph = cx.build_gamma(u, args.k)
@@ -49,7 +49,7 @@ def cmd_build(args):
 
 def cmd_diam(args):
     u = _universe(args)
-    if args.backend == "sympF2" and args.implicit:
+    if args.implicit:
         if args.k == 1:
             d = cx.f2_gamma1_eccentricity(args.g)
         elif args.k == 2:
@@ -225,7 +225,7 @@ def make_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(q):
-        # the enumerable backends: sympZ and word universes need seed vertices
+        # the enumerable backends: the sympZ universe has no finite vertex set
         q.add_argument("--backend", choices=("sympF2", "slope"), default="sympF2")
         q.add_argument("--g", type=int, default=2)
         q.add_argument("--k", type=int, default=1)
@@ -269,10 +269,22 @@ def make_parser():
     return p
 
 
+def _check_usage(args):
+    """ValueError for a flag value no command can honour, before any work."""
+    for flag in ("k", "steps"):
+        if getattr(args, flag, 1) < 1:
+            raise ValueError(f"--{flag} must be at least 1, got {getattr(args, flag)}")
+    if getattr(args, "schmutz", False) and args.k != 1:
+        raise ValueError(f"--schmutz builds the k = 1 Schmutz graph, got --k {args.k}")
+    if getattr(args, "implicit", False) and args.backend != "sympF2":
+        raise ValueError(f"--implicit needs --backend sympF2, got --backend {args.backend}")
+
+
 def main(argv=None):
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
+        _check_usage(args)
         return args.fn(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -74,32 +74,6 @@ def radius(universe, path, a):
     return max(min(universe.inter(a, b) for b in v) for v in path)
 
 
-def segment_decomposition(universe, loop, a0):
-    """Greedy maximal segments from index 0; ties to the least eligible curve.
-
-    Returns [(curve, start, end)] covering the closed path, consecutive
-    entries overlapping in one vertex.
-    """
-    n = len(loop) - 1
-    if a0 not in loop[0]:
-        raise InvalidReference("decomposition starts at a vertex containing the curve")
-    segs = []
-    start, cur = 0, a0
-    while start < n:
-        end = _maximal_run(loop, cur, start)
-        segs.append((cur, start, end))
-        if end == n:
-            break
-        if end == start and cur not in loop[end]:
-            raise InvalidReference("segment curve missing from its own segment")
-        shared = [c for c in loop[end] if c in loop[end + 1] and c != cur]
-        if not shared:
-            raise NotApplicable("consecutive vertices share no curve")
-        cur = min(shared, key=universe.key)
-        start = end
-    return segs
-
-
 # --- certificates --------------------------------------------------------------
 
 

@@ -4,9 +4,8 @@ pinning them to twist actions.
 An automorphism is only ever available as an oracle on a finite ball.  From
 it the curve-level map is read off as the unique curve in f(v) - f(w) for a
 move v <-> w swapping the queried curve; the module checks well-definedness
-over companion choices, simpliciality on the Schmutz graph and on the
-disjointness graph, the homomorphism law of the induced-map assignment, and
-the pointwise match with the underlying twist word.
+over companion choices, the homomorphism law of the induced-map assignment,
+and the pointwise match with the underlying twist word.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import homotopy as H
-from .sympcurves import SympSpace, combine, is_primitive_frame
+from .sympcurves import SympSpace
 
 
 class NotAnAutomorphism(ValueError):
@@ -41,19 +40,23 @@ class TwistWord:
 
     @property
     def trivial(self):
-        return all(e == 0 for _, e in self.factors)
-
-    def to_json(self, space=None):
-        return [[repr(c), e] for c, e in self.factors]
+        """True iff the word freely reduces to nothing: adjacent powers of one
+        curve merge by summing exponents, and a zero power drops out."""
+        reduced = []
+        for c, e in self.factors:
+            if reduced and reduced[-1][0] == c:
+                e += reduced.pop()[1]
+            if e:
+                reduced.append((c, e))
+        return not reduced
 
 
 @dataclass
 class AutoOracle:
-    """Vertex map on cut systems, with inverse; provenance recorded."""
+    """Vertex map on cut systems, with inverse."""
 
     fn: object
     inv: object
-    provenance: str = "twist-word"
 
     @classmethod
     def from_twist_word(cls, universe, word):
@@ -67,7 +70,7 @@ class AutoOracle:
                 sorted((inv_word.act(universe, c) for c in v), key=universe.key)
             )
 
-        return cls(fn, inv, "twist-word")
+        return cls(fn, inv)
 
 
 @dataclass
@@ -154,64 +157,6 @@ class Report:
             "failed": len(self.failures),
             "first_counterexample": repr(self.failures[0]) if self.failures else None,
         }
-
-
-def check_schmutz_simplicial(universe, fmap, samples):
-    """i(a, b) = 1 must imply i(fmap(a), fmap(b)) = 1 on all samples."""
-    rep = Report()
-    for a, b in samples:
-        if universe.inter(a, b) != 1:
-            raise ValueError(f"sample pair {a}, {b} does not meet once")
-        fa, fb = fmap(a), fmap(b)
-        rep.checked += 1
-        if universe.inter(fa, fb) != 1:
-            rep.failures.append((a, b, fa, fb))
-    return rep
-
-
-def check_nonsep_simplicial(universe, fmap, samples):
-    """Disjointness must be preserved; separating-union pairs are routed
-    through the same pairing check, tagged in the sample."""
-    rep = Report()
-    for a, b, separating_union in samples:
-        if universe.inter(a, b) != 0:
-            raise ValueError(f"sample pair {a}, {b} is not disjoint")
-        fa, fb = fmap(a), fmap(b)
-        rep.checked += 1
-        if universe.inter(fa, fb) != 0:
-            rep.failures.append((a, b, separating_union, fa, fb))
-    return rep
-
-
-def build_filling_chain(universe, room, stage_count, pair):
-    """An ordered chain c_0, ..., c_m: consecutive curves meet once, all other
-    pairs are disjoint, and c_0 meets both distinguished curves once.
-
-    Staged by the exhaustion: the chain built at stage n is a prefix of the
-    chain at stage n + 1.
-    """
-    a, b = pair
-    if universe.inter(a, b) != 0:
-        raise ValueError("the distinguished pair must be disjoint")
-    if is_primitive_frame([a, b]):
-        raise ValueError("the distinguished pair must have separating union")
-    chain = []
-    c0 = universe.solve([(a, 1), (b, 1)])
-    if c0 is None:
-        raise H.ContractionError("no chain seed at this genus")
-    chain.append(c0)
-    for n in range(stage_count):
-        prev = chain[-1]
-        others = [c for c in chain[:-1]] + [a, b]
-        cons = [(prev, 1)] + [(c, 0) for c in others]
-        nxt = universe.solve(cons, forbid=tuple(chain) + (a, b))
-        if nxt is None:
-            raise H.ContractionError("chain construction stalled")
-        # displace into the next stage: keeps every prescribed pairing and
-        # frees the later links from rational dependences
-        _ha, hb = room.fresh_pair()
-        chain.append(combine(nxt, 1, hb))
-    return chain
 
 
 def check_phi_psi(universe, words, g, k, rng, curve_samples=30):

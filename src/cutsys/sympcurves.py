@@ -25,10 +25,6 @@ class SpaceMismatch(ValueError):
     pass
 
 
-class NotACutSystem(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class SympSpace:
     """Standard symplectic lattice of rank 2g with <a_i, b_i> = +1."""
@@ -247,111 +243,6 @@ def _pairing_row(vec, n):
         row[i] = -vb
         row[i + 1] = va
     return row
-
-
-def _form_of(gram):
-    def form(u, v):
-        s = 0
-        for i, ui in enumerate(u):
-            if ui:
-                gi = gram[i]
-                for j, vj in enumerate(v):
-                    if vj:
-                        s += ui * gi[j] * vj
-        return s
-
-    return form
-
-
-def _standard_symplectic_basis(gram):
-    """Basis vectors (in gram coordinates) on which the form is standard J.
-
-    gram must be antisymmetric and unimodular; raises otherwise.
-    """
-    n = len(gram)
-    if n == 0:
-        return []
-    form = _form_of(gram)
-    x = [1 if i == 0 else 0 for i in range(n)]
-    row = [gram[0][j] for j in range(n)]
-    y = intlin.solve_integer([row], [1])
-    if y is None:
-        raise NotACutSystem("reduced form is not unimodular")
-    rows = [
-        [sum(x[i] * gram[i][j] for i in range(n)) for j in range(n)],
-        [sum(y[i] * gram[i][j] for i in range(n)) for j in range(n)],
-    ]
-    comp = intlin.kernel_basis(rows)
-    sub = [[form(u, v) for v in comp] for u in comp]
-    rest = _standard_symplectic_basis(sub)
-    out = [x, y]
-    for vec in rest:
-        out.append([sum(c * b[i] for c, b in zip(vec, comp)) for i in range(n)])
-    return out
-
-
-def reduce(space, isotropic):
-    """Cut the space along a primitive isotropic frame.
-
-    Returns (SympSpace of genus g - m, projection).  The projection maps a
-    class orthogonal to the frame to its image in the symplectic complement,
-    expressed in a standard basis; it returns None when the image is zero or
-    imprimitive (the shadow of a curve that separates the cut surface).
-    """
-    g = space.g
-    isotropic = list(isotropic)
-    m = len(isotropic)
-    if not is_cut_shadow(isotropic):
-        raise NotACutSystem("reduce requires a cut-system shadow")
-    if any(c.g > g for c in isotropic):
-        raise SpaceMismatch("frame does not fit in the space")
-    n = 2 * g
-    cs = [list(c.padded(g)) for c in isotropic]
-    # dual classes e_i with <c_i, e_j> = delta_ij and <e_k, e_j> = 0
-    duals = []
-    for i in range(m):
-        rows = [_pairing_row(c, n) for c in cs] + [_pairing_row(e, n) for e in duals]
-        rhs = [1 if j == i else 0 for j in range(m)] + [0] * len(duals)
-        sol = intlin.solve_integer(rows, rhs)
-        if sol is None:
-            raise ArithmeticError("a primitive frame has duals, but none was found")
-        duals.append(sol)
-    rows = [_pairing_row(v, n) for v in cs + duals]
-    wbasis = intlin.kernel_basis(rows)
-    if len(wbasis) != n - 2 * m:
-        raise ArithmeticError("the complement of a frame and its duals has rank 2g - 2m")
-    gram = [
-        [pairing_vec(u, v) for v in wbasis] for u in wbasis
-    ]
-    std = _standard_symplectic_basis(gram)  # vectors in W-coordinates
-    # columns: express a W-vector (ambient coords) in the wbasis
-    wcols = [[wbasis[j][i] for j in range(len(wbasis))] for i in range(n)]
-    # change to the standard basis: solve std^T * new = old
-    stdcols = [[std[j][i] for j in range(len(std))] for i in range(len(std))]
-    red = SympSpace(g - m)
-
-    def project(cls):
-        v = list(cls.padded(g))
-        for c in cs:
-            if pairing_vec(v, c) != 0:
-                raise NotACutSystem("class is not orthogonal to the frame")
-        w = v[:]
-        for c, e in zip(cs, duals):
-            alpha = pairing_vec(v, e)
-            w = [a - alpha * b for a, b in zip(w, c)]
-        coords = intlin.solve_integer(wcols, w)
-        if coords is None:
-            raise ArithmeticError("a class minus its frame part lies in the complement")
-        if not any(coords):
-            return None
-        new = intlin.solve_integer(stdcols, coords)
-        if new is None:
-            raise ArithmeticError("the standard basis spans the complement")
-        if intlin.vec_gcd(new) != 1:
-            return None
-        return HClass(new)
-
-    return red, project
 
 
 def solve_pairings(space, constraints, orthogonal=(), forbid=()):

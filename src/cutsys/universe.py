@@ -1,4 +1,4 @@
-"""Curve universes: uniform predicate hooks over the four curve backends.
+"""Curve universes: uniform predicate hooks over the three curve backends.
 
 A universe supplies exactly what the complex builders and the contraction
 engine consume: an intersection shadow, a twist action, a cut-system test
@@ -21,10 +21,9 @@ class Room:
     exhaustion when the stage runs dry; finite surfaces run out for good.
     """
 
-    def __init__(self, spec, start_stage=1, reserve=0):
-        self.spec = spec
-        self.stage = exhaust(spec, start_stage)
-        self.used = reserve
+    def __init__(self, spec):
+        self.stage = exhaust(spec, 1)
+        self.used = 0
 
     @property
     def genus(self):
@@ -143,48 +142,14 @@ class SlopeUniverse:
         return (x.p, x.q)
 
 
-class WordUniverse:
-    """Cyclic-word curves on a one-vertex ribbon surface (k = 1 only)."""
-
-    tag = "word"
-    enumerable = False
-
-    def __init__(self, surface, bound=12):
-        self.surface = surface
-        self.bound = bound
-
-    def inter(self, x, y):
-        return geomcurves.iword(x, y, self.surface, bound=self.bound)
-
-    signed = inter
-
-    def twist(self, a, n, b):
-        raise NotImplementedError("word backend has no twist action")
-
-    def cut_ok(self, curves, context=()):
-        curves = list(curves)
-        if context or len(curves) != 1:
-            return False
-        w = curves[0]
-        return geomcurves.is_simple(w, self.surface) and not geomcurves.is_separating(
-            w, self.surface
-        )
-
-    def key(self, x):
-        return (len(x.letters), x.letters)
-
-
-def make_universe(backend, g=2, bound=2, word_bound=12, spec=None, boundary=1):
+def make_universe(backend, g=2, bound=2):
     """Factory used by the CLI and the test suites."""
     if backend == "sympF2":
         return SympF2Universe(g)
     if backend == "sympZ":
-        room_spec = spec or SurfaceSpec("catalog", catalog="loch_ness")
-        room = Room(room_spec, start_stage=1)
+        room = Room(SurfaceSpec("catalog", catalog="loch_ness"))
         room.ensure(g)
         return SympZUniverse(room)
     if backend == "slope":
         return SlopeUniverse(bound)
-    if backend == "word":
-        return WordUniverse(geomcurves.RibbonSurface.standard(g, boundary), word_bound)
     raise ValueError(f"unknown backend {backend!r}")

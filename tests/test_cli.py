@@ -283,6 +283,15 @@ def test_rigidity_command(tmp_path):
     assert data["failed"] == 0
 
 
+@pytest.mark.parametrize("seed", [6, 9, 16, 34])
+def test_rigidity_freely_trivial_word_is_no_counterexample(tmp_path, seed):
+    # each seed draws a word like ((a3, -2), (a3, 2)), which moves no curve
+    out = tmp_path / "r.json"
+    assert run(["rigidity", "--g", "3", "--k", "2", "--words", "8",
+                "--seed", str(seed), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["failed"] == 0
+
+
 def test_props_command(tmp_path):
     out = tmp_path / "p.json"
     assert run(["props", "--seed", "3", "--out", str(out)]) == 0
@@ -304,8 +313,31 @@ def test_props_same_seed_deterministic(tmp_path):
 
 
 def test_bad_usage_exit_2(capsys):
-    # sympZ and word universes are not enumerable, so no complex command takes them
+    # the sympZ universe is not enumerable, so no complex command takes it
     for backend in ("bogus", "sympZ", "word"):
         with pytest.raises(SystemExit) as exc:
             run(["diam", "--backend", backend])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["build", "--k", "0"], "--k must be at least 1"),
+        (["diam", "--k", "0"], "--k must be at least 1"),
+        (["homology", "--k", "-1"], "--k must be at least 1"),
+        (["contract", "--k", "0"], "--k must be at least 1"),
+        (["contract", "--steps", "0"], "--steps must be at least 1"),
+        (["rigidity", "--k", "0"], "--k must be at least 1"),
+        (["build", "--k", "2", "--schmutz"], "--schmutz builds the k = 1"),
+        (["diam", "--backend", "slope", "--implicit"], "--implicit needs --backend sympF2"),
+    ],
+    ids=["build_k0", "diam_k0", "homology_k-1", "contract_k0", "contract_steps0", "rigidity_k0",
+         "build_schmutz_k2", "diam_slope_implicit"],
+)
+def test_unusable_flag_value_exit_2(tmp_path, capsys, argv, err):
+    out = tmp_path / "o.json"
+    assert run(argv + ["--out", str(out)]) == 2
+    text = capsys.readouterr().err
+    assert text.startswith(f"error: {err}") and text.count("\n") == 1, text
+    assert not out.exists()

@@ -52,21 +52,31 @@ def test_radius_reversal_invariance():
     assert H.radius(u, loop, a1) == H.radius(u, rev, a1)
 
 
-def test_segment_decomposition():
-    u = zu(2)
-    loop = (
-        (a1, a2),
-        (a1, b2),
-        (HClass((1, 1, 0, 0)), b2),
-        (a1, b2),
-        (a1, a2),
-    )
-    segs = H.segment_decomposition(u, loop, a1)
-    assert segs[0][0] == a1
-    total = [(s, e) for _, s, e in segs]
-    assert total[0][0] == 0 and total[-1][1] == len(loop) - 1
-    for (_, _, e), (_, s, _) in zip(segs, segs[1:]):
-        assert e == s
+def segment_decomposition(universe, loop, a0):
+    """Greedy maximal segments from index 0; ties to the least eligible curve.
+
+    Returns [(curve, start, end)] covering the closed path, consecutive
+    entries overlapping in one vertex.  The prover tests use the segment count
+    as their measure of progress.
+    """
+    n = len(loop) - 1
+    if a0 not in loop[0]:
+        raise H.InvalidReference("decomposition starts at a vertex containing the curve")
+    segs = []
+    start, cur = 0, a0
+    while start < n:
+        end = H._maximal_run(loop, cur, start)
+        segs.append((cur, start, end))
+        if end == n:
+            break
+        if end == start and cur not in loop[end]:
+            raise H.InvalidReference("segment curve missing from its own segment")
+        shared = [c for c in loop[end] if c in loop[end + 1] and c != cur]
+        if not shared:
+            raise H.NotApplicable("consecutive vertices share no curve")
+        cur = min(shared, key=universe.key)
+        start = end
+    return segs
 
 
 # --- bounded paths -------------------------------------------------------------
@@ -405,7 +415,7 @@ def test_termination_trace_segment_counts_decrease(monkeypatch):
     based = H._radius0_based
 
     def traced(prover, vertices, a0, *rest):
-        trace.append((len(vertices[0]), len(H.segment_decomposition(u, vertices, a0))))
+        trace.append((len(vertices[0]), len(segment_decomposition(u, vertices, a0))))
         return based(prover, vertices, a0, *rest)
 
     monkeypatch.setattr(H, "_radius0_based", traced)
@@ -418,15 +428,14 @@ def test_termination_trace_segment_counts_decrease(monkeypatch):
 
 
 def test_contract_word_triangle_fast_path():
-    from cutsys.geomcurves import CyclicWord, RibbonSurface
-
-    us = make_universe("word", g=1, boundary=1)
-    T = us.surface
-    x, y, xy = CyclicWord([1], T), CyclicWord([2], T), CyclicWord([1, 2], T)
+    # a triangle over a universe with no solve (here the slope universe):
+    # contract must fill the triangle cell itself
+    us = make_universe("slope")
+    x, y, xy = Slope(1, 0), Slope(0, 1), Slope(1, 1)
     tri = ((x,), (y,), (xy,), (x,))
     p = H.Prover(us)
     steps = H.contract(p, tri)
-    assert H.verify_certificate(us, tri, _cert(steps))[0]
+    assert H.verify_certificate(us, tri, _cert(steps)) == (True, None)
 
 
 def build_curve_graph(universe):
@@ -467,7 +476,7 @@ def test_two_segment_radius0_loop():
     loop = (v0, s1mid, s1far, v0, s2mid, s2far, v0)
     assert H.check_path(u, loop, closed=True)
     assert H.radius(u, loop, A1) == 0
-    segs = H.segment_decomposition(u, loop, A1)
+    assert segment_decomposition(u, loop, A1) == [(A1, 0, 3), (A2, 3, 6)]
     steps = H.contract_radius0(p, loop, A1)
     ok, idx = H.verify_certificate(u, loop, _cert(steps))
     assert ok, idx
@@ -1120,19 +1129,6 @@ try:
     H.PathRewriter(loop).replace(0, 1, (loop[0], loop[2]), lambda l: [])
     sys.exit("replace that moves the window's end accepted")
 except H.InvalidStep:
-    pass
-from cutsys import rigidity
-try:
-    rigidity.check_schmutz_simplicial(u, lambda c: c, [a])
-    sys.exit("a disjoint sample pair checked as meeting once")
-except ValueError:
-    pass
-from cutsys import intlin, sympcurves
-intlin.solve_integer = lambda m, rhs: None
-try:
-    sympcurves.reduce(S, [S.basis_a(1)])
-    sys.exit("reduce without duals returned")
-except ArithmeticError:
     pass
 print("ok")
 """

@@ -34,3 +34,49 @@ def test_the_check_finds_unused_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_level_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+# module-level definitions that no other place in src/cutsys reads, each with
+# the reason it stays
+UNREFERENCED_OK = {
+    "geomcurves.iword_oracle": "independent taut-picture oracle for iword (acceptance criterion 8)",
+    "geomcurves.slope_word": "slope-to-word dictionary on the one-holed torus (acceptance criterion 8)",
+}
+
+
+def _unreferenced(sources, exported=()):
+    """`module.name` of each module-level def or class whose name no other
+    top-level statement of any module reads, as a Name or an Attribute, and
+    that is not in `exported`."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    reads = []  # (top-level statement, the names read inside it)
+    for tree in trees.values():
+        for node in tree.body:
+            names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+            reads.append((node, names))
+    out = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name in exported:
+                continue
+            if not any(node.name in names for other, names in reads if other is not node):
+                out.append(f"{mod}.{node.name}")
+    return sorted(out)
+
+
+def test_the_check_finds_unreferenced_definitions():
+    sources = {
+        "a": "def used():\n    pass\ndef rec(n):\n    return rec(n - 1)\nclass Gone:\n    pass\n",
+        "b": "from . import a\nx = a.used()\ndef shown():\n    pass\n",
+    }
+    assert _unreferenced(sources, exported={"shown"}) == ["a.Gone", "a.rec"]
+
+
+def test_every_definition_is_reached_or_allowed():
+    init = ast.parse((SRC / "__init__.py").read_text())
+    exported = {a.asname or a.name for n in init.body if isinstance(n, ast.ImportFrom) for a in n.names}
+    sources = {p.stem: p.read_text() for p in MODULES}
+    assert _unreferenced(sources, exported) == sorted(UNREFERENCED_OK)

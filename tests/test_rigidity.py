@@ -3,10 +3,8 @@ import random
 import pytest
 
 from cutsys import rigidity as R
-from cutsys.homotopy import ContractionError
 from cutsys.sympcurves import HClass, SympSpace
-from cutsys.surfaces import NoRoom, SurfaceSpec
-from cutsys.universe import Room, SympZUniverse, make_universe
+from cutsys.universe import make_universe
 
 G, K = 3, 2
 S = SympSpace(G)
@@ -50,72 +48,6 @@ def test_well_definedness_over_choices():
             assert got == w.act(u, curve)
 
 
-def test_schmutz_simplicial_and_negative_control():
-    u = zu()
-    rng = random.Random(21)
-    w = R.TwistWord(((a1, 1), (b1, 1)))
-    fmap = R.InducedCurveMap(u, R.AutoOracle.from_twist_word(u, w), K, G)
-    samples = []
-    while len(samples) < 25:
-        x = u.solve([(S.basis_a(rng.randrange(1, G + 1)), rng.choice((0, 1)))])
-        y = u.solve([(x, 1)])
-        if x is not None and y is not None and u.inter(x, y) == 1:
-            samples.append((x, y))
-    rep = R.check_schmutz_simplicial(u, fmap, samples)
-    assert rep.passed and rep.checked == 25
-
-    corrupt = lambda c: a1 if u.inter(c, a1) != 1 else b1
-    bad = R.check_schmutz_simplicial(u, corrupt, samples)
-    assert not bad.passed
-
-
-def test_nonsep_simplicial_with_separating_union_pair():
-    u = zu()
-    w = R.TwistWord(((b1, 2),))
-    fmap = R.InducedCurveMap(u, R.AutoOracle.from_twist_word(u, w), K, G)
-    dependent = HClass((1, 0, 1, 0, 0, 0))
-    samples = [
-        (a1, a2, False),
-        (a1, dependent, False),
-        # the triple witness: a1, a2, a1+a2 sums to zero, union separating
-        (a2, dependent, False),
-        (a1, HClass((1, 0, 2, 0, 0, 0)), True),
-    ]
-    rep = R.check_nonsep_simplicial(u, fmap, samples)
-    assert rep.passed
-
-
-def test_filling_chain_pattern_and_prefix():
-    u = zu()
-    pair = (a1, HClass((1, 0, 2, 0, 0, 0)))
-    chain = R.build_filling_chain(u, u.room, 4, pair)
-    for i in range(len(chain)):
-        for j in range(i + 1, len(chain)):
-            want = 1 if j == i + 1 else 0
-            assert u.inter(chain[i], chain[j]) == want
-    assert u.inter(chain[0], pair[0]) == 1 and u.inter(chain[0], pair[1]) == 1
-    u2 = zu()
-    prefix = R.build_filling_chain(u2, u2.room, 2, pair)
-    assert prefix == chain[: len(prefix)]
-
-
-def test_filling_chain_needs_separating_pair():
-    u = zu()
-    with pytest.raises(ValueError):
-        R.build_filling_chain(u, u.room, 2, (a1, a2))
-    with pytest.raises(ValueError):
-        R.build_filling_chain(u, u.room, 2, (a1, b1))
-
-
-def test_filling_chain_no_room():
-    room = Room(SurfaceSpec("finite", genus=2, boundary=0))
-    room.ensure(2)
-    u = SympZUniverse(room)
-    S2 = SympSpace(2)
-    with pytest.raises((NoRoom, ContractionError)):
-        R.build_filling_chain(u, room, 6, (S2.basis_a(1), HClass((1, 0, 2, 0))))
-
-
 def test_phi_psi_suite():
     u = zu()
     rng = random.Random(22)
@@ -137,6 +69,13 @@ def test_twist_word_algebra():
         assert composite.act(u, c) == c
 
 
+def test_twist_word_trivial_iff_freely_trivial():
+    assert R.TwistWord(((a1, -1), (a1, 1))).trivial
+    assert R.TwistWord(((a1, 0),)).trivial
+    assert not R.TwistWord(((a1, 1), (b1, 1))).trivial
+    assert not R.TwistWord(((a1, 1), (b1, 1), (a1, -1))).trivial
+
+
 def test_non_simplicial_oracle_rejected():
     u = zu()
     scramble = {}
@@ -145,6 +84,6 @@ def test_non_simplicial_oracle_rejected():
         # swap two disjoint curves inconsistently: breaks move preservation
         return tuple(sorted((R.SympSpace(G).basis_a(((hash(c) % G) + 1)) for c in v), key=u.key))
 
-    bad = R.AutoOracle(fn, fn, "external")
+    bad = R.AutoOracle(fn, fn)
     with pytest.raises(R.NotAnAutomorphism):
         R.induced_curve_map(u, bad, b1, K, G)

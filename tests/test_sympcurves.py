@@ -21,7 +21,6 @@ from cutsys.sympcurves import (
     is_primitive_frame,
     pairing,
     pairing_vec,
-    reduce,
     solve_pairings,
     transvect,
     transvect_vec,
@@ -253,31 +252,6 @@ def test_cut_shadow_invariances():
             n = rng.choice((-2, -1, 1, 2))
             imgs = [transvect(t, n, c) for c in imgs]
         assert is_cut_shadow(imgs)
-
-
-def test_reduce_examples():
-    red, proj = reduce(S2, [a1])
-    assert red.g == 1
-    assert proj(a2) is not None
-    red3, _ = reduce(S3, [S3.basis_a(1), S3.basis_a(2)])
-    assert red3.g == 1
-    red0, proj0 = reduce(S2, [a1, a2])
-    assert red0.g == 0
-    assert proj0(a1) is None
-
-
-def test_reduce_preserves_pairing():
-    red, proj = reduce(S3, [S3.basis_a(1)])
-    imgs = {}
-    for name, c in (("a2", S3.basis_a(2)), ("b2", S3.basis_b(2)), ("a3", S3.basis_a(3))):
-        imgs[name] = proj(c)
-    assert inter(imgs["a2"], imgs["b2"]) == 1
-    assert inter(imgs["a2"], imgs["a3"]) == 0
-
-
-def test_reduce_kills_frame_multiples():
-    red, proj = reduce(S2, [a1])
-    assert proj(a1) is None
 
 
 def test_solve_pairings_examples():
