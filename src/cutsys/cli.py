@@ -52,16 +52,13 @@ def cmd_diam(args):
     if args.implicit:
         if args.k == 1:
             d = cx.f2_gamma1_eccentricity(args.g)
-        elif args.k == 2:
-            d, _ = cx.f2_gamma_k2_eccentricity(args.g)
         else:
-            print("implicit diameter supports k in {1, 2}", file=sys.stderr)
-            return 2
+            d, _ = cx.f2_gamma_k2_eccentricity(args.g)
     else:
         d = cx.diameter(cx.build_gamma(u, args.k))
     ok = args.k <= d <= 8 * args.k - 4
     _dump(
-        {"backend": args.backend, "g": args.g, "k": args.k, "diameter": d,
+        {"backend": args.backend, "g": u.g, "k": args.k, "diameter": d,
          "window": [args.k, 8 * args.k - 4], "in_window": ok},
         args.out,
     )
@@ -72,7 +69,7 @@ def cmd_homology(args):
     u = _universe(args)
     graph = cx.build_gamma(u, args.k)
     b0, b1 = cx.chain_homology(graph)
-    _dump({"backend": args.backend, "g": args.g, "k": args.k, "b0": b0, "b1": b1}, args.out)
+    _dump({"backend": args.backend, "g": u.g, "k": args.k, "b0": b0, "b1": b1}, args.out)
     return 0
 
 
@@ -271,13 +268,15 @@ def make_parser():
 
 def _check_usage(args):
     """ValueError for a flag value no command can honour, before any work."""
-    for flag in ("k", "steps"):
+    for flag in ("g", "k", "steps", "words", "samples"):
         if getattr(args, flag, 1) < 1:
             raise ValueError(f"--{flag} must be at least 1, got {getattr(args, flag)}")
     if getattr(args, "schmutz", False) and args.k != 1:
         raise ValueError(f"--schmutz builds the k = 1 Schmutz graph, got --k {args.k}")
     if getattr(args, "implicit", False) and args.backend != "sympF2":
         raise ValueError(f"--implicit needs --backend sympF2, got --backend {args.backend}")
+    if getattr(args, "implicit", False) and args.k > 2:
+        raise ValueError(f"implicit diameter supports k in {{1, 2}}, got --k {args.k}")
 
 
 def main(argv=None):

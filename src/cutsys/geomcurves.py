@@ -23,14 +23,6 @@ class BoundExceeded(ValueError):
     pass
 
 
-class NotSimple(ValueError):
-    pass
-
-
-class SpliceMismatch(ValueError):
-    pass
-
-
 class Inessential(ValueError):
     pass
 
@@ -109,9 +101,6 @@ class RibbonSurface:
     @property
     def slots(self):
         return 2 * self.edges
-
-    def position(self, h):
-        return self.cyclic_order.index(h)
 
     def boundary_walks(self):
         """Boundary components as tuples of signed edges (the walk words)."""
@@ -250,37 +239,6 @@ class CyclicWord:
         raise AssertionError
 
 
-@dataclass(frozen=True)
-class ArcWord:
-    """Reduced edge word of an arc, with its boundary endpoints recorded."""
-
-    letters: tuple
-    start_boundary: int
-    end_boundary: int
-    surface: RibbonSurface
-
-    def __post_init__(self):
-        reduced = []
-        for x in self.letters:
-            if reduced and reduced[-1] == -x:
-                reduced.pop()
-            else:
-                reduced.append(x)
-        object.__setattr__(self, "letters", tuple(reduced))
-        b = self.surface.boundary_count
-        if not (0 <= self.start_boundary < b and 0 <= self.end_boundary < b):
-            raise ValueError("arc endpoints must name boundary components")
-
-
-def splice(arc1, arc2):
-    """Glue two arcs along matching boundary endpoints into a closed curve."""
-    if arc1.surface != arc2.surface:
-        raise SpliceMismatch("arcs live on different surfaces")
-    if arc1.end_boundary != arc2.start_boundary or arc2.end_boundary != arc1.start_boundary:
-        raise SpliceMismatch("arc endpoints lie on different boundary components")
-    return CyclicWord(list(arc1.letters) + list(arc2.letters), arc1.surface)
-
-
 # --- intersection numbers for words ------------------------------------------
 
 
@@ -416,63 +374,6 @@ def iword_oracle(u, v, surface=None, bound=12):
     if u == v:
         return 0
     return _count_crossings(surface, u, v, _linked_oracle)
-
-
-def self_crossings(u, surface=None):
-    """Self-intersection number of a primitive class (powers are non-simple)."""
-    surface = surface or u.surface
-    root, k = u.root()
-    if k > 1:
-        return k - 1  # a lower bound; enough to witness non-simplicity
-    m = len(root)
-    if m == 1:
-        return 0
-    depth = 2 * m + 2
-    total = 0
-    # ordered visit pairs, each geometric crossing seen once from each strand
-    for p in range(m):
-        for q in range(m):
-            if p == q or _shares_back_edge(root, p, root, q):
-                continue
-            if _linked_fast(surface, root, p, root, q, depth):
-                total += 1
-    if total % 2:
-        raise ArithmeticError(f"{total} ordered crossings: each is seen from both strands")
-    return total // 2
-
-
-def is_simple(u, surface=None):
-    return self_crossings(u, surface) == 0
-
-
-# --- separating test ----------------------------------------------------------
-
-
-def _f2_class(letters):
-    vec = 0
-    for x in letters:
-        vec ^= 1 << (abs(x) - 1)
-    return vec
-
-
-def is_separating(u, surface=None):
-    """True iff the class of u dies in H_1(S; F2) modulo the boundary span."""
-    surface = surface or u.surface
-    if not is_simple(u, surface):
-        raise NotSimple("separating test requires a simple curve")
-    target = _f2_class(u.letters)
-    basis = []
-    for walk in surface.boundary_walks():
-        vec = _f2_class(walk)
-        for b in basis:
-            vec = min(vec, vec ^ b)
-        if vec:
-            basis.append(vec)
-            basis.sort(reverse=True)
-    x = target
-    for b in basis:
-        x = min(x, x ^ b)
-    return x == 0
 
 
 # --- the slope <-> word dictionary on Sigma_{1,1} ----------------------------

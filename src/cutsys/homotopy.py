@@ -7,13 +7,14 @@ certificates against the backend predicates only, independently of how they
 were produced.
 
 The prover follows the inductive scheme: bounded-length path construction
-(common-curve paths of length at most 4, genus drawn from the exhaustion when
-a construction needs room), contraction of single-curve loops through escort
-curves, and the radius-0 segment induction with its junction case analysis,
-including the hexagon bypass for separating triples.  All integer-shadow
-constructions thread a frozen context so that sub-contractions in a cut
-surface lift back.  The prover is untrusted: it checks none of the steps it
-emits, and a certificate is sound only once verify_certificate accepts it.
+(common-curve paths of length at most 4, a fresh handle drawn from a
+non-planar end when a construction needs room), contraction of single-curve
+loops through escort curves, and the radius-0 segment induction with its
+junction case analysis, including the hexagon bypass for separating triples.
+All integer-shadow constructions thread a frozen context so that
+sub-contractions in a cut surface lift back.  The prover is untrusted: it
+checks none of the steps it emits, and a certificate is sound only once
+verify_certificate accepts it.
 """
 
 from __future__ import annotations
@@ -785,8 +786,8 @@ def escort_triple(prover, loop_curves):
     from every loop curve, b2 meeting b0 and b1 once, b0 meeting the first
     loop curve once and b1 the second.
 
-    Drawn from one fresh handle, so the construction is unconditional as long
-    as the surface has room.
+    Drawn from one fresh handle, so the construction is unconditional: a
+    non-planar end always has one more handle.
     """
     x0, x1 = loop_curves[0], loop_curves[1]
     ha, hb = prover.fresh_pair()

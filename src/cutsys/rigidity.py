@@ -51,26 +51,13 @@ class TwistWord:
         return not reduced
 
 
-@dataclass
-class AutoOracle:
-    """Vertex map on cut systems, with inverse."""
+def twist_oracle(universe, word):
+    """Vertex map of the twist word on cut systems, as a plain callable."""
 
-    fn: object
-    inv: object
+    def fn(v):
+        return tuple(sorted((word.act(universe, c) for c in v), key=universe.key))
 
-    @classmethod
-    def from_twist_word(cls, universe, word):
-        def fn(v):
-            return tuple(sorted((word.act(universe, c) for c in v), key=universe.key))
-
-        inv_word = word.inverse()
-
-        def inv(v):
-            return tuple(
-                sorted((inv_word.act(universe, c) for c in v), key=universe.key)
-            )
-
-        return cls(fn, inv)
+    return fn
 
 
 @dataclass
@@ -78,23 +65,18 @@ class InducedCurveMap:
     """The curve-level map read off an automorphism oracle, built lazily."""
 
     universe: object
-    oracle: AutoOracle
+    oracle: object  # vertex map on cut systems
     k: int
     g: int
     cache: dict = field(default_factory=dict)
 
-    def __call__(self, a, companions=None, partner=None):
-        if companions is None and a in self.cache:
-            return self.cache[a]
-        value = induced_curve_map(
-            self.universe, self.oracle, a, self.k, self.g, companions, partner
-        )
-        if companions is None:
-            self.cache[a] = value
-        return value
+    def __call__(self, a):
+        if a not in self.cache:
+            self.cache[a] = induced_curve_map(self.universe, self.oracle, a, self.k, self.g)
+        return self.cache[a]
 
 
-def _companions(universe, a, k, g, rng=None, forbid=()):
+def _companions(universe, a, k, g, rng=None):
     """Curves completing a to a cut system of size k."""
     rng = rng or random.Random(0)
     out = []
@@ -108,7 +90,7 @@ def _companions(universe, a, k, g, rng=None, forbid=()):
         ]
         x = pool[rng.randrange(len(pool))]
         jitter = [(x, rng.choice((0, 1)))]
-        d = universe.solve(cons + jitter, forbid=tuple(out) + (a,) + tuple(forbid))
+        d = universe.solve(cons + jitter, forbid=tuple(out) + (a,))
         if d is None:
             continue
         if universe.cut_ok(tuple(out) + (d, a)):
@@ -118,10 +100,8 @@ def _companions(universe, a, k, g, rng=None, forbid=()):
     return tuple(out)
 
 
-def _partner(universe, a, companions, forbid=()):
-    d = universe.solve(
-        [(a, 1)] + [(c, 0) for c in companions], forbid=(a,) + tuple(companions) + tuple(forbid)
-    )
+def _partner(universe, a, companions):
+    d = universe.solve([(a, 1)] + [(c, 0) for c in companions], forbid=(a,) + tuple(companions))
     if d is None or not universe.cut_ok(tuple(companions) + (d,)):
         raise NotAnAutomorphism("no partner curve meeting the query once")
     return d
@@ -133,7 +113,7 @@ def induced_curve_map(universe, oracle, a, k, g, companions=None, partner=None):
     b = partner or _partner(universe, a, companions)
     v = tuple(sorted((a,) + companions, key=universe.key))
     w = tuple(sorted((b,) + companions, key=universe.key))
-    fv, fw = oracle.fn(v), oracle.fn(w)
+    fv, fw = oracle(v), oracle(w)
     if not H.check_path(universe, [fv, fw]):
         raise NotAnAutomorphism("oracle does not preserve the elementary move")
     diff = set(fv) - set(fw)
@@ -176,8 +156,7 @@ def check_phi_psi(universe, words, g, k, rng, curve_samples=30):
                 return d
 
     for word in words:
-        oracle = AutoOracle.from_twist_word(universe, word)
-        fmap = InducedCurveMap(universe, oracle, k, g)
+        fmap = InducedCurveMap(universe, twist_oracle(universe, word), k, g)
         for _ in range(curve_samples):
             a = random_curve()
             rep.checked += 1
@@ -195,12 +174,9 @@ def check_phi_psi(universe, words, g, k, rng, curve_samples=30):
     for w1 in words[: len(words) // 2]:
         for w2 in words[len(words) // 2 :]:
             composite = w1 * w2
-            o1 = AutoOracle.from_twist_word(universe, w1)
-            o2 = AutoOracle.from_twist_word(universe, w2)
-            oc = AutoOracle.from_twist_word(universe, composite)
-            f1 = InducedCurveMap(universe, o1, k, g)
-            f2 = InducedCurveMap(universe, o2, k, g)
-            fc = InducedCurveMap(universe, oc, k, g)
+            f1 = InducedCurveMap(universe, twist_oracle(universe, w1), k, g)
+            f2 = InducedCurveMap(universe, twist_oracle(universe, w2), k, g)
+            fc = InducedCurveMap(universe, twist_oracle(universe, composite), k, g)
             for _ in range(3):
                 a = random_curve()
                 rep.checked += 1

@@ -31,10 +31,6 @@ class SympSpace:
 
     g: int
 
-    @property
-    def rank(self):
-        return 2 * self.g
-
     def basis_a(self, i):
         """Class of the i-th a-curve (1-indexed)."""
         if not 1 <= i <= self.g:

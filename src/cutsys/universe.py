@@ -2,52 +2,41 @@
 
 A universe supplies exactly what the complex builders and the contraction
 engine consume: an intersection shadow, a twist action, a cut-system test
-relative to a frozen context, and (for the integer shadow) a stabilization
-source handing out fresh handles, emulating genus drawn from a non-planar
-end.
+relative to a frozen context, and (for the integer shadow) a counter of
+handles drawn so far, standing in for the genus a non-planar end of the
+infinite-type surface always has to spare.
 """
 
 from __future__ import annotations
 
 from . import geomcurves, sympcurves
-from .surfaces import SurfaceSpec, exhaust, stabilize
 from .sympcurves import SympSpace
 
 
 class Room:
-    """Tracks how much genus the current exhaustion stage provides.
+    """Counts the handles drawn so far from a non-planar end.
 
-    fresh_pair() hands out the next unused handle (a_i, b_i), advancing the
-    exhaustion when the stage runs dry; finite surfaces run out for good.
+    The end never runs out: fresh_pair() hands out handle (a_i, b_i) with
+    i = used + 1.
     """
 
-    def __init__(self, spec):
-        self.stage = exhaust(spec, 1)
+    def __init__(self):
         self.used = 0
 
-    @property
-    def genus(self):
-        return self.stage.genus
-
     def ensure(self, genus):
-        while self.stage.genus < genus:
-            self.stage = stabilize(self.stage)
         self.used = max(self.used, genus)
 
     def fresh_pair(self):
-        idx = self.used + 1
-        while self.stage.genus < idx:
-            self.stage = stabilize(self.stage)  # raises NoRoom on finite specs
-        self.used = idx
-        space = SympSpace(idx)
-        return space.basis_a(idx), space.basis_b(idx)
+        self.used += 1
+        space = SympSpace(self.used)
+        return space.basis_a(self.used), space.basis_b(self.used)
 
     def space(self):
         return SympSpace(max(self.used, 1))
 
 
 class SympZUniverse:
-    """Integer homology shadow; the only backend with room to stabilize."""
+    """Integer homology shadow; the only backend that draws fresh handles."""
 
     tag = "sympZ"
     enumerable = False
@@ -147,7 +136,7 @@ def make_universe(backend, g=2, bound=2):
     if backend == "sympF2":
         return SympF2Universe(g)
     if backend == "sympZ":
-        room = Room(SurfaceSpec("catalog", catalog="loch_ness"))
+        room = Room()
         room.ensure(g)
         return SympZUniverse(room)
     if backend == "slope":

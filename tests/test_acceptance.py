@@ -321,7 +321,7 @@ def test_criterion_9_rigidity_identities():
     ok = True
     # well-definedness across ten companion systems each
     for w in words:
-        oracle = R.AutoOracle.from_twist_word(u, w)
+        oracle = R.twist_oracle(u, w)
         curve = pool[rng.randrange(len(pool))]
         values = set()
         for _ in range(10):

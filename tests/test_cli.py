@@ -42,8 +42,17 @@ def test_diam_implicit_k2_matches_explicit(tmp_path):
 def test_diam_implicit_k3_exit_2(tmp_path, capsys):
     out = tmp_path / "d.json"
     assert run(["diam", "--g", "3", "--k", "3", "--implicit", "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "implicit diameter supports k in {1, 2}\n"
+    assert capsys.readouterr().err == "error: implicit diameter supports k in {1, 2}, got --k 3\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["diam", "homology"])
+def test_slope_reports_its_own_genus(tmp_path, command):
+    # the slope universe is the one-holed torus whatever --g says
+    out = tmp_path / "s.json"
+    assert run([command, "--backend", "slope", "--bound", "1", "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert (data["backend"], data["g"], data["k"]) == ("slope", 1, 1)
 
 
 def test_homology(tmp_path):
@@ -252,11 +261,10 @@ def test_verify_malformed_input_exit_2(tmp_path, capsys, corrupt):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["diam", "--backend", "sympF2", "--g", "0", "--k", "1", "--implicit"],
         ["diam", "--backend", "sympF2", "--g", "1", "--k", "2"],
         ["homology", "--backend", "sympF2", "--g", "1", "--k", "2"],
     ],
-    ids=["diam_implicit_g0_k1", "diam_g1_k2", "homology_g1_k2"],
+    ids=["diam_g1_k2", "homology_g1_k2"],
 )
 def test_no_cut_system_at_genus_exit_2(tmp_path, capsys, argv):
     out = tmp_path / "o.json"
@@ -329,11 +337,18 @@ def test_bad_usage_exit_2(capsys):
         (["contract", "--k", "0"], "--k must be at least 1"),
         (["contract", "--steps", "0"], "--steps must be at least 1"),
         (["rigidity", "--k", "0"], "--k must be at least 1"),
+        (["rigidity", "--words", "0"], "--words must be at least 1"),
+        (["rigidity", "--samples", "0"], "--samples must be at least 1"),
+        (["build", "--g", "-1"], "--g must be at least 1"),
+        (["contract", "--g", "0"], "--g must be at least 1"),
+        (["rigidity", "--g", "0"], "--g must be at least 1"),
+        (["diam", "--backend", "sympF2", "--g", "0", "--k", "1", "--implicit"], "--g must be at least 1"),
         (["build", "--k", "2", "--schmutz"], "--schmutz builds the k = 1"),
         (["diam", "--backend", "slope", "--implicit"], "--implicit needs --backend sympF2"),
     ],
     ids=["build_k0", "diam_k0", "homology_k-1", "contract_k0", "contract_steps0", "rigidity_k0",
-         "build_schmutz_k2", "diam_slope_implicit"],
+         "rigidity_words0", "rigidity_samples0", "build_g-1", "contract_g0", "rigidity_g0",
+         "diam_implicit_g0_k1", "build_schmutz_k2", "diam_slope_implicit"],
 )
 def test_unusable_flag_value_exit_2(tmp_path, capsys, argv, err):
     out = tmp_path / "o.json"

@@ -3,23 +3,16 @@ import random
 import pytest
 
 from cutsys.geomcurves import (
-    ArcWord,
     BoundExceeded,
     CyclicWord,
     Inessential,
-    NotSimple,
     RibbonSurface,
     Slope,
-    SpliceMismatch,
     all_slopes,
-    is_separating,
-    is_simple,
     islope,
     iword,
     iword_oracle,
-    self_crossings,
     slope_word,
-    splice,
     twist_slope,
 )
 
@@ -102,11 +95,6 @@ def test_dictionary_matches_determinant():
             assert iword(wa, wb, bound=16) == islope(a, b)
 
 
-def test_slope_words_are_simple():
-    for s in all_slopes(4):
-        assert is_simple(slope_word(s))
-
-
 def test_oracle_agreement_random():
     rng = random.Random(2)
     for S, ne in ((T, 2), (S21, 4)):
@@ -122,63 +110,6 @@ def test_oracle_agreement_random():
         for u in words:
             for v in words:
                 assert iword(u, v) == iword_oracle(u, v) == iword(v, u)
-
-
-def test_separating_examples():
-    x = CyclicWord([1], T)
-    assert not is_separating(x)
-    w = CyclicWord([1, 2, -1, -2], S21)  # splits off the first handle
-    assert is_simple(w)
-    assert is_separating(w)
-    with pytest.raises(NotSimple):
-        is_separating(CyclicWord([1, 2, -1, 2], T))
-
-
-def test_intersection_one_forces_nonseparating():
-    rng = random.Random(3)
-    letters = [1, -1, 2, -2, 3, -3, 4, -4]
-    words = []
-    while len(words) < 15:
-        try:
-            words.append(
-                CyclicWord([rng.choice(letters) for _ in range(rng.randint(1, 5))], S21)
-            )
-        except Inessential:
-            pass
-    for u in words:
-        for v in words:
-            if iword(u, v) == 1 and is_simple(u) and is_simple(v):
-                assert not is_separating(u)
-                assert not is_separating(v)
-
-
-def test_splice():
-    out = splice(ArcWord((1,), 0, 0, S21), ArcWord((3,), 0, 0, S21))
-    assert isinstance(out, CyclicWord)
-    with pytest.raises(Inessential):
-        splice(ArcWord((1,), 0, 0, S21), ArcWord((-1,), 0, 0, S21))
-    s12 = RibbonSurface.standard(1, 2)
-    with pytest.raises(SpliceMismatch):
-        splice(ArcWord((1,), 0, 0, s12), ArcWord((2,), 1, 1, s12))
-
-
-def test_splice_crosses_separating_curve():
-    # an arc through the first handle glued to an arc through the second
-    # gives a closed curve meeting the splitting commutator curve
-    w = splice(ArcWord((1,), 0, 0, S21), ArcWord((3,), 0, 0, S21))
-    sep = CyclicWord([1, 2, -1, -2], S21)
-    assert iword(w, sep) > 0
-
-
-def test_self_crossings_powers():
-    assert self_crossings(CyclicWord([1, 2], T)) == 0
-    sq = CyclicWord([1, 2, 1, 2], T)
-    assert not is_simple(sq)
-
-
-def test_nonsquare_figure_eight():
-    w = CyclicWord([1, 2, -1, 2], T)  # commutator-free but self-crossing
-    assert self_crossings(w) > 0
 
 
 def test_islope_vanishes_iff_equal_and_twist_equivariance():

@@ -13,8 +13,7 @@ from cutsys import homotopy as H
 from cutsys import walks
 from cutsys.geomcurves import Slope
 from cutsys.sympcurves import HClass, SympSpace
-from cutsys.surfaces import NoRoom, SurfaceSpec
-from cutsys.universe import Room, SympZUniverse, make_universe
+from cutsys.universe import SympZUniverse, make_universe
 
 S2, S3 = SympSpace(2), SympSpace(3)
 a1, b1, a2, b2 = S2.basis_a(1), S2.basis_b(1), S2.basis_a(2), S2.basis_b(2)
@@ -186,15 +185,6 @@ def test_escort_triple_postconditions():
     assert u.inter(b2e, b0) == 1 and u.inter(b2e, b1e) == 1
     assert u.inter(b0, loop_curves[0]) == 1
     assert u.inter(b1e, loop_curves[1]) == 1
-
-
-def test_escort_triple_no_room():
-    room = Room(SurfaceSpec("finite", genus=2, boundary=0))
-    room.ensure(2)
-    u = SympZUniverse(room)
-    p = H.Prover(u)
-    with pytest.raises(NoRoom):
-        H.escort_triple(p, [a1, b1])
 
 
 def test_hex_escorts_spec_example():
@@ -381,17 +371,6 @@ def test_rotation_wrapper():
     loop = ((b1,), (x,), (a1,), (b1,))  # triangle based elsewhere
     steps = H.contract_rebased(loop, 2, lambda vs: H.contract(H.Prover(u), vs))
     assert H.verify_certificate(u, loop, _cert(steps))[0]
-
-
-def test_connect_no_room_on_finite():
-    room = Room(SurfaceSpec("finite", genus=2, boundary=0))
-    room.ensure(2)
-    u = SympZUniverse(room)
-    p = H.Prover(u)
-    v = tuple(sorted((a1, a2), key=u.key))
-    w = tuple(sorted((b1, b2), key=u.key))
-    with pytest.raises(NoRoom):
-        H.connect(p, v, w)
 
 
 def test_termination_trace_segment_counts_decrease(monkeypatch):

@@ -1,9 +1,11 @@
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "cutsys"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "cutsys"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -39,8 +41,10 @@ def test_no_unused_module_level_imports(path):
 # module-level definitions that no other place in src/cutsys reads, each with
 # the reason it stays
 UNREFERENCED_OK = {
+    "geomcurves.iword": "word intersection numbers, checked against slopes (acceptance criterion 8)",
     "geomcurves.iword_oracle": "independent taut-picture oracle for iword (acceptance criterion 8)",
     "geomcurves.slope_word": "slope-to-word dictionary on the one-holed torus (acceptance criterion 8)",
+    "homotopy.hex_escorts": "the hexagon construction on its own (acceptance criterion 7)",
 }
 
 
@@ -75,8 +79,20 @@ def test_the_check_finds_unreferenced_definitions():
     assert _unreferenced(sources, exported={"shown"}) == ["a.Gone", "a.rec"]
 
 
-def test_every_definition_is_reached_or_allowed():
+def _exported():
+    """The names cutsys/__init__.py imports from its modules."""
     init = ast.parse((SRC / "__init__.py").read_text())
-    exported = {a.asname or a.name for n in init.body if isinstance(n, ast.ImportFrom) for a in n.names}
+    return {a.asname or a.name for n in init.body if isinstance(n, ast.ImportFrom) for a in n.names}
+
+
+def test_every_definition_is_reached_or_allowed():
     sources = {p.stem: p.read_text() for p in MODULES}
-    assert _unreferenced(sources, exported) == sorted(UNREFERENCED_OK)
+    assert _unreferenced(sources, _exported()) == sorted(UNREFERENCED_OK)
+
+
+def test_exports_are_the_quick_tour_imports():
+    # an export is exempt from the reachability check above, so the list
+    # grows only together with README's quick tour
+    block = re.search(r"from cutsys import \((.*?)\)", (ROOT / "README.md").read_text(), re.S)
+    tour = {name.strip() for name in block.group(1).split(",") if name.strip()}
+    assert tour == _exported()

@@ -18,14 +18,14 @@ def zu():
 def test_induced_map_of_a_twist():
     u = zu()
     w = R.TwistWord(((a1, 1),))
-    fmap = R.InducedCurveMap(u, R.AutoOracle.from_twist_word(u, w), K, G)
+    fmap = R.InducedCurveMap(u, R.twist_oracle(u, w), K, G)
     assert fmap(b1) == HClass((1, 1, 0, 0))
 
 
 def test_induced_map_identity():
     u = zu()
     w = R.TwistWord(((a1, 0),))
-    fmap = R.InducedCurveMap(u, R.AutoOracle.from_twist_word(u, w), K, G)
+    fmap = R.InducedCurveMap(u, R.twist_oracle(u, w), K, G)
     assert fmap(b1) == b1
     assert fmap(a2) == a2
 
@@ -39,7 +39,7 @@ def test_well_definedness_over_choices():
         R.TwistWord(((a2, 1), (a1, -1))),
     ]
     for w in words:
-        oracle = R.AutoOracle.from_twist_word(u, w)
+        oracle = R.twist_oracle(u, w)
         for _ in range(15):
             curve = b1 if rng.random() < 0.5 else a2
             comps = R._companions(u, curve, K, G, rng)
@@ -84,6 +84,5 @@ def test_non_simplicial_oracle_rejected():
         # swap two disjoint curves inconsistently: breaks move preservation
         return tuple(sorted((R.SympSpace(G).basis_a(((hash(c) % G) + 1)) for c in v), key=u.key))
 
-    bad = R.AutoOracle(fn, fn)
     with pytest.raises(R.NotAnAutomorphism):
-        R.induced_curve_map(u, bad, b1, K, G)
+        R.induced_curve_map(u, fn, b1, K, G)
