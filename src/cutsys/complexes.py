@@ -267,12 +267,6 @@ def diameter(graph):
 # --- implicit F2 universes: fast exact eccentricity -------------------------
 
 
-def _parity_matrix(g):
-    """P[u, v] = f2 pairing of u and v, as a dense boolean matrix."""
-    u = np.arange(1 << (2 * g), dtype=np.uint32)
-    return (np.bitwise_count(f2_swap(u, g)[:, None] & u[None, :]) & 1).astype(bool)
-
-
 def _f2_orthogonal(ids, vecs):
     """Mask of the ids whose mod-2 dot product with every vector of vecs is 0.
 
@@ -321,46 +315,88 @@ def f2_gamma1_eccentricity(g, start=None):
     return int(dist[1:].max())
 
 
+_K2_BLOCK = 128  # frontier rows per transform, and the side of a symmetrizing tile
+
+
+def _pairing_signs(g):
+    """S[u, v] = (-1)^<u, v> over the 4^g classes of genus g, as float32."""
+    ids = np.arange(1 << (2 * g), dtype=np.uint32)
+    return 1 - 2 * (np.bitwise_count(f2_swap(ids, g)[:, None] & ids) & 1).astype(np.float32)
+
+
+def _f2_walsh(rows, hi, lo):
+    """W[b, x] = sum over v of rows[b, v] (-1)^<v, x>, for 0/1 rows over the
+    4^g classes of genus g, shaped (len(rows), len(hi), len(lo)) with
+    x = x_hi * len(lo) + x_lo.
+
+    The pairing is a sum over handles, so the 4^g x 4^g sign matrix is the
+    Kronecker product of hi = _pairing_signs(g - g // 2), on the high handles,
+    and lo = _pairing_signs(g // 2), on the low ones; a row reshaped to
+    len(hi) x len(lo) is transformed by two small products (the fast
+    Walsh-Hadamard transform in Kronecker form).  Every partial sum is an
+    integer of size at most 4^g, exact in float32 below 2^24.
+    """
+    return hi @ rows.reshape(len(rows), len(hi), len(lo)).astype(np.float32) @ lo
+
+
+def _symmetrize(a):
+    """a |= a.T in place, one pair of square tiles at a time."""
+    n, t = len(a), _K2_BLOCK
+    for i in range(0, n, t):
+        for j in range(i, n, t):
+            tile = a[i : i + t, j : j + t]
+            tile |= a[j : j + t, i : i + t].T
+            a[j : j + t, i : i + t] = tile.T
+
+
 def f2_gamma_k2_eccentricity(g, progress=None):
-    """Eccentricity of the base vertex {a1, a2} in the k = 2 shadow at genus g.
+    """Eccentricity of the base vertex {a1, a2} in the k = 2 shadow at genus g,
+    and the number of vertices it reached.
 
     Witt extension makes Sp(2g, F2) transitive on cut systems of a fixed
     size, so the graph is vertex-transitive and this is its exact diameter.
     A set of vertices is a symmetric boolean n x n matrix F (F[u, v] for the
-    pair {u, v}). Keeping u and swapping v for x needs <x, v> = 1 and
-    <x, u> = 0, so the pairs one move away are ((F @ P) > 0) & ~P and its
-    transpose, with P the parity matrix; only the rows of F holding a pair
-    are multiplied.
+    pair {u, v}), n = 4^g. Keeping u and swapping v for x needs <x, v> = 1 and
+    <x, u> = 0. The partners v of u with <v, x> = 1 number (W_u[0] - W_u[x]) / 2,
+    with W_u the Walsh transform of the row F[u] under the pairing (`_f2_walsh`),
+    so the pairs one move away are (W_u[x] < W_u[0]) & (<u, x> = 0) and their
+    transposes. Only the rows of F holding a pair are transformed, 128 at a
+    time, and the layer overwrites the frontier in place: the two n x n
+    boolean sets take 2 * 16^g bytes, and a block O(128 * 4^g) more.
+    progress(layer, size) is called after each layer.
     """
     if g < 2:
         raise ValueError(f"no cut system of size 2 at genus {g}")
     n = 1 << (2 * g)
-    if n >= 1 << 24:
-        raise ValueError(f"genus {g} is too large for exact float32 counts")
-    p = _parity_matrix(g)
-    pf = p.astype(np.float32)
-    a1, a2 = 1, 4  # bitmask classes of the first two handle a-curves
+    if g >= 8:
+        need = f"2 * 16^{g} bytes = {2 * n * n / 1e9:.1f} GB"
+        raise ValueError(f"k = 2 at genus {g} needs {need} for its two vertex sets")
+    hi, lo = _pairing_signs(g - g // 2), _pairing_signs(g // 2)
     count = f2_count_vertices_k2(g)
     frontier = np.zeros((n, n), dtype=bool)
-    frontier[a1, a2] = frontier[a2, a1] = True
+    frontier[1, 4] = frontier[4, 1] = True  # a1 and a2 as bitmask classes
     visited = frontier.copy()
     ecc = 0
     total = 1
-    while total < count:  # every pair found is a vertex, so no final product
+    while total < count:  # every pair found is a vertex, so no final layer
         rows = np.flatnonzero(frontier.any(axis=1))
-        nxt = np.zeros((n, n), dtype=bool)
-        nxt[rows] = ((frontier[rows].astype(np.float32) @ pf) > 0) & ~p[rows]
-        nxt |= nxt.T
-        nxt &= ~visited
-        size = int(np.count_nonzero(nxt)) // 2
+        for r in np.split(rows, range(_K2_BLOCK, rows.size, _K2_BLOCK)):
+            w = _f2_walsh(frontier[r], hi, lo)
+            nxt = w < w[:, :1, :1]
+            # (-1)^<u, x> factors like the transform: <u, x> = 0 where the signs agree
+            u_hi, u_lo = np.divmod(r, len(lo))
+            nxt &= hi[u_hi, :, None] == lo[u_lo, None, :]
+            frontier[r] = nxt.reshape(r.size, n)
+        _symmetrize(frontier)
+        np.greater(frontier, visited, out=frontier)  # drop the visited pairs
+        size = int(np.count_nonzero(frontier)) // 2
         if not size:
             raise InfiniteDiameter("k = 2 shadow is disconnected")
-        visited |= nxt
+        visited |= frontier
         ecc += 1
         total += size
         if progress:
             progress(ecc, size)
-        frontier = nxt
     return ecc, total
 
 

@@ -136,9 +136,6 @@ class RibbonSurface:
             raise ArithmeticError(f"odd 2g = {g2}: not an orientable ribbon surface")
         return g2 // 2
 
-    def to_json(self):
-        return {"edges": self.edges, "cyclic_order": list(self.cyclic_order)}
-
     @classmethod
     def standard(cls, g, b):
         """Default model of Sigma_{g,b}: 2g handle edges plus b-1 monogon edges."""
@@ -225,9 +222,6 @@ class CyclicWord:
 
     def __repr__(self):
         return "w" + "".join(f"{x:+d}" for x in self.letters)
-
-    def to_json(self):
-        return list(self.letters)
 
     def root(self):
         """(primitive root letters, power)."""

@@ -32,9 +32,6 @@ class TwistWord:
             c = universe.twist(curve, exp, c)
         return c
 
-    def inverse(self):
-        return TwistWord(tuple((c, -e) for c, e in reversed(self.factors)))
-
     def __mul__(self, other):
         return TwistWord(self.factors + other.factors)
 

@@ -8,7 +8,7 @@ import pytest
 
 from cutsys import complexes as cx
 from cutsys import intlin
-from cutsys.sympcurves import HClass, SympSpace, f2_is_cut, f2_pairing
+from cutsys.sympcurves import HClass, SympSpace, f2_is_cut, f2_pairing, f2_swap
 from cutsys.universe import make_universe
 
 U2 = make_universe("sympF2", g=2)
@@ -156,31 +156,64 @@ def test_implicit_matches_explicit_g3_k2():
 def test_implicit_k2_rejects_genus_out_of_range():
     with pytest.raises(ValueError):
         cx.f2_gamma_k2_eccentricity(1)  # no pair of disjoint curves
-    # 4^12 = 2^24 counts no longer fit float32 exactly; refused before allocating
-    with pytest.raises(ValueError):
-        cx.f2_gamma_k2_eccentricity(12)
+    # the two 4^g x 4^g boolean sets would take 2 * 16^g bytes; refused before allocating
+    for g, size in ((8, "8.6"), (12, "562950.0")):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=rf"2 \* 16\^{g} bytes = {size} GB"):
+                cx.f2_gamma_k2_eccentricity(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
 
 
 def test_implicit_k2_detects_disconnection(monkeypatch):
-    parity = cx._parity_matrix
-
-    def cut_off_b1(g):
-        p = parity(g)
-        p[2, :] = p[:, 2] = False  # b1 now pairs with nothing
-        return p
-
-    monkeypatch.setattr(cx, "_parity_matrix", cut_off_b1)
+    # one vertex more than exists: the layer after the last real one is empty
+    count = cx.f2_count_vertices_k2
+    monkeypatch.setattr(cx, "f2_count_vertices_k2", lambda g: count(g) + 1)
     with pytest.raises(cx.InfiniteDiameter):
         cx.f2_gamma_k2_eccentricity(3)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_f2_walsh_matches_explicit_sums(g):
+    # m = 2^g = 2, 4, 8: W[b, x] = sum over v of rows[b, v] (-1)^<v, x>, term by term
+    n = 1 << (2 * g)
+    rows = np.random.default_rng(g).random((5, n)) < 0.3
+    hi, lo = cx._pairing_signs(g - g // 2), cx._pairing_signs(g // 2)
+    assert hi.shape[0] * lo.shape[0] == n
+    w = cx._f2_walsh(rows, hi, lo).reshape(5, n)
+    for b in range(5):
+        for x in range(n):
+            assert w[b, x] == sum(-1 if f2_pairing(v, x, g) else 1 for v in np.flatnonzero(rows[b])), (b, x)
+
+
+def test_implicit_k2_memory_holds_no_dense_product():
+    # the vertex sets take 2 * 16^5 bytes = 2 MiB; a 4^5 x 4^5 float32 parity
+    # matrix or product alone would take 4 MiB
+    tracemalloc.start()
+    try:
+        assert cx.f2_gamma_k2_eccentricity(5) == (4, cx.f2_count_vertices_k2(5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 << 20, peak
 
 
 def test_implicit_gamma1_matches_explicit():
     assert cx.f2_gamma1_eccentricity(2) == cx.diameter(cx.build_schmutz(U2))
 
 
+def _parity_matrix(g):
+    """P[u, v] = f2 pairing of u and v, as a dense boolean matrix."""
+    u = np.arange(1 << (2 * g), dtype=np.uint32)
+    return (np.bitwise_count(f2_swap(u, g)[:, None] & u[None, :]) & 1).astype(bool)
+
+
 @functools.cache
 def _dense_parity(g):
-    return cx._parity_matrix(g)
+    return _parity_matrix(g)
 
 
 def _dense_gamma1_eccentricity(g, start):

@@ -64,7 +64,7 @@ def test_phi_psi_suite():
 def test_twist_word_algebra():
     u = zu()
     w = R.TwistWord(((a1, 2), (b1, -1)))
-    composite = w * w.inverse()
+    composite = w * R.TwistWord(((b1, 1), (a1, -2)))  # w times its inverse
     for c in (b1, a2, HClass((1, 1, 0, 0))):
         assert composite.act(u, c) == c
 

@@ -8,7 +8,6 @@ from itertools import product
 import pytest
 
 from cutsys import intlin
-from cutsys.complexes import _parity_matrix
 from cutsys.sympcurves import (
     HClass,
     SpaceMismatch,
@@ -25,6 +24,7 @@ from cutsys.sympcurves import (
     transvect,
     transvect_vec,
 )
+from test_complexes import _parity_matrix
 
 S2 = SympSpace(2)
 S3 = SympSpace(3)
