@@ -10,13 +10,14 @@ out the toolkit.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations, compress, islice, repeat
 from typing import NamedTuple
 
 import numpy as np
 
 from . import intlin
 from .sympcurves import f2_swap
+from .universe import SympF2Universe
 
 
 class NotFound(KeyError):
@@ -43,24 +44,39 @@ class Cell(NamedTuple):
 class ComplexGraph:
     """Immutable 2-complex over vertex ids, the positions in `vertices`.
 
-    The constructor takes edges and (kind, cycle) cells over vertex tuples and
-    is the one place that numbers them: `edges` holds sorted id pairs (i, j)
-    with i < j, `adj[i]` the sorted neighbour ids of vertex i, and `cells`
-    Cell(kind, cycle of ids), sorted by (kind, cycle).
+    `edges` holds sorted id pairs (i, j) with i < j, `adj[i]` the sorted
+    neighbour ids of vertex i, and `cells` Cell(kind, cycle of ids), sorted
+    by (kind, cycle).  The constructor takes edges and (kind, cycle) cells
+    over vertex tuples and numbers them; `from_ids` is the core it calls.
     """
 
     def __init__(self, universe, k, vertices, edges, cells, tag=None):
+        vertices = _key_order(universe, vertices)
+        index = {v: i for i, v in enumerate(vertices)}
+        ids = ((index[v], index[w]) for v, w in edges)
+        edges = sorted({(i, j) if i < j else (j, i) for i, j in ids})
+        cells = sorted(Cell(kind, tuple(index[v] for v in cycle)) for kind, cycle in cells)
+        self._fill(universe, k, vertices, edges, cells, tag)
+
+    @classmethod
+    def from_ids(cls, universe, k, vertices, edges, cells, tag=None):
+        """The graph over `vertices` in key order, with `edges` and `cells`
+        already over ids and sorted as the attributes hold them."""
+        graph = cls.__new__(cls)
+        graph._fill(universe, k, vertices, edges, cells, tag)
+        return graph
+
+    def _fill(self, universe, k, vertices, edges, cells, tag):
         self.universe = universe
         self.k = k
-        self.vertices = sorted(vertices, key=lambda v: tuple(universe.key(c) for c in v))
-        self.index = index = {v: i for i, v in enumerate(self.vertices)}
-        ids = ((index[v], index[w]) for v, w in edges)
-        self.edges = sorted({(i, j) if i < j else (j, i) for i, j in ids})
-        self.adj = [[] for _ in self.vertices]
-        for i, j in self.edges:  # in edge order, so each list comes out sorted
+        self.vertices = vertices
+        self.index = {v: i for i, v in enumerate(vertices)}
+        self.edges = edges
+        self.adj = [[] for _ in vertices]
+        for i, j in edges:  # in edge order, so each list comes out sorted
             self.adj[i].append(j)
             self.adj[j].append(i)
-        self.cells = sorted(Cell(kind, tuple(index[v] for v in cycle)) for kind, cycle in cells)
+        self.cells = cells
         self.tag = tag or getattr(universe, "tag", "?")
 
     def degree(self, v):
@@ -88,65 +104,106 @@ class ComplexGraph:
         return "\n".join(lines)
 
 
-def _cells(universe, curves, common, free):
-    """The edges and (kind, cycle) 2-cells whose vertices all contain the
-    curves of `common`, over vertex tuples.
+def _key_order(universe, vertices):
+    return sorted(vertices, key=lambda v: tuple(universe.key(c) for c in v))
 
-    free = 1 gives the edges, which are the once-pairs of the pool, and the
-    triangles; free = 2 gives no edges, and the rectangles and pentagons.
-    Curves are named by their position in the pool, the curves that complete
-    `common` to a cut system (in `curves` order), and each cell is generated
-    once, in the rotation and direction that starts from its earliest curves.
-    Every side of a cell is a once-pair of the pool of its own common curves,
-    so it is an edge of the free = 1 pass there.
+
+def _pool(universe, curves, common, free):
+    """The curves that complete `common` to a cut system, in `curves` order,
+    and their boolean P x P relations: once (the pair meets once) and, at
+    free = 2, apart (the pair plus `common` is a cut system).
+
+    A mod-2 pool comes from bitmask arithmetic: a member is orthogonal to
+    `common` and outside its span, and two members are apart when they
+    pair to 0 and lie in distinct cosets of that span.  Other universes ask
+    their predicates once per pair.
     """
+    if isinstance(universe, SympF2Universe):
+        g = universe.g
+        ids = np.arange(1, 1 << (2 * g), dtype=np.int64)
+        basis = np.array(common, dtype=np.int64)
+        coset = ids  # each id reduced modulo span(common)
+        for b in _f2_basis(basis):
+            coset = np.minimum(coset, coset ^ b)
+        keep = _f2_orthogonal(ids, f2_swap(basis, g)) & (coset != 0)
+        pool, coset = ids[keep], coset[keep]
+        once = (np.bitwise_count(f2_swap(pool, g)[:, None] & pool) & 1).astype(bool)
+        apart = ~once & (coset[:, None] != coset) if free == 2 else None
+        return pool.tolist(), once, apart
     pool = [c for c in curves if c not in common and universe.cut_ok((c,) + common)]
 
-    def linked(test):  # per pool position, the positions it passes test with
-        out = [set() for _ in pool]
+    def linked(test):
+        out = np.zeros((len(pool), len(pool)), dtype=bool)
         for i, j in combinations(range(len(pool)), 2):
-            if test(pool[i], pool[j]):
-                out[i].add(j)
-                out[j].add(i)
+            out[i, j] = out[j, i] = test(pool[i], pool[j])
         return out
 
     once = linked(lambda x, y: universe.inter(x, y) == 1)
-    pairs = [(b0, b1) for b0, ends in enumerate(once) for b1 in ends if b0 < b1]
-    if free == 1:
-        v = [vertex_of(universe, (c,) + common) for c in pool]
-        edges = [(v[b0], v[b1]) for b0, b1 in pairs]
-        return edges, [
-            ("triangle", (v[b0], v[b1], v[b2]))
-            for b0, b1 in pairs
-            for b2 in once[b0] & once[b1]
-            if b1 < b2
-        ]
     # a pair passing the cut test is two distinct disjoint curves, in every universe
-    apart = linked(lambda x, y: universe.cut_ok((x, y) + common))
-    v = {}  # the vertex of each apart pair, under both orders
-    for b0, ends in enumerate(apart):
-        for b1 in ends:
-            if b0 < b1:
-                v[b0, b1] = v[b1, b0] = vertex_of(universe, (pool[b0], pool[b1]) + common)
-    cells = []
-    for b0, b1 in pairs:
-        # rectangles: a second once-edge c0-c1, later in pool order, with
-        # every cross pair apart
-        both = apart[b0] & apart[b1]
-        for c0 in both:
-            for c1 in once[c0] & both:
-                if b0 < c0 < c1:
-                    cyc = (v[b0, c0], v[b0, c1], v[b1, c1], v[b1, c0])
-                    cells.append(("rectangle", cyc))
-        # pentagons: once-walks b0-b1-b2-b3-b4-b0 with b0 the earliest curve
-        # and b1 before b4; the vertices are the five pairs at distance 2
-        for b2 in once[b1] & apart[b0]:
-            for b3 in once[b2] & apart[b0] & apart[b1]:
-                for b4 in once[b3] & once[b0] & apart[b1] & apart[b2]:
-                    if b0 < min(b2, b3) and b1 < b4:
-                        ring = ((b0, b2), (b2, b4), (b4, b1), (b1, b3), (b3, b0))
-                        cells.append(("pentagon", tuple(v[p] for p in ring)))
-    return [], cells
+    apart = linked(lambda x, y: universe.cut_ok((x, y) + common)) if free == 2 else None
+    return pool, once, apart
+
+
+def _extend(paths, allowed):
+    """Each row of paths (N, m) followed by each column its row of allowed
+    (N, P) holds, in row-major order: an (M, m + 1) array."""
+    row, col = np.nonzero(allowed)
+    return np.column_stack((paths[row], col))
+
+
+# the pool positions of the free curves behind each cell's vertices, in
+# cycle order, as columns of the paths that `_cells` enumerates
+_RECTANGLE = np.array([(0, 2), (0, 3), (1, 3), (1, 2)])  # (b0c0, b0c1, b1c1, b1c0)
+_PENTAGON = np.array([(0, 2), (2, 4), (4, 1), (1, 3), (3, 0)])  # (b0b2, b2b4, b4b1, b1b3, b3b0)
+
+
+def _cells(once, apart=None):
+    """The edges and 2-cells of one pool, as int arrays of vertex slots.
+
+    With apart None (free = 1) a slot is a pool position, the vertex of that
+    curve plus the common ones, and the result holds the edges, which are
+    the once-pairs, and the triangles.  With apart (free = 2) a slot x * P + y
+    is the vertex of the apart pair (x, y), and the result holds the
+    rectangles and the pentagons.  Each cell is generated once, in the
+    rotation and direction that starts from its earliest curves.  Every side
+    of a cell is a once-pair of the pool of its own common curves, so it is
+    an edge of the free = 1 pass there.
+    """
+    n = len(once)
+    after = np.arange(n) > np.arange(n)[:, None]  # after[x, y]: x < y
+    pairs = np.argwhere(once & after)  # (b0, b1), b0 < b1
+    b0, b1 = pairs.T
+    if apart is None:
+        triangles = _extend(pairs, once[b0] & once[b1] & after[b1])
+        return {"edge": pairs, "triangle": triangles}
+    # rectangles: a second once-edge c0-c1, with b0 < c0 < c1 and every
+    # cross pair apart
+    both = apart[b0] & apart[b1]
+    quads = _extend(pairs, both & after[b0])
+    p0, p1, c0 = quads.T
+    quads = _extend(quads, apart[p0] & apart[p1] & once[c0] & after[c0])
+    # pentagons: once-walks b0-b1-b2-b3-b4-b0 with b0 the earliest curve and
+    # b1 before b4; the vertices are the five pairs at distance 2
+    walks = _extend(pairs, once[b1] & apart[b0] & after[b0])
+    w0, w1, w2 = walks.T
+    walks = _extend(walks, once[w2] & apart[w0] & apart[w1] & after[w0])
+    w0, w1, w2, w3 = walks.T
+    walks = _extend(walks, once[w3] & once[w0] & apart[w1] & apart[w2] & after[w1])
+    return {
+        kind: paths[:, ring[:, 0]] * n + paths[:, ring[:, 1]]
+        for kind, paths, ring in (("rectangle", quads, _RECTANGLE), ("pentagon", walks, _PENTAGON))
+    }
+
+
+def _sorted_rows(a, ids, chunk=1 << 16):
+    """The rows of an int array as tuples, in lexicographic order, with each
+    entry x read as ids[x], so that all rows share one int object per id.
+    Rows leave numpy a chunk at a time."""
+    a = a[np.lexsort(a.T[::-1])]
+    out = []
+    for i in range(0, len(a), chunk):
+        out += zip(*(map(ids.__getitem__, col) for col in a[i : i + chunk].T.tolist()))
+    return out
 
 
 def build_gamma(universe, k, seeds=None, radius=None):
@@ -170,22 +227,41 @@ def build_gamma(universe, k, seeds=None, radius=None):
     vertices = [vertex_of(universe, c) for c in combinations(curves, k) if universe.cut_ok(c)]
     if not vertices:
         raise ValueError(f"no cut system of size {k} at genus {universe.g}")
-    edges, cells = [], []
+    vertices = _key_order(universe, vertices)
+    index = {v: i for i, v in enumerate(vertices)}
+    found = {}
     for free in range(1, min(k, 2) + 1):
         for common in combinations(curves, k - free):
-            if not common or universe.cut_ok(common):
-                more_edges, more_cells = _cells(universe, curves, common, free)
-                edges += more_edges
-                cells += more_cells
+            if common and not universe.cut_ok(common):
+                continue
+            pool, once, apart = _pool(universe, curves, common, free)
+            if free == 1:
+                vid = np.array([index[vertex_of(universe, (c,) + common)] for c in pool], dtype=np.int64)
+            else:
+                vid = np.full(once.shape, -1, dtype=np.int64)
+                x, y = np.nonzero(np.triu(apart))
+                pairs = zip(x.tolist(), y.tolist())
+                vid[x, y] = vid[y, x] = [index[vertex_of(universe, (pool[i], pool[j]) + common)] for i, j in pairs]
+            for kind, slots in _cells(once, apart).items():
+                found.setdefault(kind, []).append(vid.ravel()[slots])
+    found = {kind: np.concatenate(arrays) for kind, arrays in found.items()}
+    edges = np.sort(found.pop("edge"), axis=1)  # each edge has one common set: no duplicates
     if seeds:
-        ball = frontier = {vertex_of(universe, s) for s in seeds}
+        ball = np.zeros(len(vertices), dtype=bool)
+        ball[[index[vertex_of(universe, s)] for s in seeds]] = True
         for _ in range(radius or 0):
-            near = {w for v, w in edges if v in frontier} | {v for v, w in edges if w in frontier}
-            frontier, ball = near - ball, ball | near
-        vertices = [v for v in vertices if v in ball]
-        edges = [(v, w) for v, w in edges if v in ball and w in ball]
-        cells = [(kind, cyc) for kind, cyc in cells if ball.issuperset(cyc)]
-    return ComplexGraph(universe, k, vertices, edges, cells)
+            near = ball.copy()
+            near[edges[ball[edges[:, 0]], 1]] = near[edges[ball[edges[:, 1]], 0]] = True
+            ball = near
+        vertices = list(compress(vertices, ball.tolist()))
+        new_id = np.cumsum(ball) - 1  # increasing, so sorted rows stay sorted
+        edges = new_id[edges[ball[edges].all(axis=1)]]
+        found = {kind: new_id[a[ball[a].all(axis=1)]] for kind, a in found.items()}
+    ids = list(range(len(vertices)))
+    cells = []
+    for kind in sorted(found):
+        cells += map(Cell._make, zip(repeat(kind), _sorted_rows(found[kind], ids)))
+    return ComplexGraph.from_ids(universe, k, vertices, _sorted_rows(edges, ids), cells)
 
 
 def build_schmutz(universe):
@@ -267,19 +343,27 @@ def diameter(graph):
 # --- implicit F2 universes: fast exact eccentricity -------------------------
 
 
-def _f2_orthogonal(ids, vecs):
-    """Mask of the ids whose mod-2 dot product with every vector of vecs is 0.
+def _f2_basis(vecs):
+    """A basis of the span of the bitmask vectors vecs, largest first, each
+    with a top bit that no later one has.
 
-    Each pass takes the largest vector b left (a basis vector of their span),
-    keeps the ids orthogonal to b, and replaces every x by min(x, x ^ b), which
-    clears b's top bit; at most 2g passes empty vecs.
+    Each pass takes the largest vector b left and replaces every x by
+    min(x, x ^ b), which clears b's top bit; at most 2g passes empty vecs.
+    Reducing any x the same way, b by b, gives the one member of its coset
+    modulo the span with none of those top bits.
     """
-    inside = np.ones(ids.size, dtype=bool)
     b = vecs.max(initial=0)
     while b:
-        inside &= (np.bitwise_count(ids & b) & 1) == 0
+        yield b
         vecs = np.minimum(vecs, vecs ^ b)
         b = vecs.max()
+
+
+def _f2_orthogonal(ids, vecs):
+    """Mask of the ids whose mod-2 dot product with every vector of vecs is 0."""
+    inside = np.ones(ids.size, dtype=bool)
+    for b in _f2_basis(vecs):
+        inside &= (np.bitwise_count(ids & b) & 1) == 0
     return inside
 
 
@@ -412,6 +496,47 @@ def f2_count_vertices_k2(g):
 # --- chain homology -----------------------------------------------------------
 
 
+def _boundaries(graph, parent, chunk=1 << 12):
+    """The cell boundaries on the edges outside the forest `parent`, `chunk`
+    cells at a time: for each chunk, the number of entries of each cell and
+    the int arrays (edge, coefficient) of its nonzero entries, in (cell, edge)
+    order.
+
+    Each side a-b of a cell is the edge with key a * n + b (a < b) among the
+    sorted keys of graph.edges, with coefficient +1 from a to b and -1 back.
+    """
+    n, m = len(graph.vertices), len(graph.edges)
+    keys = np.array(graph.edges, dtype=np.int64).reshape(m, 2) @ np.array([n, 1])
+
+    def edge_ids(a, b):
+        key = np.minimum(a, b) * n + np.maximum(a, b)
+        at = np.searchsorted(keys, key)
+        if (np.append(keys, -1)[at] != key).any():
+            raise KeyError("a cell side is not an edge")
+        return at
+
+    forest = np.array([(v, p) for v, p in enumerate(parent) if p is not None], dtype=np.int64)
+    tree = np.zeros(m, dtype=bool)
+    tree[edge_ids(*forest.reshape(-1, 2).T)] = True
+    for i in range(0, len(graph.cells), chunk):
+        cycles = [c.cycle for c in graph.cells[i : i + chunk]]
+        sizes = np.fromiter(map(len, cycles), dtype=np.int64, count=len(cycles))
+        a = np.fromiter(chain.from_iterable(cycles), dtype=np.int64, count=sizes.sum())
+        first, last = np.cumsum(sizes) - sizes, np.cumsum(sizes) - 1
+        b = np.roll(a, -1)  # each side's end: the next vertex, or the first after the last
+        b[last[sizes > 0]] = a[first[sizes > 0]]
+        side = edge_ids(a, b)
+        live = ~tree[side]
+        key = np.repeat(np.arange(len(cycles)), sizes)[live] * m + side[live]
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        start = np.flatnonzero(np.diff(key, prepend=-1))  # the first side of each (cell, edge)
+        sign = np.where(a < b, 1, -1)[live][order]
+        coef = np.add.reduceat(sign, start)
+        cell, edge = np.divmod(key[start][coef != 0], m)
+        yield np.bincount(cell, minlength=len(cycles)), edge, coef[coef != 0]
+
+
 def coreduce(graph):
     """One BFS spanning forest and the kill pass over the cell boundaries.
 
@@ -430,18 +555,13 @@ def coreduce(graph):
     for root in range(len(parent)):
         if parent[root] == -1:
             _bfs(graph.adj, root, parent)
-    eid = {e: i for i, e in enumerate(graph.edges)}
-    tree = {eid[min(v, p), max(v, p)] for v, p in enumerate(parent) if p is not None}
+    name = list(range(len(graph.edges))).__getitem__  # one int object per edge id
     rows, cols = [], {}
-    for c, cell in enumerate(graph.cells):
-        cyc = cell.cycle
-        row = {}
-        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            e, sign = (eid[a, b], 1) if a < b else (eid[b, a], -1)
-            if e not in tree:
-                row[e] = row.get(e, 0) + sign
-        rows.append({e: x for e, x in row.items() if x})
-        for e in rows[-1]:
+    for counts, edge, coef in _boundaries(graph, parent):
+        entries = zip(map(name, edge.tolist()), coef.tolist())
+        rows += [dict(islice(entries, size)) for size in counts.tolist()]
+    for c, row in enumerate(rows):
+        for e in row:
             cols.setdefault(e, []).append(c)
     kills = []
     queue = [c for c, row in enumerate(rows) if len(row) == 1 and abs(*row.values()) == 1]

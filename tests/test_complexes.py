@@ -387,6 +387,55 @@ def _spy_leftover(monkeypatch):
     return seen
 
 
+def _dict_coreduce(graph):
+    """Reference: `coreduce` with each cell side's edge found in an
+    {(i, j): edge} dict."""
+    parent = [-1] * len(graph.vertices)
+    for root in range(len(parent)):
+        if parent[root] == -1:
+            cx._bfs(graph.adj, root, parent)
+    eid = {e: i for i, e in enumerate(graph.edges)}
+    tree = {eid[min(v, p), max(v, p)] for v, p in enumerate(parent) if p is not None}
+    rows, cols = [], {}
+    for c, cell in enumerate(graph.cells):
+        cyc = cell.cycle
+        row = {}
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            e, sign = (eid[a, b], 1) if a < b else (eid[b, a], -1)
+            if e not in tree:
+                row[e] = row.get(e, 0) + sign
+        rows.append({e: x for e, x in row.items() if x})
+        for e in rows[-1]:
+            cols.setdefault(e, []).append(c)
+    kills = []
+    queue = [c for c, row in enumerate(rows) if len(row) == 1 and abs(*row.values()) == 1]
+    for c in queue:
+        if rows[c]:
+            (e,) = rows[c]
+            kills.append((c, e))
+            for other in cols.pop(e):
+                row = rows[other]
+                del row[e]
+                if len(row) == 1 and abs(*row.values()) == 1:
+                    queue.append(other)
+    return parent, kills, rows
+
+
+def test_coreduce_matches_dict_reference():
+    full, named, subs = _oracle_complexes()
+    # g=3, k=1 has 5,376 cells: more than one chunk of `_boundaries`
+    for name, graph in {**full, **named, **subs, "sympF2 g=3 k=1": cx.build_gamma(U3, 1)}.items():
+        parent, kills, rows = cx.coreduce(graph)
+        assert (parent, kills, rows) == _dict_coreduce(graph), name
+        assert all(type(e) is int and type(x) is int for row in rows for e, x in row.items())
+
+
+def test_coreduce_rejects_a_cell_side_that_is_no_edge():
+    graph = cx.ComplexGraph(U2, 1, [A, B, C], [(A, B), (B, C)], [cx.Cell("triangle", (A, B, C))])
+    with pytest.raises(KeyError, match="a cell side is not an edge"):
+        cx.coreduce(graph)
+
+
 def test_chain_homology_disk_and_circle():
     assert cx.chain_homology(_disk()) == (1, 0)
     circle = cx.ComplexGraph(U2, 1, [A, B, C], TRIANGLE, [])
@@ -580,7 +629,119 @@ PINNED_BUILDS = {
         (9, 18, 6, 9, 0),
         "9a9e6219068aa1490c05b29c8c8acce38395a5f0cc5eb9bf926eb99d40f31004",
     ),
+    # the one pinned build whose free = 1 pass runs over common sets of two curves
+    "sympF2 g=3 k=3": (
+        lambda: cx.build_gamma(U3, 3),
+        (3780, 45360, 60480, 90720, 145152),
+        "33f514044a5836531369d3d971b97a1ae4fc3eb59c01405456427b84ababda2e",
+    ),
 }
+
+
+def _set_cells(universe, curves, common, free):
+    """Oracle: the edges and (kind, cycle) 2-cells whose vertices all contain
+    the curves of `common`, over vertex tuples, from Python sets filled by one
+    predicate call per pair of pool curves.
+
+    free = 1 gives the edges, which are the once-pairs of the pool, and the
+    triangles; free = 2 gives no edges, and the rectangles and pentagons.
+    Each cell is generated once, in the rotation and direction that starts
+    from its earliest curves (by pool position).
+    """
+    pool = [c for c in curves if c not in common and universe.cut_ok((c,) + common)]
+
+    def linked(test):  # per pool position, the positions it passes test with
+        out = [set() for _ in pool]
+        for i, j in combinations(range(len(pool)), 2):
+            if test(pool[i], pool[j]):
+                out[i].add(j)
+                out[j].add(i)
+        return out
+
+    once = linked(lambda x, y: universe.inter(x, y) == 1)
+    pairs = [(b0, b1) for b0, ends in enumerate(once) for b1 in ends if b0 < b1]
+    if free == 1:
+        v = [cx.vertex_of(universe, (c,) + common) for c in pool]
+        edges = [(v[b0], v[b1]) for b0, b1 in pairs]
+        return edges, [
+            ("triangle", (v[b0], v[b1], v[b2]))
+            for b0, b1 in pairs
+            for b2 in once[b0] & once[b1]
+            if b1 < b2
+        ]
+    apart = linked(lambda x, y: universe.cut_ok((x, y) + common))
+    v = {}  # the vertex of each apart pair, under both orders
+    for b0, ends in enumerate(apart):
+        for b1 in ends:
+            if b0 < b1:
+                v[b0, b1] = v[b1, b0] = cx.vertex_of(universe, (pool[b0], pool[b1]) + common)
+    cells = []
+    for b0, b1 in pairs:
+        both = apart[b0] & apart[b1]
+        for c0 in both:
+            for c1 in once[c0] & both:
+                if b0 < c0 < c1:
+                    cells.append(("rectangle", (v[b0, c0], v[b0, c1], v[b1, c1], v[b1, c0])))
+        for b2 in once[b1] & apart[b0]:
+            for b3 in once[b2] & apart[b0] & apart[b1]:
+                for b4 in once[b3] & once[b0] & apart[b1] & apart[b2]:
+                    if b0 < min(b2, b3) and b1 < b4:
+                        ring = ((b0, b2), (b2, b4), (b4, b1), (b1, b3), (b3, b0))
+                        cells.append(("pentagon", tuple(v[p] for p in ring)))
+    return [], cells
+
+
+def _set_build(universe, k, seeds=None, radius=None):
+    """Oracle: build_gamma from `_set_cells` and the tuple constructor, with
+    the ball grown over vertex tuples."""
+    if universe.enumerable:
+        curves = list(universe.all_curves())
+    else:
+        curves = sorted({c for v in seeds for c in v}, key=universe.key)
+    vertices = [cx.vertex_of(universe, c) for c in combinations(curves, k) if universe.cut_ok(c)]
+    edges, cells = [], []
+    for free in range(1, min(k, 2) + 1):
+        for common in combinations(curves, k - free):
+            if not common or universe.cut_ok(common):
+                more_edges, more_cells = _set_cells(universe, curves, common, free)
+                edges += more_edges
+                cells += more_cells
+    if seeds:
+        ball = frontier = {cx.vertex_of(universe, s) for s in seeds}
+        for _ in range(radius or 0):
+            near = {w for v, w in edges if v in frontier} | {v for v, w in edges if w in frontier}
+            frontier, ball = near - ball, ball | near
+        vertices = [v for v in vertices if v in ball]
+        edges = [(v, w) for v, w in edges if v in ball and w in ball]
+        cells = [(kind, cyc) for kind, cyc in cells if ball.issuperset(cyc)]
+    return cx.ComplexGraph(universe, k, vertices, edges, cells)
+
+
+@pytest.mark.parametrize("name", sorted(set(PINNED_BUILDS) | set(BALLS)))
+def test_build_matches_set_oracle(name):
+    if name in BALLS:
+        g, k, seeds, radius = BALLS[name]
+        graph = _ball(name)
+        oracle = _set_build(make_universe("sympZ", g=g), k, seeds, radius)
+    else:
+        graph = PINNED_BUILDS[name][0]()
+        oracle = _set_build(graph.universe, graph.k)
+    assert graph.vertices == oracle.vertices
+    assert graph.edges == oracle.edges
+    assert graph.cells == oracle.cells
+    assert graph.adj == oracle.adj and graph.index == oracle.index
+
+
+def test_f2_build_asks_no_pair_predicate(monkeypatch):
+    # the mod-2 relations come from bitmask arithmetic: a fall back to one
+    # predicate call per pair fails here on a count, not on a time
+    calls = []
+    real = type(U3).inter
+    monkeypatch.setattr(type(U3), "inter", lambda self, x, y: calls.append(1) or real(self, x, y))
+    cx.build_gamma(U3, 1)
+    assert calls == []
+    cx.build_schmutz(U3)  # the pairwise definition: the counter sees it
+    assert len(calls) == 63 * 62 // 2
 
 
 def _edges_between(universe, vertices, curves):
@@ -716,7 +877,10 @@ def _nx_graph(graph):
     return nx, out
 
 
-@pytest.mark.parametrize("name", sorted(PINNED_BUILDS))
+@pytest.mark.parametrize(
+    # past 2,048 vertices `diameter` runs one Python BFS per vertex, minutes at g=3, k=3
+    "name", sorted(name for name, (_, counts, _) in PINNED_BUILDS.items() if counts[0] <= 2048)
+)
 def test_bfs_eccentricity_diameter_match_networkx(name):
     g = PINNED_BUILDS[name][0]()
     nx, oracle = _nx_graph(g)
