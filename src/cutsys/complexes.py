@@ -10,7 +10,7 @@ out the toolkit.
 
 from __future__ import annotations
 
-from itertools import chain, combinations, compress, islice, repeat
+from itertools import combinations, compress, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -59,11 +59,11 @@ class ComplexGraph:
         self._fill(universe, k, vertices, edges, cells, tag)
 
     @classmethod
-    def from_ids(cls, universe, k, vertices, edges, cells, tag=None):
+    def from_ids(cls, universe, k, vertices, edges, cells):
         """The graph over `vertices` in key order, with `edges` and `cells`
         already over ids and sorted as the attributes hold them."""
         graph = cls.__new__(cls)
-        graph._fill(universe, k, vertices, edges, cells, tag)
+        graph._fill(universe, k, vertices, edges, cells, None)
         return graph
 
     def _fill(self, universe, k, vertices, edges, cells, tag):
@@ -195,14 +195,17 @@ def _cells(once, apart=None):
     }
 
 
-def _sorted_rows(a, ids, chunk=1 << 16):
+_ROW_BLOCK = 1 << 16  # rows per tolist(), so one block's lists, not a whole kind's, sit beside the tuples
+
+
+def _sorted_rows(a, ids):
     """The rows of an int array as tuples, in lexicographic order, with each
     entry x read as ids[x], so that all rows share one int object per id.
-    Rows leave numpy a chunk at a time."""
+    Rows leave numpy `_ROW_BLOCK` at a time."""
     a = a[np.lexsort(a.T[::-1])]
     out = []
-    for i in range(0, len(a), chunk):
-        out += zip(*(map(ids.__getitem__, col) for col in a[i : i + chunk].T.tolist()))
+    for i in range(0, len(a), _ROW_BLOCK):
+        out += zip(*(map(ids.__getitem__, col) for col in a[i : i + _ROW_BLOCK].T.tolist()))
     return out
 
 
@@ -496,47 +499,6 @@ def f2_count_vertices_k2(g):
 # --- chain homology -----------------------------------------------------------
 
 
-def _boundaries(graph, parent, chunk=1 << 12):
-    """The cell boundaries on the edges outside the forest `parent`, `chunk`
-    cells at a time: for each chunk, the number of entries of each cell and
-    the int arrays (edge, coefficient) of its nonzero entries, in (cell, edge)
-    order.
-
-    Each side a-b of a cell is the edge with key a * n + b (a < b) among the
-    sorted keys of graph.edges, with coefficient +1 from a to b and -1 back.
-    """
-    n, m = len(graph.vertices), len(graph.edges)
-    keys = np.array(graph.edges, dtype=np.int64).reshape(m, 2) @ np.array([n, 1])
-
-    def edge_ids(a, b):
-        key = np.minimum(a, b) * n + np.maximum(a, b)
-        at = np.searchsorted(keys, key)
-        if (np.append(keys, -1)[at] != key).any():
-            raise KeyError("a cell side is not an edge")
-        return at
-
-    forest = np.array([(v, p) for v, p in enumerate(parent) if p is not None], dtype=np.int64)
-    tree = np.zeros(m, dtype=bool)
-    tree[edge_ids(*forest.reshape(-1, 2).T)] = True
-    for i in range(0, len(graph.cells), chunk):
-        cycles = [c.cycle for c in graph.cells[i : i + chunk]]
-        sizes = np.fromiter(map(len, cycles), dtype=np.int64, count=len(cycles))
-        a = np.fromiter(chain.from_iterable(cycles), dtype=np.int64, count=sizes.sum())
-        first, last = np.cumsum(sizes) - sizes, np.cumsum(sizes) - 1
-        b = np.roll(a, -1)  # each side's end: the next vertex, or the first after the last
-        b[last[sizes > 0]] = a[first[sizes > 0]]
-        side = edge_ids(a, b)
-        live = ~tree[side]
-        key = np.repeat(np.arange(len(cycles)), sizes)[live] * m + side[live]
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        start = np.flatnonzero(np.diff(key, prepend=-1))  # the first side of each (cell, edge)
-        sign = np.where(a < b, 1, -1)[live][order]
-        coef = np.add.reduceat(sign, start)
-        cell, edge = np.divmod(key[start][coef != 0], m)
-        yield np.bincount(cell, minlength=len(cycles)), edge, coef[coef != 0]
-
-
 def coreduce(graph):
     """One BFS spanning forest and the kill pass over the cell boundaries.
 
@@ -555,13 +517,18 @@ def coreduce(graph):
     for root in range(len(parent)):
         if parent[root] == -1:
             _bfs(graph.adj, root, parent)
-    name = list(range(len(graph.edges))).__getitem__  # one int object per edge id
+    eid = {e: i for i, e in enumerate(graph.edges)}
+    tree = {eid[min(v, p), max(v, p)] for v, p in enumerate(parent) if p is not None}
     rows, cols = [], {}
-    for counts, edge, coef in _boundaries(graph, parent):
-        entries = zip(map(name, edge.tolist()), coef.tolist())
-        rows += [dict(islice(entries, size)) for size in counts.tolist()]
-    for c, row in enumerate(rows):
-        for e in row:
+    for c, cell in enumerate(graph.cells):
+        cyc = cell.cycle
+        row = {}
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            e, sign = (eid[a, b], 1) if a < b else (eid[b, a], -1)
+            if e not in tree:
+                row[e] = row.get(e, 0) + sign
+        rows.append({e: x for e, x in row.items() if x})
+        for e in rows[-1]:
             cols.setdefault(e, []).append(c)
     kills = []
     queue = [c for c, row in enumerate(rows) if len(row) == 1 and abs(*row.values()) == 1]

@@ -387,55 +387,6 @@ def _spy_leftover(monkeypatch):
     return seen
 
 
-def _dict_coreduce(graph):
-    """Reference: `coreduce` with each cell side's edge found in an
-    {(i, j): edge} dict."""
-    parent = [-1] * len(graph.vertices)
-    for root in range(len(parent)):
-        if parent[root] == -1:
-            cx._bfs(graph.adj, root, parent)
-    eid = {e: i for i, e in enumerate(graph.edges)}
-    tree = {eid[min(v, p), max(v, p)] for v, p in enumerate(parent) if p is not None}
-    rows, cols = [], {}
-    for c, cell in enumerate(graph.cells):
-        cyc = cell.cycle
-        row = {}
-        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            e, sign = (eid[a, b], 1) if a < b else (eid[b, a], -1)
-            if e not in tree:
-                row[e] = row.get(e, 0) + sign
-        rows.append({e: x for e, x in row.items() if x})
-        for e in rows[-1]:
-            cols.setdefault(e, []).append(c)
-    kills = []
-    queue = [c for c, row in enumerate(rows) if len(row) == 1 and abs(*row.values()) == 1]
-    for c in queue:
-        if rows[c]:
-            (e,) = rows[c]
-            kills.append((c, e))
-            for other in cols.pop(e):
-                row = rows[other]
-                del row[e]
-                if len(row) == 1 and abs(*row.values()) == 1:
-                    queue.append(other)
-    return parent, kills, rows
-
-
-def test_coreduce_matches_dict_reference():
-    full, named, subs = _oracle_complexes()
-    # g=3, k=1 has 5,376 cells: more than one chunk of `_boundaries`
-    for name, graph in {**full, **named, **subs, "sympF2 g=3 k=1": cx.build_gamma(U3, 1)}.items():
-        parent, kills, rows = cx.coreduce(graph)
-        assert (parent, kills, rows) == _dict_coreduce(graph), name
-        assert all(type(e) is int and type(x) is int for row in rows for e, x in row.items())
-
-
-def test_coreduce_rejects_a_cell_side_that_is_no_edge():
-    graph = cx.ComplexGraph(U2, 1, [A, B, C], [(A, B), (B, C)], [cx.Cell("triangle", (A, B, C))])
-    with pytest.raises(KeyError, match="a cell side is not an edge"):
-        cx.coreduce(graph)
-
-
 def test_chain_homology_disk_and_circle():
     assert cx.chain_homology(_disk()) == (1, 0)
     circle = cx.ComplexGraph(U2, 1, [A, B, C], TRIANGLE, [])
