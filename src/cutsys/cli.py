@@ -52,8 +52,10 @@ def cmd_diam(args):
     if args.implicit:
         if args.k == 1:
             d = cx.f2_gamma1_eccentricity(args.g)
-        else:
+        elif args.k == 2:
             d, _ = cx.f2_gamma_k2_eccentricity(args.g)
+        else:
+            d = cx.f2_orbit_eccentricity(args.g, args.k)
     else:
         d = cx.diameter(cx.build_gamma(u, args.k))
     ok = args.k <= d <= 8 * args.k - 4
@@ -275,8 +277,8 @@ def _check_usage(args):
         raise ValueError(f"--schmutz builds the k = 1 Schmutz graph, got --k {args.k}")
     if getattr(args, "implicit", False) and args.backend != "sympF2":
         raise ValueError(f"--implicit needs --backend sympF2, got --backend {args.backend}")
-    if getattr(args, "implicit", False) and args.k > 2:
-        raise ValueError(f"implicit diameter supports k in {{1, 2}}, got --k {args.k}")
+    if getattr(args, "implicit", False) and args.k > 3:
+        raise ValueError(f"implicit diameter supports k in {{1, 2, 3}}, got --k {args.k}")
 
 
 def main(argv=None):

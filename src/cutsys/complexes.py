@@ -10,7 +10,7 @@ out the toolkit.
 
 from __future__ import annotations
 
-from itertools import combinations, compress, repeat
+from itertools import combinations, compress, permutations, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -402,88 +402,100 @@ def f2_gamma1_eccentricity(g, start=None):
     return int(dist[1:].max())
 
 
-_K2_BLOCK = 128  # frontier rows per transform, and the side of a symmetrizing tile
+def _f2_types(xs):
+    """The type of each vertex, a row of the (N, k) int64 array xs, relative
+    to the base B = (a_1, ..., a_k), as an int64.
 
-
-def _pairing_signs(g):
-    """S[u, v] = (-1)^<u, v> over the 4^g classes of genus g, as float32."""
-    ids = np.arange(1 << (2 * g), dtype=np.uint32)
-    return 1 - 2 * (np.bitwise_count(f2_swap(ids, g)[:, None] & ids) & 1).astype(np.float32)
-
-
-def _f2_walsh(rows, hi, lo):
-    """W[b, x] = sum over v of rows[b, v] (-1)^<v, x>, for 0/1 rows over the
-    4^g classes of genus g, shaped (len(rows), len(hi), len(lo)) with
-    x = x_hi * len(lo) + x_lo.
-
-    The pairing is a sum over handles, so the 4^g x 4^g sign matrix is the
-    Kronecker product of hi = _pairing_signs(g - g // 2), on the high handles,
-    and lo = _pairing_signs(g // 2), on the low ones; a row reshaped to
-    len(hi) x len(lo) is transformed by two small products (the fast
-    Walsh-Hadamard transform in Kronecker form).  Every partial sum is an
-    integer of size at most 4^g, exact in float32 below 2^24.
+    A code packs parts of 2k bits: for each x_j its b bits on handles 1..k,
+    which are its pairings with a_1, ..., a_k; then for each nonempty subset
+    of the row its sum when that lies in span B, else 0.  The type is the
+    least code over the k! orderings of the row.  Equal types make X -> X'
+    with B fixed a well-defined isometry of span(B, X), which Witt's theorem
+    extends to Sp(2g, F2), so d(B, X) depends only on the type.
     """
-    return hi @ rows.reshape(len(rows), len(hi), len(lo)).astype(np.float32) @ lo
+    k = xs.shape[1]
+    span = sum(1 << (2 * i) for i in range(k))  # the a bits of handles 1..k
+    sums = [np.bitwise_xor.reduce(xs[:, [j for j in range(k) if s >> j & 1]], axis=1) for s in range(1 << k)]
+    rel = [np.where(x & ~span, 0, x) for x in sums]
+    best = None
+    for order in permutations(range(k)):
+        code = 0
+        for j in order:
+            code = (code << 2 * k) | (xs[:, j] & (span << 1))
+        for s in range(1, 1 << k):  # subset s of the reordered row
+            code = (code << 2 * k) | rel[sum(1 << order[j] for j in range(k) if s >> j & 1)]
+        best = code if best is None else np.minimum(best, code)
+    return best
 
 
-def _symmetrize(a):
-    """a |= a.T in place, one pair of square tiles at a time."""
-    n, t = len(a), _K2_BLOCK
-    for i in range(0, n, t):
-        for j in range(i, n, t):
-            tile = a[i : i + t, j : j + t]
-            tile |= a[j : j + t, i : i + t].T
-            a[j : j + t, i : i + t] = tile.T
+def _f2_type_layers(g, k):
+    """Yield the vertex types of the size-k shadow at genus g by distance from
+    the base, one sorted int64 array per layer.  One representative per type
+    is expanded: a move swaps x_i for any y with <y, x_i> = 1 and <y, x_j> = 0
+    for j != i."""
+    ids = np.arange(1 << (2 * g), dtype=np.int64)
+    frontier = np.array([[1 << (2 * i) for i in range(k)]], dtype=np.int64)
+    layer, seen = _f2_types(frontier), set()
+    while layer.size:
+        yield layer
+        seen.update(layer.tolist())
+        pairs = np.bitwise_count(f2_swap(frontier, g)[:, None, :] & ids[:, None]) & 1
+        row, y, i = np.nonzero(pairs & (pairs.sum(axis=2, keepdims=True) == 1))
+        moves = frontier[row]
+        moves[np.arange(row.size), i] = y
+        types, first = np.unique(_f2_types(moves), return_index=True)
+        new = [n for n, t in enumerate(types.tolist()) if t not in seen]
+        layer, frontier = types[new], moves[first[new]]
+
+
+def f2_orbit_eccentricity(g, k):
+    """Eccentricity of the base vertex in the size-k shadow at genus g, its
+    diameter, for k <= 3.  A move (B, X, y) spans at most 2k + 1 dimensions
+    and pairs to 1 there, so it embeds at genus 2k: the type graph is the
+    same for every g >= 2k, and the type BFS runs at genus min(g, 2k)."""
+    if g < k:
+        raise ValueError(f"no cut system of size {k} at genus {g}")
+    if k > 3:
+        raise ValueError(f"type codes of k = {k} take {2 * k * (k + (1 << k) - 1)} bits, past int64")
+    return sum(1 for _ in _f2_type_layers(min(g, 2 * k), k)) - 1
+
+
+def _k2_orbit_sizes(g):
+    """{type: number of k = 2 vertices of that type} at genus g.  With x = p + r,
+    p on handles 1-2 and r on the other g - 2, the type of {x1, x2} depends on
+    (p1, p2) and on which of r1, r2, r1 + r2 vanish, and it is a vertex when
+    <p1, p2> = <r1, r2>.  Each class of (r1, r2) is realized on handles 3-4 and
+    weighted by its count (they sum to 16^(g-2)); ordered pairs are halved."""
+    n = 4 ** (g - 2)
+    a3, b3, a4 = 1 << 4, 1 << 5, 1 << 6
+    r1, r2 = np.array([(0, 0), (0, a3), (a3, 0), (a3, a3), (a3, b3), (a3, a4)]).T
+    counts = (1, n - 1, n - 1, n - 1, (n - 1) * n // 2, (n - 1) * (n // 2 - 2))
+    p1, p2, c = np.indices((16, 16, len(counts))).reshape(3, -1)
+    x1, x2 = p1 | r1[c], p2 | r2[c]
+    ok = (np.bitwise_count(f2_swap(x1, 4) & x2) & 1 == 0) & (x1 != 0) & (x2 != 0) & (x1 != x2)
+    keys, mult = np.unique(_f2_types(np.column_stack((x1, x2))[ok]) * 8 + c[ok], return_counts=True)
+    sizes = {}
+    for key, m in zip(keys.tolist(), mult.tolist()):
+        sizes[key >> 3] = sizes.get(key >> 3, 0) + m * counts[key & 7]
+    return {t: size // 2 for t, size in sizes.items()}
 
 
 def f2_gamma_k2_eccentricity(g, progress=None):
     """Eccentricity of the base vertex {a1, a2} in the k = 2 shadow at genus g,
-    and the number of vertices it reached.
-
-    Witt extension makes Sp(2g, F2) transitive on cut systems of a fixed
-    size, so the graph is vertex-transitive and this is its exact diameter.
-    A set of vertices is a symmetric boolean n x n matrix F (F[u, v] for the
-    pair {u, v}), n = 4^g. Keeping u and swapping v for x needs <x, v> = 1 and
-    <x, u> = 0. The partners v of u with <v, x> = 1 number (W_u[0] - W_u[x]) / 2,
-    with W_u the Walsh transform of the row F[u] under the pairing (`_f2_walsh`),
-    so the pairs one move away are (W_u[x] < W_u[0]) & (<u, x> = 0) and their
-    transposes. Only the rows of F holding a pair are transformed, 128 at a
-    time, and the layer overwrites the frontier in place: the two n x n
-    boolean sets take 2 * 16^g bytes, and a block O(128 * 4^g) more.
-    progress(layer, size) is called after each layer.
-    """
+    and the number of vertices it reached: the type BFS at genus min(g, 4),
+    each layer sized by its types' orbit sizes at genus g.  progress(layer,
+    size) is called after each layer."""
     if g < 2:
         raise ValueError(f"no cut system of size 2 at genus {g}")
-    n = 1 << (2 * g)
-    if g >= 8:
-        need = f"2 * 16^{g} bytes = {2 * n * n / 1e9:.1f} GB"
-        raise ValueError(f"k = 2 at genus {g} needs {need} for its two vertex sets")
-    hi, lo = _pairing_signs(g - g // 2), _pairing_signs(g // 2)
-    count = f2_count_vertices_k2(g)
-    frontier = np.zeros((n, n), dtype=bool)
-    frontier[1, 4] = frontier[4, 1] = True  # a1 and a2 as bitmask classes
-    visited = frontier.copy()
-    ecc = 0
-    total = 1
-    while total < count:  # every pair found is a vertex, so no final layer
-        rows = np.flatnonzero(frontier.any(axis=1))
-        for r in np.split(rows, range(_K2_BLOCK, rows.size, _K2_BLOCK)):
-            w = _f2_walsh(frontier[r], hi, lo)
-            nxt = w < w[:, :1, :1]
-            # (-1)^<u, x> factors like the transform: <u, x> = 0 where the signs agree
-            u_hi, u_lo = np.divmod(r, len(lo))
-            nxt &= hi[u_hi, :, None] == lo[u_lo, None, :]
-            frontier[r] = nxt.reshape(r.size, n)
-        _symmetrize(frontier)
-        np.greater(frontier, visited, out=frontier)  # drop the visited pairs
-        size = int(np.count_nonzero(frontier)) // 2
-        if not size:
-            raise InfiniteDiameter("k = 2 shadow is disconnected")
-        visited |= frontier
-        ecc += 1
+    sizes = _k2_orbit_sizes(g)
+    total = 0
+    for ecc, layer in enumerate(_f2_type_layers(min(g, 4), 2)):
+        size = sum(sizes[t] for t in layer.tolist())
         total += size
-        if progress:
+        if progress and ecc:
             progress(ecc, size)
+    if total != f2_count_vertices_k2(g):
+        raise InfiniteDiameter("k = 2 shadow is disconnected")
     return ecc, total
 
 

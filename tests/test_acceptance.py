@@ -4,9 +4,12 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; every tolerance here is exact.
 """
 
+import functools
 import random
 import time
+from itertools import chain
 
+from cutsys import cli, sympcurves
 from cutsys import complexes as cx
 from cutsys import homotopy as H
 from cutsys import rigidity as R
@@ -23,7 +26,7 @@ from cutsys.geomcurves import (
     twist_slope,
 )
 from cutsys.sympcurves import HClass, SympSpace, pairing_vec, transvect_vec
-from cutsys.universe import make_universe
+from cutsys.universe import SympF2Universe, make_universe
 
 
 def report(num, name, ok, detail=""):
@@ -178,13 +181,15 @@ def _mutate(cert, rng):
     return H.HomotopyCertificate(steps)
 
 
-def test_criterion_6_certificate_soundness():
+@functools.cache
+def _criterion_6_certificates():
+    """The 200 contracted loops of criterion 6 as (universe, loop,
+    certificate), each accepted by its integer replay, and the state of the
+    draw's rng after them."""
     rng = random.Random(606)
-    t0 = time.time()
-    good = 0
     certs = []
     attempts = 0
-    while good < 200:
+    while len(certs) < 200:
         attempts += 1
         assert attempts < 2000, "loop sampling stalled"
         g = rng.choice((2, 3, 4, 5))
@@ -198,7 +203,15 @@ def test_criterion_6_certificate_soundness():
         ok, idx = H.verify_certificate(u, loop, cert)
         assert ok, f"certificate rejected at step {idx} (g={g}, k={k})"
         certs.append((u, loop, cert))
-        good += 1
+    return certs, rng.getstate()
+
+
+def test_criterion_6_certificate_soundness():
+    t0 = time.time()
+    certs, state = _criterion_6_certificates()
+    good = len(certs)
+    rng = random.Random()
+    rng.setstate(state)
     rejected = 0
     for t in range(50):
         u, loop, cert = certs[rng.randrange(len(certs))]
@@ -214,6 +227,42 @@ def test_criterion_6_certificate_soundness():
         good == 200 and rejected == 50,
         f"200 contracted, {rejected}/50 mutations rejected, {time.time()-t0:.0f}s",
     )
+
+
+def _mod2(c):
+    """A sympZ class reduced mod 2 into the f2_swap layout: coordinate j,
+    which interleaves (a1, b1, a2, ...) as the bits do, goes to bit j."""
+    return sum((x & 1) << j for j, x in enumerate(c.coords))
+
+
+def _push_forward(loop, cert):
+    """(sympF2 universe, loop, steps): the image of a sympZ certificate mod 2,
+    at the highest genus any of its curves reaches."""
+
+    def vertex(v):
+        return tuple(sorted(map(_mod2, v)))
+
+    steps = [H.Step(s.op, s.at, tuple(map(vertex, s.old)), tuple(map(vertex, s.new)), s.kind) for s in cert.steps]
+    g = max(c.g for v in chain(loop, *(s.old + s.new for s in cert.steps)) for c in v)
+    return SympF2Universe(g), [vertex(v) for v in loop], steps
+
+
+def test_certificates_push_forward_to_mod_2(tmp_path, monkeypatch):
+    # reduction mod 2 is simplicial from the integer shadow at genus G to the
+    # mod-2 shadow at G and keeps each cell's pattern, so the image of every
+    # valid certificate must replay there
+    certs = [(loop, cert) for _, loop, cert in _criterion_6_certificates()[0]]
+    out = tmp_path / "loop42.json"  # the README example
+    assert cli.main(["contract", "--g", "3", "--k", "2", "--steps", "4", "--seed", "42", "--out", str(out)]) == 0
+    certs.append(cli._read_certificate(out))
+    images = [_push_forward(loop, cert) for loop, cert in certs]
+    assert all(H.verify_certificate(*image) == (True, None) for image in images)
+    # not vacuous: a pairing blind above handle 16 rejects every image reaching past it
+    high = [image for image in images if image[0].g > 16]
+    assert high
+    swap = sympcurves.f2_swap
+    monkeypatch.setattr(sympcurves, "f2_swap", lambda u, g: swap(u & ((1 << 32) - 1), min(g, 16)))
+    assert not any(H.verify_certificate(*image)[0] for image in high)
 
 
 def test_criterion_7_hexagon_construction():

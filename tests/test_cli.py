@@ -4,7 +4,9 @@ import json
 import pytest
 
 from cutsys import cli, homotopy
+from cutsys import complexes as cx
 from cutsys.sympcurves import HClass, SympSpace
+from cutsys.universe import make_universe
 
 
 def run(argv):
@@ -39,11 +41,27 @@ def test_diam_implicit_k2_matches_explicit(tmp_path):
     assert reports[1]["diameter"] == 3
 
 
-def test_diam_implicit_k3_exit_2(tmp_path, capsys):
+def test_diam_implicit_k4_exit_2(tmp_path, capsys):
     out = tmp_path / "d.json"
-    assert run(["diam", "--g", "3", "--k", "3", "--implicit", "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "error: implicit diameter supports k in {1, 2}, got --k 3\n"
+    assert run(["diam", "--g", "4", "--k", "4", "--implicit", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: implicit diameter supports k in {1, 2, 3}, got --k 4\n"
     assert not out.exists()
+
+
+def test_diam_implicit_k3_matches_explicit_eccentricity(tmp_path):
+    out = tmp_path / "d.json"
+    assert run(["diam", "--g", "3", "--k", "3", "--implicit", "--out", str(out)]) == 0
+    graph = cx.build_gamma(make_universe("sympF2", g=3), 3)
+    assert json.loads(out.read_text())["diameter"] == cx.eccentricity(graph, (1, 4, 16)) == 6
+
+
+@pytest.mark.parametrize("g", [6, 7])
+def test_diam_implicit_k3_past_genus_6(tmp_path, g):
+    # the type graph stops changing at genus 2k = 6
+    out = tmp_path / "d.json"
+    assert run(["diam", "--g", str(g), "--k", "3", "--implicit", "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert (data["g"], data["diameter"], data["in_window"]) == (g, 6, True)
 
 
 @pytest.mark.parametrize("command", ["diam", "homology"])

@@ -156,12 +156,11 @@ def test_implicit_matches_explicit_g3_k2():
 def test_implicit_k2_rejects_genus_out_of_range():
     with pytest.raises(ValueError):
         cx.f2_gamma_k2_eccentricity(1)  # no pair of disjoint curves
-    # the two 4^g x 4^g boolean sets would take 2 * 16^g bytes; refused before allocating
-    for g, size in ((8, "8.6"), (12, "562950.0")):
+    # the type BFS runs at genus 4 whatever g is, and the orbit sizes are exact integers
+    for g in (8, 12):
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match=rf"2 \* 16\^{g} bytes = {size} GB"):
-                cx.f2_gamma_k2_eccentricity(g)
+            assert cx.f2_gamma_k2_eccentricity(g) == (4, cx.f2_count_vertices_k2(g))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -181,24 +180,136 @@ def test_f2_walsh_matches_explicit_sums(g):
     # m = 2^g = 2, 4, 8: W[b, x] = sum over v of rows[b, v] (-1)^<v, x>, term by term
     n = 1 << (2 * g)
     rows = np.random.default_rng(g).random((5, n)) < 0.3
-    hi, lo = cx._pairing_signs(g - g // 2), cx._pairing_signs(g // 2)
+    hi, lo = _pairing_signs(g - g // 2), _pairing_signs(g // 2)
     assert hi.shape[0] * lo.shape[0] == n
-    w = cx._f2_walsh(rows, hi, lo).reshape(5, n)
+    w = _f2_walsh(rows, hi, lo).reshape(5, n)
     for b in range(5):
         for x in range(n):
             assert w[b, x] == sum(-1 if f2_pairing(v, x, g) else 1 for v in np.flatnonzero(rows[b])), (b, x)
 
 
 def test_implicit_k2_memory_holds_no_dense_product():
-    # the vertex sets take 2 * 16^5 bytes = 2 MiB; a 4^5 x 4^5 float32 parity
-    # matrix or product alone would take 4 MiB
+    # no vertex set is held: a 4^5 x 4^5 boolean set alone would take 1 MiB,
+    # and a float32 parity matrix or product 4 MiB
     tracemalloc.start()
     try:
         assert cx.f2_gamma_k2_eccentricity(5) == (4, cx.f2_count_vertices_k2(5))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6 << 20, peak
+    assert peak <= 1 << 20, peak
+
+
+_K2_BLOCK = 128  # frontier rows per transform, and the side of a symmetrizing tile
+
+
+def _pairing_signs(g):
+    """S[u, v] = (-1)^<u, v> over the 4^g classes of genus g, as float32."""
+    ids = np.arange(1 << (2 * g), dtype=np.uint32)
+    return 1 - 2 * (np.bitwise_count(f2_swap(ids, g)[:, None] & ids) & 1).astype(np.float32)
+
+
+def _f2_walsh(rows, hi, lo):
+    """W[b, x] = sum over v of rows[b, v] (-1)^<v, x>, for 0/1 rows over the
+    4^g classes of genus g, shaped (len(rows), len(hi), len(lo)) with
+    x = x_hi * len(lo) + x_lo.
+
+    The pairing is a sum over handles, so the 4^g x 4^g sign matrix is the
+    Kronecker product of hi = _pairing_signs(g - g // 2), on the high handles,
+    and lo = _pairing_signs(g // 2), on the low ones; a row reshaped to
+    len(hi) x len(lo) is transformed by two small products (the fast
+    Walsh-Hadamard transform in Kronecker form).  Every partial sum is an
+    integer of size at most 4^g, exact in float32 below 2^24.
+    """
+    return hi @ rows.reshape(len(rows), len(hi), len(lo)).astype(np.float32) @ lo
+
+
+def _symmetrize(a):
+    """a |= a.T in place, one pair of square tiles at a time."""
+    n, t = len(a), _K2_BLOCK
+    for i in range(0, n, t):
+        for j in range(i, n, t):
+            tile = a[i : i + t, j : j + t]
+            tile |= a[j : j + t, i : i + t].T
+            a[j : j + t, i : i + t] = tile.T
+
+
+def _walsh_k2(g):
+    """Oracle: (eccentricity, vertices reached, layer sizes) of the base vertex
+    {a1, a2} in the k = 2 shadow, by a BFS over vertex sets.
+
+    A set of vertices is a symmetric boolean n x n matrix F (F[u, v] for the
+    pair {u, v}), n = 4^g. Keeping u and swapping v for x needs <x, v> = 1 and
+    <x, u> = 0. The partners v of u with <v, x> = 1 number (W_u[0] - W_u[x]) / 2,
+    with W_u the Walsh transform of the row F[u] under the pairing (`_f2_walsh`),
+    so the pairs one move away are (W_u[x] < W_u[0]) & (<u, x> = 0) and their
+    transposes. Only the rows of F holding a pair are transformed, 128 at a
+    time, and the layer overwrites the frontier in place.
+    """
+    n = 1 << (2 * g)
+    hi, lo = _pairing_signs(g - g // 2), _pairing_signs(g // 2)
+    frontier = np.zeros((n, n), dtype=bool)
+    frontier[1, 4] = frontier[4, 1] = True  # a1 and a2 as bitmask classes
+    visited = frontier.copy()
+    layers = []
+    while True:
+        rows = np.flatnonzero(frontier.any(axis=1))
+        for r in np.split(rows, range(_K2_BLOCK, rows.size, _K2_BLOCK)):
+            w = _f2_walsh(frontier[r], hi, lo)
+            nxt = w < w[:, :1, :1]
+            # (-1)^<u, x> factors like the transform: <u, x> = 0 where the signs agree
+            u_hi, u_lo = np.divmod(r, len(lo))
+            nxt &= hi[u_hi, :, None] == lo[u_lo, None, :]
+            frontier[r] = nxt.reshape(r.size, n)
+        _symmetrize(frontier)
+        np.greater(frontier, visited, out=frontier)  # drop the visited pairs
+        size = int(np.count_nonzero(frontier)) // 2
+        if not size:
+            return len(layers), 1 + sum(layers), layers
+        visited |= frontier
+        layers.append(size)
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 5, 6])
+def test_implicit_k2_layers_match_walsh_oracle(g):
+    layers = []
+    ecc, total = cx.f2_gamma_k2_eccentricity(g, lambda d, size: layers.append(size))
+    assert (ecc, total, layers) == _walsh_k2(g)
+
+
+def _k2_vertices(g):
+    """Every k = 2 vertex at genus g, as an (N, 2) array of classes x1 < x2."""
+    x1, x2 = np.triu_indices(1 << (2 * g), 1)
+    keep = (x1 > 0) & ((np.bitwise_count(f2_swap(x1, g) & x2) & 1) == 0)
+    return np.column_stack((x1[keep], x2[keep]))
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_k2_orbit_sizes_count_every_vertex(g):
+    # every vertex typed, against the closed form; g = 4 is the first genus
+    # where the class of two distinct orthogonal residuals is not empty
+    types, counts = np.unique(cx._f2_types(_k2_vertices(g)), return_counts=True)
+    sizes = {t: size for t, size in cx._k2_orbit_sizes(g).items() if size}
+    assert dict(zip(types.tolist(), counts.tolist())) == sizes
+    assert sum(sizes.values()) == cx.f2_count_vertices_k2(g)
+
+
+def test_k2_types_by_layer_stop_changing_at_genus_4():
+    layers = {g: [layer.tolist() for layer in cx._f2_type_layers(g, 2)] for g in (2, 3, 4, 5, 6)}
+    assert [sum(map(len, layers[g])) for g in layers] == [12, 24, 25, 25, 25]
+    assert layers[4] == layers[5] == layers[6]
+
+
+@pytest.mark.parametrize("g", range(1, 9))
+def test_k1_type_bfs_matches_gamma1(g):
+    assert len(list(cx._f2_type_layers(g, 1))) - 1 == cx.f2_gamma1_eccentricity(g) == cx.f2_orbit_eccentricity(g, 1)
+
+
+def test_orbit_eccentricity_refuses_what_it_cannot_answer():
+    with pytest.raises(ValueError, match="no cut system of size 3 at genus 2"):
+        cx.f2_orbit_eccentricity(2, 3)
+    with pytest.raises(ValueError, match="type codes of k = 4 take 152 bits"):
+        cx.f2_orbit_eccentricity(8, 4)
 
 
 def test_implicit_gamma1_matches_explicit():
