@@ -1,7 +1,7 @@
 """Cut-system complexes over exact combinatorial curve models.
 
 Subpackages: sympcurves (integer and mod-2 homology shadows), geomcurves
-(slopes and ribbon-graph words), universe (backend hooks and the handle
+(slopes on the one-holed torus), universe (backend hooks and the handle
 counter standing in for a non-planar end), complexes (graphs, cells,
 diameters, homology), homotopy (bounded paths, loop contraction,
 certificates), rigidity (induced curve maps), walks (seeded loop generators),

@@ -371,35 +371,15 @@ def _f2_orthogonal(ids, vecs):
 
 
 def f2_gamma1_eccentricity(g, start=None):
-    """Eccentricity of a vertex in the mod-2 Schmutz shadow at genus g.
-
-    The symplectic group acts transitively on nonzero vectors, so this equals
-    the diameter. A class is next to the frontier exactly when it lies outside
-    the orthogonal complement of the frontier's span, so each layer costs
-    O(g 4^g) and no 4^g x 4^g parity matrix is formed.
-    """
+    """Eccentricity of a vertex in the mod-2 Schmutz shadow at genus g, its
+    diameter: Sp(2g, F2) is transitive on nonzero classes, so any start gives
+    the type BFS from a_1, with layers sized by `_k1_orbit_sizes`."""
     if g < 1:
         raise ValueError(f"no cut system of size 1 at genus {g}")
-    if g >= 16:
-        raise ValueError(f"genus {g} is too large for uint32 class ids")
     start = 1 if start is None else start  # the class a_1
     if type(start) is not int or not 1 <= start < 1 << (2 * g):
         raise ValueError(f"start {start!r} is not a nonzero class id below 4^{g}")
-    ids = np.arange(1 << (2 * g), dtype=np.uint32)
-    dist = np.full(ids.size, -1, dtype=np.int32)
-    dist[start] = 0
-    frontier = ids[[start]]
-    d = 0
-    while frontier.size:
-        d += 1
-        nbr = ~_f2_orthogonal(ids, f2_swap(frontier, g))
-        nbr &= dist < 0
-        nbr[0] = False
-        frontier = ids[nbr]
-        dist[nbr] = d
-    if (dist[1:] < 0).any():
-        raise InfiniteDiameter("Schmutz shadow is disconnected")
-    return int(dist[1:].max())
+    return _f2_sized_eccentricity(g, 1, _k1_orbit_sizes(g), (1 << (2 * g)) - 1)[0]
 
 
 def _f2_types(xs):
@@ -428,24 +408,39 @@ def _f2_types(xs):
     return best
 
 
+_TYPE_BLOCK = 16  # frontier rows moved and typed at once; 16 keeps each genus-4, k = 2 layer one block
+
+
+def _f2_moves(rows, ids, g):
+    """Every vertex one move from a row of rows, an (N, k) int64 array, in
+    row-major order: x_i swapped for each y of ids with <y, x_i> = 1 and
+    <y, x_j> = 0 for j != i."""
+    pairs = np.bitwise_count(f2_swap(rows, g)[:, None, :] & ids[:, None]) & 1
+    row, y, i = np.nonzero(pairs & (pairs.sum(axis=2, keepdims=True) == 1))
+    moves = rows[row]
+    moves[np.arange(row.size), i] = y
+    return moves
+
+
 def _f2_type_layers(g, k):
     """Yield the vertex types of the size-k shadow at genus g by distance from
-    the base, one sorted int64 array per layer.  One representative per type
-    is expanded: a move swaps x_i for any y with <y, x_i> = 1 and <y, x_j> = 0
-    for j != i."""
+    the base, one sorted int64 array per layer.  One representative per type,
+    the first move to reach it, is expanded.  `_TYPE_BLOCK` frontier rows at
+    a time are moved and typed, so a layer holds its moves and their codes
+    but not the pairing and typing temporaries of all of them at once."""
     ids = np.arange(1 << (2 * g), dtype=np.int64)
     frontier = np.array([[1 << (2 * i) for i in range(k)]], dtype=np.int64)
     layer, seen = _f2_types(frontier), set()
     while layer.size:
         yield layer
         seen.update(layer.tolist())
-        pairs = np.bitwise_count(f2_swap(frontier, g)[:, None, :] & ids[:, None]) & 1
-        row, y, i = np.nonzero(pairs & (pairs.sum(axis=2, keepdims=True) == 1))
-        moves = frontier[row]
-        moves[np.arange(row.size), i] = y
-        types, first = np.unique(_f2_types(moves), return_index=True)
+        moves, codes = [], []
+        for i in range(0, len(frontier), _TYPE_BLOCK):
+            moves.append(_f2_moves(frontier[i : i + _TYPE_BLOCK], ids, g))
+            codes.append(_f2_types(moves[-1]))
+        types, first = np.unique(np.concatenate(codes), return_index=True)
         new = [n for n, t in enumerate(types.tolist()) if t not in seen]
-        layer, frontier = types[new], moves[first[new]]
+        layer, frontier = types[new], np.concatenate(moves)[first[new]]
 
 
 def f2_orbit_eccentricity(g, k):
@@ -480,23 +475,39 @@ def _k2_orbit_sizes(g):
     return {t: size // 2 for t, size in sizes.items()}
 
 
-def f2_gamma_k2_eccentricity(g, progress=None):
-    """Eccentricity of the base vertex {a1, a2} in the k = 2 shadow at genus g,
-    and the number of vertices it reached: the type BFS at genus min(g, 4),
-    each layer sized by its types' orbit sizes at genus g.  progress(layer,
-    size) is called after each layer."""
-    if g < 2:
-        raise ValueError(f"no cut system of size 2 at genus {g}")
-    sizes = _k2_orbit_sizes(g)
+def _k1_orbit_sizes(g):
+    """{type: number of classes of that type} at genus g: a_1 alone, the
+    2^(2g-1) classes that pair to 1 with a_1 (b_1's type) and the other
+    2^(2g-1) - 2 (a_2's type, empty at g = 1)."""
+    half = 1 << (2 * g - 1)
+    a1, b1, a2 = _f2_types(np.array([[1], [2], [4]])).tolist()
+    return {a1: 1, b1: half, a2: half - 2}
+
+
+def _f2_sized_eccentricity(g, k, sizes, count, progress=None):
+    """Eccentricity of the base vertex in the size-k shadow at genus g and the
+    number of vertices it reached: the type BFS at genus min(g, 2k), each
+    layer sized by sizes, {type: orbit size at genus g}.  progress(layer,
+    size) is called after each layer; InfiniteDiameter unless the layers
+    hold all count vertices."""
     total = 0
-    for ecc, layer in enumerate(_f2_type_layers(min(g, 4), 2)):
+    for ecc, layer in enumerate(_f2_type_layers(min(g, 2 * k), k)):
         size = sum(sizes[t] for t in layer.tolist())
         total += size
         if progress and ecc:
             progress(ecc, size)
-    if total != f2_count_vertices_k2(g):
-        raise InfiniteDiameter("k = 2 shadow is disconnected")
+    if total != count:
+        raise InfiniteDiameter(f"k = {k} shadow is disconnected")
     return ecc, total
+
+
+def f2_gamma_k2_eccentricity(g, progress=None):
+    """Eccentricity of the base vertex {a1, a2} in the k = 2 shadow at genus g,
+    and the number of vertices it reached, with layers sized by
+    `_k2_orbit_sizes`; progress(layer, size) is called after each layer."""
+    if g < 2:
+        raise ValueError(f"no cut system of size 2 at genus {g}")
+    return _f2_sized_eccentricity(g, 2, _k2_orbit_sizes(g), f2_count_vertices_k2(g), progress)
 
 
 def f2_count_vertices_k2(g):

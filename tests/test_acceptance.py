@@ -14,19 +14,11 @@ from cutsys import complexes as cx
 from cutsys import homotopy as H
 from cutsys import rigidity as R
 from cutsys import walks
-from cutsys.geomcurves import (
-    CyclicWord,
-    Inessential,
-    RibbonSurface,
-    all_slopes,
-    islope,
-    iword,
-    iword_oracle,
-    slope_word,
-    twist_slope,
-)
+from cutsys.geomcurves import all_slopes, islope, twist_slope
 from cutsys.sympcurves import HClass, SympSpace, pairing_vec, transvect_vec
 from cutsys.universe import SympF2Universe, make_universe
+
+from wordmodel import CyclicWord, Inessential, RibbonSurface, iword, iword_oracle, slope_word
 
 
 def report(num, name, ok, detail=""):
@@ -96,6 +88,9 @@ def test_criterion_3_constructive_bound():
         path = H.connect(prover, v, w)
         length = len(path) - 1
         good = path[0] == v and path[-1] == w and H.check_path(u, path)
+        # its image mod 2 is a path of the mod-2 shadow at the highest genus it reaches
+        g_max = max(c.g for x in path for c in x)
+        good &= H.check_path(SympF2Universe(g_max), [_mod2_vertex(x) for x in path])
         good &= length <= 8 * k - 4 or v == w
         if len(set(v) | set(w)) == 2 * k and v != w:
             good &= length >= k
@@ -235,16 +230,16 @@ def _mod2(c):
     return sum((x & 1) << j for j, x in enumerate(c.coords))
 
 
+def _mod2_vertex(v):
+    return tuple(sorted(map(_mod2, v)))
+
+
 def _push_forward(loop, cert):
     """(sympF2 universe, loop, steps): the image of a sympZ certificate mod 2,
     at the highest genus any of its curves reaches."""
-
-    def vertex(v):
-        return tuple(sorted(map(_mod2, v)))
-
-    steps = [H.Step(s.op, s.at, tuple(map(vertex, s.old)), tuple(map(vertex, s.new)), s.kind) for s in cert.steps]
+    steps = [H.Step(s.op, s.at, tuple(map(_mod2_vertex, s.old)), tuple(map(_mod2_vertex, s.new)), s.kind) for s in cert.steps]
     g = max(c.g for v in chain(loop, *(s.old + s.new for s in cert.steps)) for c in v)
-    return SympF2Universe(g), [vertex(v) for v in loop], steps
+    return SympF2Universe(g), [_mod2_vertex(v) for v in loop], steps
 
 
 def test_certificates_push_forward_to_mod_2(tmp_path, monkeypatch):

@@ -2,19 +2,9 @@ import random
 
 import pytest
 
-from cutsys.geomcurves import (
-    BoundExceeded,
-    CyclicWord,
-    Inessential,
-    RibbonSurface,
-    Slope,
-    all_slopes,
-    islope,
-    iword,
-    iword_oracle,
-    slope_word,
-    twist_slope,
-)
+from cutsys.geomcurves import Slope, all_slopes, islope, twist_slope
+
+from wordmodel import BoundExceeded, CyclicWord, Inessential, RibbonSurface, iword, iword_oracle, slope_word
 
 T = RibbonSurface.standard(1, 1)
 S21 = RibbonSurface.standard(2, 1)
@@ -89,6 +79,8 @@ def test_word_bound():
 
 
 def test_dictionary_matches_determinant():
+    # slope_word with iword is an exact oracle for islope that shares no code
+    # with it: crossings counted on the cutting-sequence words of the slopes
     for a in all_slopes(3):
         for b in all_slopes(3):
             wa, wb = slope_word(a), slope_word(b)

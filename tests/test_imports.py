@@ -33,7 +33,7 @@ def test_the_check_finds_unused_imports():
     assert _unused_imports(source) == [(2, "json"), (4, "lcm")]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + [ROOT / "tests" / "wordmodel.py"], ids=lambda p: p.name)
 def test_no_unused_module_level_imports(path):
     assert _unused_imports(path.read_text()) == []
 
@@ -41,9 +41,6 @@ def test_no_unused_module_level_imports(path):
 # module-level definitions that no other place in src/cutsys reads, each with
 # the reason it stays
 UNREFERENCED_OK = {
-    "geomcurves.iword": "word intersection numbers, checked against slopes (acceptance criterion 8)",
-    "geomcurves.iword_oracle": "independent taut-picture oracle for iword (acceptance criterion 8)",
-    "geomcurves.slope_word": "slope-to-word dictionary on the one-holed torus (acceptance criterion 8)",
     "homotopy.hex_escorts": "the hexagon construction on its own (acceptance criterion 7)",
 }
 
