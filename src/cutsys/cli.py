@@ -50,12 +50,7 @@ def cmd_build(args):
 def cmd_diam(args):
     u = _universe(args)
     if args.implicit:
-        if args.k == 1:
-            d = cx.f2_gamma1_eccentricity(args.g)
-        elif args.k == 2:
-            d, _ = cx.f2_gamma_k2_eccentricity(args.g)
-        else:
-            d = cx.f2_orbit_eccentricity(args.g, args.k)
+        d, _ = cx.f2_orbit_eccentricity(args.g, args.k)
     else:
         d = cx.diameter(cx.build_gamma(u, args.k))
     ok = args.k <= d <= 8 * args.k - 4

@@ -10,7 +10,9 @@ out the toolkit.
 
 from __future__ import annotations
 
-from itertools import combinations, compress, permutations, repeat
+from functools import reduce
+from itertools import combinations, compress, islice, permutations, repeat
+from math import factorial, prod
 from typing import NamedTuple
 
 import numpy as np
@@ -373,39 +375,42 @@ def _f2_orthogonal(ids, vecs):
 def f2_gamma1_eccentricity(g, start=None):
     """Eccentricity of a vertex in the mod-2 Schmutz shadow at genus g, its
     diameter: Sp(2g, F2) is transitive on nonzero classes, so any start gives
-    the type BFS from a_1, with layers sized by `_k1_orbit_sizes`."""
+    the eccentricity of a_1."""
     if g < 1:
         raise ValueError(f"no cut system of size 1 at genus {g}")
     start = 1 if start is None else start  # the class a_1
     if type(start) is not int or not 1 <= start < 1 << (2 * g):
         raise ValueError(f"start {start!r} is not a nonzero class id below 4^{g}")
-    return _f2_sized_eccentricity(g, 1, _k1_orbit_sizes(g), (1 << (2 * g)) - 1)[0]
+    return f2_orbit_eccentricity(g, 1)[0]
 
 
-def _f2_types(xs):
-    """The type of each vertex, a row of the (N, k) int64 array xs, relative
-    to the base B = (a_1, ..., a_k), as an int64.
+def _f2_codes(xs):
+    """One int64 code per ordering of the rows of the (N, k) int64 array xs,
+    each vertex X relative to the base B = (a_1, ..., a_k).
 
     A code packs parts of 2k bits: for each x_j its b bits on handles 1..k,
     which are its pairings with a_1, ..., a_k; then for each nonempty subset
-    of the row its sum when that lies in span B, else 0.  The type is the
-    least code over the k! orderings of the row.  Equal types make X -> X'
-    with B fixed a well-defined isometry of span(B, X), which Witt's theorem
-    extends to Sp(2g, F2), so d(B, X) depends only on the type.
+    of the row its sum when that lies in span B, else 0.  Equal codes make
+    X -> X' with B fixed a well-defined isometry of span(B, X), which Witt's
+    theorem extends to Sp(2g, F2).
     """
     k = xs.shape[1]
     span = sum(1 << (2 * i) for i in range(k))  # the a bits of handles 1..k
     sums = [np.bitwise_xor.reduce(xs[:, [j for j in range(k) if s >> j & 1]], axis=1) for s in range(1 << k)]
     rel = [np.where(x & ~span, 0, x) for x in sums]
-    best = None
     for order in permutations(range(k)):
         code = 0
         for j in order:
             code = (code << 2 * k) | (xs[:, j] & (span << 1))
         for s in range(1, 1 << k):  # subset s of the reordered row
             code = (code << 2 * k) | rel[sum(1 << order[j] for j in range(k) if s >> j & 1)]
-        best = code if best is None else np.minimum(best, code)
-    return best
+        yield code
+
+
+def _f2_types(xs):
+    """The type of each row of xs, the least of its codes over the k!
+    orderings, so d(B, X) depends only on the type."""
+    return reduce(np.minimum, _f2_codes(xs))
 
 
 _TYPE_BLOCK = 16  # frontier rows moved and typed at once; 16 keeps each genus-4, k = 2 layer one block
@@ -424,15 +429,16 @@ def _f2_moves(rows, ids, g):
 
 def _f2_type_layers(g, k):
     """Yield the vertex types of the size-k shadow at genus g by distance from
-    the base, one sorted int64 array per layer.  One representative per type,
-    the first move to reach it, is expanded.  `_TYPE_BLOCK` frontier rows at
-    a time are moved and typed, so a layer holds its moves and their codes
-    but not the pairing and typing temporaries of all of them at once."""
+    the base, one (types, reps) pair per layer: the sorted int64 types and an
+    (N, k) array whose row i, the first move to reach types[i], is the one
+    expanded.  `_TYPE_BLOCK` frontier rows at a time are moved and typed, so a
+    layer holds its moves and their codes but not the pairing and typing
+    temporaries of all of them at once."""
     ids = np.arange(1 << (2 * g), dtype=np.int64)
     frontier = np.array([[1 << (2 * i) for i in range(k)]], dtype=np.int64)
     layer, seen = _f2_types(frontier), set()
     while layer.size:
-        yield layer
+        yield layer, frontier
         seen.update(layer.tolist())
         moves, codes = [], []
         for i in range(0, len(frontier), _TYPE_BLOCK):
@@ -443,80 +449,78 @@ def _f2_type_layers(g, k):
         layer, frontier = types[new], np.concatenate(moves)[first[new]]
 
 
-def f2_orbit_eccentricity(g, k):
+def _f2_orbit_sizes(reps, types, g):
+    """The number of vertices at genus g of each type, given one vertex X of
+    each: a row of reps, an (N, k) int64 array.
+
+    By Witt's theorem the orderings of vertices with X's code are the
+    isometric embeddings of span(B, X) that fix B.  Walk x_1, ..., x_k with
+    U = span(B, x_1, ..., x_(j-1)) of dimension d: x_j's image is forced when
+    x_j lies in U, and otherwise it is one of the 2^(2g-d) classes with x_j's
+    pairings on U, less the members of U that have them.  Each vertex of the
+    type has as many orderings with code equal to the type as X has.  The
+    small counts come from the 2^(2k) subset sums of (B, X); the products are
+    Python ints, exact at any genus.
+    """
+    n, k = reps.shape
+    gens = np.hstack((np.broadcast_to(1 << 2 * np.arange(k), (n, k)), reps))
+    sums = np.zeros((n, 1), dtype=np.int64)
+    for i in range(2 * k):  # bit i of a subset's index takes generator i
+        sums = np.hstack((sums, sums ^ gens[:, i : i + 1]))
+    h = (int(reps.max()).bit_length() + 1) // 2  # the handles the classes use
+    pairs = np.bitwise_count(f2_swap(sums, h)[:, :, None] & gens[:, None, :]) & 1
+    sizes = [1] * n
+    for m in range(k, 2 * k):  # x_j is generator m, U spans the m before it
+        zeros = (sums[:, : 1 << m] == 0).sum(axis=1)  # 2^(m - d)
+        shifted = slice(1 << m, 2 << m)  # the sums x_j + u, u in U
+        matches = (~pairs[:, shifted, :m].any(axis=2)).sum(axis=1) // zeros
+        inside = (sums[:, shifted] == 0).any(axis=1)
+        grow = zip(sizes, inside.tolist(), zeros.tolist(), matches.tolist())
+        sizes = [s if i else s * ((z << (2 * g - m)) - c) for s, i, z, c in grow]
+    ties = sum(code == types for code in _f2_codes(reps)).tolist()
+    return [size // tie for size, tie in zip(sizes, ties)]
+
+
+def f2_count_vertices(g, k):
+    """Number of cut systems of size k over F2 at genus g: in order, each
+    x_(j+1) is orthogonal to x_1, ..., x_j and outside their span."""
+    return prod((1 << (2 * g - j)) - (1 << j) for j in range(k)) // factorial(k)
+
+
+def f2_orbit_eccentricity(g, k, progress=None):
     """Eccentricity of the base vertex in the size-k shadow at genus g, its
-    diameter, for k <= 3.  A move (B, X, y) spans at most 2k + 1 dimensions
-    and pairs to 1 there, so it embeds at genus 2k: the type graph is the
-    same for every g >= 2k, and the type BFS runs at genus min(g, 2k)."""
+    diameter, and the number of vertices it reached, for k <= 3.
+
+    A move (B, X, y) spans at most 2k + 1 dimensions and pairs to 1 there, so
+    it embeds at genus 2k: the type graph is the same for every g >= 2k, and
+    the type BFS runs at genus min(g, 2k).  Each layer is sized at genus g by
+    `_f2_orbit_sizes` and passed to progress(layer, size); InfiniteDiameter
+    unless the layers hold every vertex."""
     if g < k:
         raise ValueError(f"no cut system of size {k} at genus {g}")
     if k > 3:
         raise ValueError(f"type codes of k = {k} take {2 * k * (k + (1 << k) - 1)} bits, past int64")
-    return sum(1 for _ in _f2_type_layers(min(g, 2 * k), k)) - 1
-
-
-def _k2_orbit_sizes(g):
-    """{type: number of k = 2 vertices of that type} at genus g.  With x = p + r,
-    p on handles 1-2 and r on the other g - 2, the type of {x1, x2} depends on
-    (p1, p2) and on which of r1, r2, r1 + r2 vanish, and it is a vertex when
-    <p1, p2> = <r1, r2>.  Each class of (r1, r2) is realized on handles 3-4 and
-    weighted by its count (they sum to 16^(g-2)); ordered pairs are halved."""
-    n = 4 ** (g - 2)
-    a3, b3, a4 = 1 << 4, 1 << 5, 1 << 6
-    r1, r2 = np.array([(0, 0), (0, a3), (a3, 0), (a3, a3), (a3, b3), (a3, a4)]).T
-    counts = (1, n - 1, n - 1, n - 1, (n - 1) * n // 2, (n - 1) * (n // 2 - 2))
-    p1, p2, c = np.indices((16, 16, len(counts))).reshape(3, -1)
-    x1, x2 = p1 | r1[c], p2 | r2[c]
-    ok = (np.bitwise_count(f2_swap(x1, 4) & x2) & 1 == 0) & (x1 != 0) & (x2 != 0) & (x1 != x2)
-    keys, mult = np.unique(_f2_types(np.column_stack((x1, x2))[ok]) * 8 + c[ok], return_counts=True)
-    sizes = {}
-    for key, m in zip(keys.tolist(), mult.tolist()):
-        sizes[key >> 3] = sizes.get(key >> 3, 0) + m * counts[key & 7]
-    return {t: size // 2 for t, size in sizes.items()}
-
-
-def _k1_orbit_sizes(g):
-    """{type: number of classes of that type} at genus g: a_1 alone, the
-    2^(2g-1) classes that pair to 1 with a_1 (b_1's type) and the other
-    2^(2g-1) - 2 (a_2's type, empty at g = 1)."""
-    half = 1 << (2 * g - 1)
-    a1, b1, a2 = _f2_types(np.array([[1], [2], [4]])).tolist()
-    return {a1: 1, b1: half, a2: half - 2}
-
-
-def _f2_sized_eccentricity(g, k, sizes, count, progress=None):
-    """Eccentricity of the base vertex in the size-k shadow at genus g and the
-    number of vertices it reached: the type BFS at genus min(g, 2k), each
-    layer sized by sizes, {type: orbit size at genus g}.  progress(layer,
-    size) is called after each layer; InfiniteDiameter unless the layers
-    hold all count vertices."""
+    layers = list(_f2_type_layers(min(g, 2 * k), k))
+    types, reps = map(np.concatenate, zip(*layers))
+    sizes = iter(_f2_orbit_sizes(reps, types, g))
     total = 0
-    for ecc, layer in enumerate(_f2_type_layers(min(g, 2 * k), k)):
-        size = sum(sizes[t] for t in layer.tolist())
+    for ecc, (layer, _) in enumerate(layers):
+        size = sum(islice(sizes, len(layer)))
         total += size
         if progress and ecc:
             progress(ecc, size)
-    if total != count:
+    if total != f2_count_vertices(g, k):
         raise InfiniteDiameter(f"k = {k} shadow is disconnected")
     return ecc, total
 
 
+# the k = 2 names the f2-diameter benchmark calls
 def f2_gamma_k2_eccentricity(g, progress=None):
-    """Eccentricity of the base vertex {a1, a2} in the k = 2 shadow at genus g,
-    and the number of vertices it reached, with layers sized by
-    `_k2_orbit_sizes`; progress(layer, size) is called after each layer."""
-    if g < 2:
-        raise ValueError(f"no cut system of size 2 at genus {g}")
-    return _f2_sized_eccentricity(g, 2, _k2_orbit_sizes(g), f2_count_vertices_k2(g), progress)
+    return f2_orbit_eccentricity(g, 2, progress)
 
 
 def f2_count_vertices_k2(g):
-    """Number of cut systems of size 2 over F2 at genus g (pairs that are
-    orthogonal, nonzero, and distinct)."""
-    n = 1 << (2 * g)
-    # each nonzero u has 2^(2g-1) orthogonal vectors including 0 and u
-    per = (n // 2) - 2
-    return (n - 1) * per // 2
+    return f2_count_vertices(g, 2)
 
 
 # --- chain homology -----------------------------------------------------------

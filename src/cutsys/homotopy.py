@@ -256,44 +256,26 @@ def cell_pattern(universe, cycle, context=(), known=0):
         if all(universe.inter(x, y) == 1 for x, y in combinations(bs, 2)):
             return "triangle"
         return None
-    if m == 4:
+    if m in (4, 5):
+        # rails e_i = (v_i & v_(i+1)) - common: single and distinct, each
+        # v_i - common = {e_(i-1), e_i}; neighbouring rails are disjoint and
+        # rails two apart meet once
         if len(common) != k - 2:
             return None
         rails = []
-        for i in range(4):
-            shared = (set(cycle[i]) & set(cycle[(i + 1) % 4])) - common
+        for i in range(m):
+            shared = (set(cycle[i]) & set(cycle[(i + 1) % m])) - common
             if len(shared) != 1:
                 return None
-            rails.append(next(iter(shared)))
-        b0, c1, b1, c0 = rails
-        if len({b0, b1, c0, c1}) != 4:
+            rails += shared
+        if len(set(rails)) != m:
             return None
-        if set(cycle[0]) - common != {b0, c0}:
-            return None
-        if universe.inter(b0, b1) != 1 or universe.inter(c0, c1) != 1:
-            return None
-        if any(universe.inter(b, c) != 0 for b in (b0, b1) for c in (c0, c1)):
-            return None
-        return "rectangle"
-    if m == 5:
-        if len(common) != k - 2:
-            return None
-        es = []
-        for i in range(5):
-            shared = (set(cycle[i]) & set(cycle[(i + 1) % 5])) - common
-            if len(shared) != 1:
+        for i in range(m):
+            if set(cycle[i]) - common != {rails[i - 1], rails[i]}:
                 return None
-            es.append(next(iter(shared)))
-        if len(set(es)) != 5:
-            return None
-        for i in range(5):
-            if set(cycle[i]) - common != {es[i - 1], es[i]}:
+            if universe.inter(rails[i], rails[(i + 1) % m]) != 0 or universe.inter(rails[i], rails[(i + 2) % m]) != 1:
                 return None
-            if universe.inter(es[i], es[(i + 1) % 5]) != 0:
-                return None
-            if universe.inter(es[i], es[(i + 2) % 5]) != 1:
-                return None
-        return "pentagon"
+        return "rectangle" if m == 4 else "pentagon"
     return None
 
 

@@ -100,6 +100,36 @@ def test_cells_reverified_independently():
     assert all(n > 0 for n in kinds.values())
 
 
+def _short_cycles(graph, m):
+    """Every simple m-cycle of the 1-skeleton once, as a tuple of vertex ids
+    that starts at its least id and whose second id is below its last."""
+    out = []
+    for s in range(len(graph.vertices)):
+        paths = [(s,)]
+        for _ in range(m - 1):
+            paths = [p + (y,) for p in paths for y in graph.adj[p[-1]] if y > s and y not in p]
+        out += [p for p in paths if s in graph.adj[p[-1]] and p[1] < p[-1]]
+    return out
+
+
+def test_cell_check_rejects_coincidental_short_cycles():
+    # the cycle search the builder avoids: of all simple 4- and 5-cycles at
+    # g = 2, k = 2, exactly the built rectangles and pentagons pass the check
+    from cutsys.homotopy import cell_pattern
+
+    g2 = cx.build_gamma(U2, 2)
+    built = {}
+    for kind, cycle in g2.cells:
+        if kind != "triangle":
+            i = cycle.index(min(cycle))
+            cycle = cycle[i:] + cycle[:i]
+            built[cycle if cycle[1] < cycle[-1] else cycle[:1] + cycle[:0:-1]] = kind
+    cycles = _short_cycles(g2, 4) + _short_cycles(g2, 5)
+    assert (len(cycles), len(built)) == (1467, 162)
+    found = {c: cell_pattern(U2, _named(g2, c)) for c in cycles}
+    assert {c: kind for c, kind in found.items() if kind} == built
+
+
 def test_bfs_examples():
     sm = cx.build_schmutz(U2)
     a1, b1, a2 = (1 << 0,), (1 << 1,), (1 << 2,)
@@ -169,10 +199,24 @@ def test_implicit_k2_rejects_genus_out_of_range():
 
 def test_implicit_k2_detects_disconnection(monkeypatch):
     # one vertex more than exists: the layer after the last real one is empty
-    count = cx.f2_count_vertices_k2
-    monkeypatch.setattr(cx, "f2_count_vertices_k2", lambda g: count(g) + 1)
-    with pytest.raises(cx.InfiniteDiameter):
+    count = cx.f2_count_vertices
+    monkeypatch.setattr(cx, "f2_count_vertices", lambda g, k: count(g, k) + 1)
+    with pytest.raises(cx.InfiniteDiameter, match="k = 2 shadow is disconnected"):
         cx.f2_gamma_k2_eccentricity(3)
+
+
+def test_implicit_k3_detects_disconnection(monkeypatch):
+    # moves confined to handles 1-3 reach 196 of the 505 types at genus 6,
+    # and the eccentricity alone would still read 6
+    moves = cx._f2_moves
+
+    def stay_on_handles_1_to_3(rows, ids, g):
+        out = moves(rows, ids, g)
+        return out[(out < 1 << 6).all(axis=1)]
+
+    monkeypatch.setattr(cx, "_f2_moves", stay_on_handles_1_to_3)
+    with pytest.raises(cx.InfiniteDiameter, match="k = 3 shadow is disconnected"):
+        cx.f2_orbit_eccentricity(6, 3)
 
 
 @pytest.mark.parametrize("g", [1, 2, 3])
@@ -277,46 +321,81 @@ def test_implicit_k2_layers_match_walsh_oracle(g):
     assert (ecc, total, layers) == _walsh_k2(g)
 
 
-def _k2_vertices(g):
-    """Every k = 2 vertex at genus g, as an (N, 2) array of classes x1 < x2."""
-    x1, x2 = np.triu_indices(1 << (2 * g), 1)
-    keep = (x1 > 0) & ((np.bitwise_count(f2_swap(x1, g) & x2) & 1) == 0)
-    return np.column_stack((x1[keep], x2[keep]))
+def _vertices(g, k):
+    """Every size-k vertex at genus g, as an (N, k) array of classes
+    x_1 < ... < x_k: nonzero, pairwise orthogonal and independent."""
+    ids = np.arange(1 << (2 * g), dtype=np.int64)
+    rows = ids[1:, None]
+    for _ in range(k - 1):
+        ok = ids > rows[:, -1:]
+        span = np.zeros((len(rows), 1), dtype=np.int64)
+        for x in rows.T:
+            ok &= (np.bitwise_count(f2_swap(x, g)[:, None] & ids) & 1) == 0
+            span = np.hstack((span, span ^ x[:, None]))
+        for u in span.T:
+            ok &= ids != u[:, None]
+        row, col = np.nonzero(ok)
+        rows = np.column_stack((rows[row], ids[col]))
+    return rows
+
+
+def _check_orbit_sizes(g, k):
+    # every vertex typed, against the embedding count of one vertex of each
+    # type, the last one enumerated, which may use any handle
+    xs = _vertices(g, k)[::-1]
+    types, last, counts = np.unique(cx._f2_types(xs), return_index=True, return_counts=True)
+    assert cx._f2_orbit_sizes(xs[last], types, g) == counts.tolist()
+    assert len(xs) == cx.f2_count_vertices(g, k)
 
 
 @pytest.mark.parametrize("g", [2, 3, 4])
 def test_k2_orbit_sizes_count_every_vertex(g):
-    # every vertex typed, against the closed form; g = 4 is the first genus
-    # where the class of two distinct orthogonal residuals is not empty
-    types, counts = np.unique(cx._f2_types(_k2_vertices(g)), return_counts=True)
-    sizes = {t: size for t, size in cx._k2_orbit_sizes(g).items() if size}
-    assert dict(zip(types.tolist(), counts.tolist())) == sizes
-    assert sum(sizes.values()) == cx.f2_count_vertices_k2(g)
+    _check_orbit_sizes(g, 2)
 
 
 def test_k2_types_by_layer_stop_changing_at_genus_4():
-    layers = {g: [layer.tolist() for layer in cx._f2_type_layers(g, 2)] for g in (2, 3, 4, 5, 6)}
+    layers = {g: [types.tolist() for types, _ in cx._f2_type_layers(g, 2)] for g in (2, 3, 4, 5, 6)}
     assert [sum(map(len, layers[g])) for g in layers] == [12, 24, 25, 25, 25]
     assert layers[4] == layers[5] == layers[6]
 
 
+def test_type_layers_yield_a_vertex_of_each_type():
+    for types, reps in cx._f2_type_layers(3, 2):
+        assert cx._f2_types(reps).tolist() == types.tolist()
+        assert all(f2_is_cut(row, 3) for row in reps.tolist())
+
+
 @pytest.mark.parametrize("g", range(1, 9))
 def test_k1_type_bfs_matches_gamma1(g):
-    # the k = 1 type graph stops changing at genus 2, where f2_gamma1_eccentricity
-    # and f2_orbit_eccentricity run it; the dense oracle test checks its values
-    layers = [layer.tolist() for layer in cx._f2_type_layers(g, 1)]
-    assert layers == [layer.tolist() for layer in cx._f2_type_layers(min(g, 2), 1)]
-    assert len(layers) - 1 == cx.f2_orbit_eccentricity(g, 1) == min(g, 2)
+    # the k = 1 type graph stops changing at genus 2, where f2_orbit_eccentricity
+    # runs it; the dense oracle test checks its values
+    layers = [types.tolist() for types, _ in cx._f2_type_layers(g, 1)]
+    assert layers == [types.tolist() for types, _ in cx._f2_type_layers(min(g, 2), 1)]
+    assert len(layers) - 1 == cx.f2_orbit_eccentricity(g, 1)[0] == min(g, 2)
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
 def test_k1_orbit_sizes_count_every_vertex(g):
-    # every nonzero class typed, against the closed form; the third type is
-    # empty at g = 1
-    types, counts = np.unique(cx._f2_types(np.arange(1, 1 << (2 * g))[:, None]), return_counts=True)
-    sizes = {t: size for t, size in cx._k1_orbit_sizes(g).items() if size}
-    assert dict(zip(types.tolist(), counts.tolist())) == sizes
-    assert sum(sizes.values()) == (1 << (2 * g)) - 1
+    # the third type, a_2's, is empty at g = 1
+    _check_orbit_sizes(g, 1)
+
+
+@pytest.mark.parametrize("g", [3, 4])
+def test_k3_orbit_sizes_count_every_vertex(g):
+    # 196 types and 3,780 vertices at g = 3; 462 and 321,300 at g = 4
+    _check_orbit_sizes(g, 3)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_count_vertices_matches_cut_test(k):
+    for g in range(1, 4):
+        count = sum(f2_is_cut(c, g) for c in combinations(range(1, 1 << (2 * g)), k))
+        assert cx.f2_count_vertices(g, k) == count, g
+
+
+@pytest.mark.parametrize("g", range(3, 13))
+def test_implicit_k3_reaches_every_vertex(g):
+    assert cx.f2_orbit_eccentricity(g, 3) == (6, cx.f2_count_vertices(g, 3))
 
 
 def test_orbit_eccentricity_refuses_what_it_cannot_answer():

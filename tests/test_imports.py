@@ -38,10 +38,24 @@ def test_no_unused_module_level_imports(path):
     assert _unused_imports(path.read_text()) == []
 
 
+def test_no_assert_statements():
+    # python -O strips asserts, so a check that guards soundness must raise
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in [SRC / "__init__.py"] + MODULES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
 # module-level definitions that no other place in src/cutsys reads, each with
 # the reason it stays
 UNREFERENCED_OK = {
     "homotopy.hex_escorts": "the hexagon construction on its own (acceptance criterion 7)",
+    "complexes.f2_gamma1_eccentricity": "called by perfbench/work.py (f2-diameter)",
+    "complexes.f2_gamma_k2_eccentricity": "called by perfbench/work.py (f2-diameter)",
+    "complexes.f2_count_vertices_k2": "called by perfbench/work.py (f2-diameter)",
 }
 
 
