@@ -34,10 +34,6 @@ class NeedsSeed(ValueError):
     pass
 
 
-def vertex_of(universe, curves):
-    return tuple(sorted(curves, key=universe.key))
-
-
 class Cell(NamedTuple):
     kind: str  # triangle | rectangle | pentagon
     cycle: tuple  # boundary vertex ids in cyclic order
@@ -53,7 +49,7 @@ class ComplexGraph:
     """
 
     def __init__(self, universe, k, vertices, edges, cells, tag=None):
-        vertices = _key_order(universe, vertices)
+        vertices = sorted(vertices)
         index = {v: i for i, v in enumerate(vertices)}
         ids = ((index[v], index[w]) for v, w in edges)
         edges = sorted({(i, j) if i < j else (j, i) for i, j in ids})
@@ -62,7 +58,7 @@ class ComplexGraph:
 
     @classmethod
     def from_ids(cls, universe, k, vertices, edges, cells):
-        """The graph over `vertices` in key order, with `edges` and `cells`
+        """The graph over `vertices` in sorted order, with `edges` and `cells`
         already over ids and sorted as the attributes hold them."""
         graph = cls.__new__(cls)
         graph._fill(universe, k, vertices, edges, cells, None)
@@ -104,10 +100,6 @@ class ComplexGraph:
         lines += [f"  // {c.kind}: {list(c.cycle)}" for c in self.cells]
         lines.append("}")
         return "\n".join(lines)
-
-
-def _key_order(universe, vertices):
-    return sorted(vertices, key=lambda v: tuple(universe.key(c) for c in v))
 
 
 def _pool(universe, curves, common, free):
@@ -225,14 +217,11 @@ def build_gamma(universe, k, seeds=None, radius=None):
         for seed in seeds:
             if len(seed) != k or not universe.cut_ok(seed):
                 raise ValueError(f"seed {seed} is not a cut system of size {k}")
-    if universe.enumerable:
-        curves = list(universe.all_curves())
-    else:
-        curves = sorted({c for v in seeds for c in v}, key=universe.key)
-    vertices = [vertex_of(universe, c) for c in combinations(curves, k) if universe.cut_ok(c)]
+    curves = sorted(universe.all_curves() if universe.enumerable else {c for v in seeds for c in v})
+    # combinations of sorted curves are sorted vertices, and come in sorted order
+    vertices = [c for c in combinations(curves, k) if universe.cut_ok(c)]
     if not vertices:
         raise ValueError(f"no cut system of size {k} at genus {universe.g}")
-    vertices = _key_order(universe, vertices)
     index = {v: i for i, v in enumerate(vertices)}
     found = {}
     for free in range(1, min(k, 2) + 1):
@@ -241,19 +230,19 @@ def build_gamma(universe, k, seeds=None, radius=None):
                 continue
             pool, once, apart = _pool(universe, curves, common, free)
             if free == 1:
-                vid = np.array([index[vertex_of(universe, (c,) + common)] for c in pool], dtype=np.int64)
+                vid = np.array([index[tuple(sorted((c,) + common))] for c in pool], dtype=np.int64)
             else:
                 vid = np.full(once.shape, -1, dtype=np.int64)
                 x, y = np.nonzero(np.triu(apart))
                 pairs = zip(x.tolist(), y.tolist())
-                vid[x, y] = vid[y, x] = [index[vertex_of(universe, (pool[i], pool[j]) + common)] for i, j in pairs]
+                vid[x, y] = vid[y, x] = [index[tuple(sorted((pool[i], pool[j]) + common))] for i, j in pairs]
             for kind, slots in _cells(once, apart).items():
                 found.setdefault(kind, []).append(vid.ravel()[slots])
     found = {kind: np.concatenate(arrays) for kind, arrays in found.items()}
     edges = np.sort(found.pop("edge"), axis=1)  # each edge has one common set: no duplicates
     if seeds:
         ball = np.zeros(len(vertices), dtype=bool)
-        ball[[index[vertex_of(universe, s)] for s in seeds]] = True
+        ball[[index[tuple(sorted(s))] for s in seeds]] = True
         for _ in range(radius or 0):
             near = ball.copy()
             near[edges[ball[edges[:, 0]], 1]] = near[edges[ball[edges[:, 1]], 0]] = True
@@ -275,7 +264,7 @@ def build_schmutz(universe):
     Built directly from the definition; must coincide with build_gamma(., 1).
     """
     curves = list(universe.all_curves())
-    vertices = [vertex_of(universe, (c,)) for c in curves if universe.cut_ok((c,))]
+    vertices = [(c,) for c in curves if universe.cut_ok((c,))]
     edges = []
     for (v,), (w,) in combinations([v for v in vertices], 2):
         if universe.inter(v, w) == 1:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import gcd
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Slope:
     """Primitive (p, q) mod sign: an essential simple closed curve on Sigma_{1,1}."""
 
@@ -57,4 +57,4 @@ def all_slopes(bound):
                 if p == 0 and q < 0:
                     continue
                 out.add(Slope(p, q))
-    return sorted(out, key=lambda s: (s.p, s.q))
+    return sorted(out)

@@ -22,7 +22,6 @@ from __future__ import annotations
 import functools
 import threading
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from .sympcurves import HClass, combine, is_primitive_frame
 
@@ -233,6 +232,13 @@ def cell_pattern(universe, cycle, context=(), known=0):
     independent of the detector and the prover.  The first `known` vertices
     must be a path of cut systems already checked: they get no cut test, and
     the known - 1 sides between them no edge test.
+
+    Once every vertex is a cut system and every side an edge, the curve
+    conditions of a cell need no further `inter` call.  A triangle's side
+    v_i -> v_(i+1) swaps b_i for b_(i+1), so each pair of b's meets once.  A
+    rectangle's or pentagon's rails e_(i-1) and e_i both lie in the cut
+    system v_i, so they are disjoint; its side v_i -> v_(i+1) swaps e_(i-1)
+    for e_(i+1), so rails two apart meet once.
     """
     m = len(cycle)
     if len(set(cycle)) != m:
@@ -248,18 +254,11 @@ def cell_pattern(universe, cycle, context=(), known=0):
         common &= set(v)
     k = len(cycle[0])
     if m == 3:
-        if len(common) != k - 1:
-            return None
-        bs = [next(iter(set(v) - common)) for v in cycle]
-        if len(set(bs)) != 3:
-            return None
-        if all(universe.inter(x, y) == 1 for x, y in combinations(bs, 2)):
-            return "triangle"
-        return None
+        # each v_i = common + {b_i}, and the b_i differ as the vertices do
+        return "triangle" if len(common) == k - 1 else None
     if m in (4, 5):
         # rails e_i = (v_i & v_(i+1)) - common: single and distinct, each
-        # v_i - common = {e_(i-1), e_i}; neighbouring rails are disjoint and
-        # rails two apart meet once
+        # v_i - common = {e_(i-1), e_i}
         if len(common) != k - 2:
             return None
         rails = []
@@ -272,8 +271,6 @@ def cell_pattern(universe, cycle, context=(), known=0):
             return None
         for i in range(m):
             if set(cycle[i]) - common != {rails[i - 1], rails[i]}:
-                return None
-            if universe.inter(rails[i], rails[(i + 1) % m]) != 0 or universe.inter(rails[i], rails[(i + 2) % m]) != 1:
                 return None
         return "rectangle" if m == 4 else "pentagon"
     return None
@@ -355,36 +352,35 @@ _UNDO = {CELL_FILL: CELL_FILL, BT_INSERT: BT_REMOVE, BT_REMOVE: BT_INSERT}
 class Steps:
     """The steps of `parts` (a Step, a Steps or a list of them) shifted
     `offset` places along the path, with the curves `lift` added to every
-    vertex (sorted by `key`), and undone in reverse order when `inverted`."""
+    vertex, and undone in reverse order when `inverted`."""
 
     parts: object
     offset: int = 0
     lift: tuple = ()
-    key: object = None
     inverted: bool = False
 
 
 def flatten(parts):
     """The list[Step] of composed steps, each built once.  Offsets add, lifts
-    unite (one sort per vertex: the key is a total order) and inversions cancel."""
+    unite (each vertex sorted once) and inversions cancel."""
     out = []
-    lift = functools.lru_cache(None)(lambda v, curves, key: tuple(sorted(v + curves, key=key)))
+    lift = functools.lru_cache(None)(lambda v, curves: tuple(sorted(v + curves)))
 
-    def walk(t, offset, curves, key, inverted):
+    def walk(t, offset, curves, inverted):
         if isinstance(t, Steps):
-            walk(t.parts, offset + t.offset, curves + t.lift, t.key or key, inverted != t.inverted)
+            walk(t.parts, offset + t.offset, curves + t.lift, inverted != t.inverted)
         elif isinstance(t, list):
             for p in reversed(t) if inverted else t:
-                walk(p, offset, curves, key, inverted)
+                walk(p, offset, curves, inverted)
         elif offset or curves or inverted:
             op, old, new = (_UNDO[t.op], t.new, t.old) if inverted else (t.op, t.old, t.new)
             if curves:
-                old, new = (tuple([lift(v, curves, key) for v in w]) for w in (old, new))
+                old, new = (tuple([lift(v, curves) for v in w]) for w in (old, new))
             out.append(Step(op, t.at + offset, old, new, t.kind))
         else:
             out.append(t)
 
-    walk(parts, 0, (), None, False)
+    walk(parts, 0, (), False)
     return out
 
 
@@ -517,7 +513,7 @@ class Prover:
         return self.u.cut_ok(curves, self.ctx)
 
     def vertex(self, curves):
-        v = tuple(sorted(curves, key=self.u.key))
+        v = tuple(sorted(curves))
         if not self.cut_ok(v):
             raise InvalidStep(f"vertex {v}: not a cut system in context {self.ctx}")
         return v
@@ -561,7 +557,7 @@ def path_common(prover, v, w):
     if len(diff_v) != 1 or len(diff_w) != 1:
         raise NotApplicable("path_common needs systems with all but one curve in common")
     a, b = next(iter(diff_v)), next(iter(diff_w))
-    common = tuple(sorted(sv & sw, key=u.key))
+    common = tuple(sorted(sv & sw))
     if u.inter(a, b) == 1:
         return [v, w]
     # one middle vertex if a class pairs once with both ends; prefer an
@@ -600,8 +596,8 @@ def connect(prover, v, w):
     if v == w:
         return [v]
     sv, sw = set(v), set(w)
-    diff_v = sorted(sv - sw, key=prover.u.key)
-    diff_w = sorted(sw - sv, key=prover.u.key)
+    diff_v = sorted(sv - sw)
+    diff_w = sorted(sw - sv)
     _ensure(len(diff_v) == len(diff_w), "cut systems of different sizes")
     if len(diff_v) == 1:
         return path_common(prover, v, w)
@@ -619,7 +615,7 @@ def connect(prover, v, w):
 
 def segment_connect(prover, v, w, common):
     """Path from v to w all of whose vertices contain the given curves."""
-    common = tuple(sorted(common, key=prover.u.key))
+    common = tuple(sorted(common))
     _ensure(all(c in v and c in w for c in common), "an end misses a common curve")
     if v == w:
         return [v]
@@ -815,8 +811,8 @@ def _strip(vertices, c):
     return tuple(tuple(x for x in v if x != c) for v in vertices)
 
 
-def _lift_steps(universe, steps, c):
-    return Steps(steps, lift=(c,), key=universe.key)
+def _lift_steps(steps, c):
+    return Steps(steps, lift=(c,))
 
 
 @_flat_outside
@@ -831,7 +827,7 @@ def sp_radius0(prover, vertices, c):
         _ensure(len(rw.path) == 1, "a one-curve segment loop must be constant")
         return rw.parts
     inner = contract(prover.sub(c), _strip(vertices, c))
-    return _lift_steps(prover.u, inner, c)
+    return _lift_steps(inner, c)
 
 
 def _maximal_run(vertices, c, start):
@@ -892,16 +888,12 @@ def _radius0_based(prover, vertices, a0, no_recenter=False):
     if e1 == n:
         return sp_radius0(prover, vertices, a0)
     v1 = vertices[e1]
-    shared = sorted(
-        (c for c in v1 if c in vertices[e1 + 1] and c != a0), key=u.key
-    )
+    shared = sorted(c for c in v1 if c in vertices[e1 + 1] and c != a0)
     if not shared:
         raise ContractionError("junction vertices share no curve")
-    # prefer a second-segment curve that extends furthest, ties to least key
+    # prefer a second-segment curve that extends furthest, ties to the least curve
     best = max(_maximal_run(vertices, c, e1) for c in shared)
-    a1 = min(
-        (c for c in shared if _maximal_run(vertices, c, e1) == best), key=u.key
-    )
+    a1 = min(c for c in shared if _maximal_run(vertices, c, e1) == best)
     e2 = best
     rw = PathRewriter(vertices)
     if e2 == n:
@@ -909,7 +901,7 @@ def _radius0_based(prover, vertices, a0, no_recenter=False):
         return rw.apply_steps(sp_radius0(prover, tuple(rw.path), a0))
     v2 = vertices[e2]
     after = vertices[e2 + 1]
-    candidates = sorted((c for c in after if u.inter(a0, c) == 0), key=u.key)
+    candidates = sorted(c for c in after if u.inter(a0, c) == 0)
     if not candidates:
         raise ContractionError("radius-0 loop lost its disjoint curve")
     # dispatch preference: merge on a0 itself, then case 1, then case 2
@@ -1069,11 +1061,7 @@ def _case3(prover, rw, a0, a1, candidates, e1, e2, no_recenter):
         return False
     v3 = rw.path[e3]
     nxt = rw.path[e3 + 1]
-    a3s = [
-        c
-        for c in sorted(nxt, key=u.key)
-        if u.inter(a0, c) == 0 and c in v3 and c != a2
-    ]
+    a3s = [c for c in sorted(nxt) if u.inter(a0, c) == 0 and c in v3 and c != a2]
     ok3 = [c for c in a3s if k >= 3 and _stack_primitive(prover, (a0, a1, c))]
     if not ok3:
         return False
@@ -1101,7 +1089,7 @@ def _recenter_or_fail(prover, vertices, a0, no_recenter):
     u = prover.u
     seen = {a0}
     for v in vertices:
-        for c in sorted(v, key=u.key):
+        for c in sorted(v):
             if c in seen:
                 continue
             seen.add(c)
@@ -1134,7 +1122,7 @@ def hex_escorts(prover, a0, a1, a2, common=()):
             raise NotApplicable("pairwise unions must be non-separating")
     if _stack_primitive(prover, triple + tuple(common)):
         raise NotApplicable("the triple union must separate")
-    if not prover.cut_ok(tuple(sorted((a0, a1) + tuple(common), key=u.key))):
+    if not prover.cut_ok(tuple(sorted((a0, a1) + tuple(common)))):
         raise NotApplicable("(a0, a1, common) must be a cut system")
     b0, b1, b2 = _hex_pattern(prover, a0, a1, a2)
     hexagon, steps = _hexagon_cert(prover, a0, a1, a2, b0, b1, b2, tuple(common))
@@ -1167,7 +1155,7 @@ def contract(prover, loop):
     for v in work[1:]:
         commons &= set(v)
     if commons:
-        c = min(commons, key=u.key)
+        c = min(commons)
         return rw.apply_steps(sp_radius0(prover, work, c))
     if k == 1:
         return rw.apply_steps(contract_gamma1(prover, work))
@@ -1176,7 +1164,7 @@ def contract(prover, loop):
     # through two distinct partners of the new handle, so the vertex occurs
     # once with distinct neighbours and no backtrack collapse can reach it.
     v0, v1 = work[0], work[1]
-    shared = sorted(set(v0) & set(v1), key=u.key)
+    shared = sorted(set(v0) & set(v1))
     a0 = shared[0]
     ha, hb = prover.fresh_pair()
     fills = tuple(prover.fresh_pair()[0] for _ in range(k - 2))

@@ -217,10 +217,3 @@ def rational_rank(m):
         if rank == rows:
             break
     return rank
-
-
-def vec_gcd(v):
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-    return g

@@ -52,7 +52,7 @@ def twist_oracle(universe, word):
     """Vertex map of the twist word on cut systems, as a plain callable."""
 
     def fn(v):
-        return tuple(sorted((word.act(universe, c) for c in v), key=universe.key))
+        return tuple(sorted(word.act(universe, c) for c in v))
 
     return fn
 
@@ -108,8 +108,8 @@ def induced_curve_map(universe, oracle, a, k, g, companions=None, partner=None):
     """The unique curve in f(v) - f(w) for a move v <-> w swapping a."""
     companions = companions or _companions(universe, a, k, g)
     b = partner or _partner(universe, a, companions)
-    v = tuple(sorted((a,) + companions, key=universe.key))
-    w = tuple(sorted((b,) + companions, key=universe.key))
+    v = tuple(sorted((a,) + companions))
+    w = tuple(sorted((b,) + companions))
     fv, fw = oracle(v), oracle(w)
     if not H.check_path(universe, [fv, fw]):
         raise NotAnAutomorphism("oracle does not preserve the elementary move")

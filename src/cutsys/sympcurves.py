@@ -69,9 +69,7 @@ def _canonical(coords):
         raise ValueError("coordinate vector must have even length")
     while len(coords) > 2 and coords[-1] == 0 and coords[-2] == 0:
         coords = coords[:-2]
-    g = 0
-    for x in coords:
-        g = gcd(g, abs(x))
+    g = gcd(*coords)
     if g == 0:
         raise ValueError("class of a non-separating curve must be nonzero")
     if g > 1:
@@ -264,7 +262,7 @@ def solve_pairings(space, constraints, orthogonal=(), forbid=()):
     if sol is None:
         return None
     forbid = set(forbid)
-    if intlin.vec_gcd(sol) == 1:
+    if gcd(*sol) == 1:
         c = HClass(sol)
         if c not in forbid:
             return c
@@ -275,7 +273,7 @@ def solve_pairings(space, constraints, orthogonal=(), forbid=()):
             for coef, b in zip(vec, kb):
                 if coef:
                     cand = [x + coef * y for x, y in zip(cand, b)]
-            if any(cand) and intlin.vec_gcd(cand) == 1:
+            if any(cand) and gcd(*cand) == 1:
                 c = HClass(cand)
                 if c not in forbid:
                     return c

@@ -67,9 +67,6 @@ class SympZUniverse:
             SympSpace(g), constraints, orthogonal=orthogonal, forbid=forbid
         )
 
-    def key(self, x):
-        return (len(x.coords), x.coords)
-
 
 class SympF2Universe:
     """Mod-2 homology shadow at fixed genus; finite, fully enumerable."""
@@ -93,9 +90,6 @@ class SympF2Universe:
 
     def cut_ok(self, curves, context=()):
         return sympcurves.f2_is_cut(list(curves) + list(context), self.g)
-
-    def key(self, x):
-        return x
 
 
 class SlopeUniverse:
@@ -126,9 +120,6 @@ class SlopeUniverse:
         if len(curves) != 1 or context:
             return False
         return True
-
-    def key(self, x):
-        return (x.p, x.q)
 
 
 def make_universe(backend, g=2, bound=2):

@@ -42,7 +42,7 @@ def random_step(universe, v, vertices, rng, g):
                 d = universe.twist(x, rng.choice((1, -1)), d)
         if d in v or universe.inter(out, d) != 1:
             continue
-        w = tuple(sorted(rest + (d,), key=universe.key))
+        w = tuple(sorted(rest + (d,)))
         if not universe.cut_ok(w):
             continue
         if not _tame(universe, d, list(vertices) + [w]):

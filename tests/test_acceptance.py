@@ -38,7 +38,7 @@ def random_frame(universe, g, k, rng, twists=6):
         t = pool[rng.randrange(len(pool))]
         n = rng.choice((-2, -1, 1, 2))
         frame = [universe.twist(t, n, c) for c in frame]
-    return tuple(sorted(frame, key=universe.key))
+    return tuple(sorted(frame))
 
 
 def test_criterion_1_schmutz_identity():
@@ -118,8 +118,8 @@ def test_criterion_4_lemma_path_bound():
         b = u.solve([(a, t)] + [(c, 0) for c in common])
         if b is None or b == a or not u.cut_ok(common + (b,)):
             continue
-        v = tuple(sorted(common + (a,), key=u.key))
-        w = tuple(sorted(common + (b,), key=u.key))
+        v = tuple(sorted(common + (a,)))
+        w = tuple(sorted(common + (b,)))
         path = H.path_common(prover, v, w)
         interior = path[1:-1]
         good = len(path) - 1 <= 4 and len(interior) <= 3

@@ -132,8 +132,8 @@ def test_verify_rejects_loop_that_is_not_a_path(tmp_path):
 def test_contract_prover_fault_exits_1(tmp_path, capsys, monkeypatch):
     lift = homotopy._lift_steps
 
-    def corrupt(universe, steps, c):
-        out = homotopy.flatten(lift(universe, steps, c))
+    def corrupt(steps, c):
+        out = homotopy.flatten(lift(steps, c))
         return [homotopy.Step(s.op, s.at, s.old, s.new, "pentagon" if s.kind == "triangle" else "triangle")
                 if s.op == homotopy.CELL_FILL else s for s in out]
 

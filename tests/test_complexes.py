@@ -806,7 +806,7 @@ def _set_cells(universe, curves, common, free):
     once = linked(lambda x, y: universe.inter(x, y) == 1)
     pairs = [(b0, b1) for b0, ends in enumerate(once) for b1 in ends if b0 < b1]
     if free == 1:
-        v = [cx.vertex_of(universe, (c,) + common) for c in pool]
+        v = [tuple(sorted((c,) + common)) for c in pool]
         edges = [(v[b0], v[b1]) for b0, b1 in pairs]
         return edges, [
             ("triangle", (v[b0], v[b1], v[b2]))
@@ -819,7 +819,7 @@ def _set_cells(universe, curves, common, free):
     for b0, ends in enumerate(apart):
         for b1 in ends:
             if b0 < b1:
-                v[b0, b1] = v[b1, b0] = cx.vertex_of(universe, (pool[b0], pool[b1]) + common)
+                v[b0, b1] = v[b1, b0] = tuple(sorted((pool[b0], pool[b1]) + common))
     cells = []
     for b0, b1 in pairs:
         both = apart[b0] & apart[b1]
@@ -842,8 +842,8 @@ def _set_build(universe, k, seeds=None, radius=None):
     if universe.enumerable:
         curves = list(universe.all_curves())
     else:
-        curves = sorted({c for v in seeds for c in v}, key=universe.key)
-    vertices = [cx.vertex_of(universe, c) for c in combinations(curves, k) if universe.cut_ok(c)]
+        curves = sorted({c for v in seeds for c in v})
+    vertices = [tuple(sorted(c)) for c in combinations(curves, k) if universe.cut_ok(c)]
     edges, cells = [], []
     for free in range(1, min(k, 2) + 1):
         for common in combinations(curves, k - free):
@@ -852,7 +852,7 @@ def _set_build(universe, k, seeds=None, radius=None):
                 edges += more_edges
                 cells += more_cells
     if seeds:
-        ball = frontier = {cx.vertex_of(universe, s) for s in seeds}
+        ball = frontier = {tuple(sorted(s)) for s in seeds}
         for _ in range(radius or 0):
             near = {w for v, w in edges if v in frontier} | {v for v, w in edges if w in frontier}
             frontier, ball = near - ball, ball | near
@@ -875,6 +875,13 @@ def test_build_matches_set_oracle(name):
     assert graph.edges == oracle.edges
     assert graph.cells == oracle.cells
     assert graph.adj == oracle.adj and graph.index == oracle.index
+
+
+@pytest.mark.parametrize("name", sorted(set(PINNED_BUILDS) | set(BALLS)))
+def test_vertices_are_their_curves_in_curve_order(name):
+    graph = _ball(name) if name in BALLS else PINNED_BUILDS[name][0]()
+    assert all(v == tuple(sorted(v)) for v in graph.vertices)
+    assert graph.vertices == sorted(graph.vertices)
 
 
 def test_f2_build_asks_no_pair_predicate(monkeypatch):
@@ -900,7 +907,7 @@ def _edges_between(universe, vertices, curves):
             for c2 in curves:
                 if c2 == c or c2 in rest or universe.inter(c, c2) != 1:
                     continue
-                w = cx.vertex_of(universe, rest + (c2,))
+                w = tuple(sorted(rest + (c2,)))
                 if w in vset:
                     edges.add(frozenset((v, w)))
     return edges
@@ -909,8 +916,8 @@ def _edges_between(universe, vertices, curves):
 def _ball_vertices(universe, seeds, radius):
     """Oracle: the vertices within `radius` moves of the seeds, with moves
     only to the seeds' curves, found by a move search from each frontier."""
-    curves = sorted({c for v in seeds for c in v}, key=universe.key)
-    vertices = {cx.vertex_of(universe, v) for v in seeds}
+    curves = sorted({c for v in seeds for c in v})
+    vertices = {tuple(sorted(v)) for v in seeds}
     frontier = set(vertices)
     for _ in range(radius):
         new = set()
@@ -920,7 +927,7 @@ def _ball_vertices(universe, seeds, radius):
                 for c2 in curves:
                     if c2 == c or c2 in rest or universe.inter(c, c2) != 1:
                         continue
-                    w = cx.vertex_of(universe, rest + (c2,))
+                    w = tuple(sorted(rest + (c2,)))
                     if w not in vertices and universe.cut_ok(w):
                         new.add(w)
         vertices |= new

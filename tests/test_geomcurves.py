@@ -117,3 +117,10 @@ def test_islope_vanishes_iff_equal_and_twist_equivariance():
         u, v = rng.choice(slopes), rng.choice(slopes)
         tu, tv = twist_slope(t, n, u), twist_slope(t, n, v)
         assert islope(tu, tv) == islope(u, v)
+
+
+def test_slopes_order_by_p_then_q():
+    assert Slope(0, 1) < Slope(1, -2) < Slope(1, 0) < Slope(1, 1) < Slope(2, -1)
+    slopes = all_slopes(5)
+    assert all(x < y for x, y in zip(slopes, slopes[1:]))
+    assert [(s.p, s.q) for s in slopes] == sorted((s.p, s.q) for s in slopes)

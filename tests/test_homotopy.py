@@ -51,7 +51,7 @@ def test_radius_reversal_invariance():
     assert H.radius(u, loop, a1) == H.radius(u, rev, a1)
 
 
-def segment_decomposition(universe, loop, a0):
+def segment_decomposition(loop, a0):
     """Greedy maximal segments from index 0; ties to the least eligible curve.
 
     Returns [(curve, start, end)] covering the closed path, consecutive
@@ -73,7 +73,7 @@ def segment_decomposition(universe, loop, a0):
         shared = [c for c in loop[end] if c in loop[end + 1] and c != cur]
         if not shared:
             raise H.NotApplicable("consecutive vertices share no curve")
-        cur = min(shared, key=universe.key)
+        cur = min(shared)
         start = end
     return segs
 
@@ -113,8 +113,8 @@ def test_path_common_bound_random():
         b = u.solve([(a, rng.choice((1, 2, 0)))] + [(c, 0) for c in common])
         if b is None or b == a or not u.cut_ok(common + (b,)):
             continue
-        v = tuple(sorted(common + (a,), key=u.key))
-        w = tuple(sorted(common + (b,), key=u.key))
+        v = tuple(sorted(common + (a,)))
+        w = tuple(sorted(common + (b,)))
         path = H.path_common(p, v, w)
         assert len(path) - 1 <= 4
         assert path[0] == v and path[-1] == w
@@ -126,9 +126,9 @@ def test_path_common_bound_random():
 def test_connect_identity_and_bounds():
     u = zu(3)
     p = H.Prover(u)
-    v = tuple(sorted((S3.basis_a(1), S3.basis_a(2)), key=u.key))
+    v = tuple(sorted((S3.basis_a(1), S3.basis_a(2))))
     assert H.connect(p, v, v) == [v]
-    w = tuple(sorted((S3.basis_b(1), S3.basis_b(2)), key=u.key))
+    w = tuple(sorted((S3.basis_b(1), S3.basis_b(2))))
     path = H.connect(p, v, w)
     assert path[0] == v and path[-1] == w
     assert H.check_path(u, path)
@@ -261,9 +261,9 @@ def test_sp_radius0_two_segment_loop():
     c, x, y = S.basis_a(1), S.basis_a(2), S.basis_b(2)
     # a c-segment loop: x and y swap back and forth
     loop = (
-        tuple(sorted((c, x), key=u.key)),
-        tuple(sorted((c, y), key=u.key)),
-        tuple(sorted((c, x), key=u.key)),
+        tuple(sorted((c, x))),
+        tuple(sorted((c, y))),
+        tuple(sorted((c, x))),
     )
     steps = H.sp_radius0(p, loop, c)
     assert H.verify_certificate(u, loop, _cert(steps))[0]
@@ -383,7 +383,7 @@ def test_termination_trace_segment_counts_decrease(monkeypatch):
     b = p.fresh_pair()[0]
     k = len(loop[0])
     v0, v1 = loop[0], loop[1]
-    shared = sorted(set(v0) & set(v1), key=u.key)[0]
+    shared = sorted(set(v0) & set(v1))[0]
     w0 = p.fresh_fill([b, shared], k - 2)
     s1 = H.segment_connect(p, v0, w0, (shared,))
     s2 = H.segment_connect(p, w0, v1, (shared,))
@@ -394,7 +394,7 @@ def test_termination_trace_segment_counts_decrease(monkeypatch):
     based = H._radius0_based
 
     def traced(prover, vertices, a0, *rest):
-        trace.append((len(vertices[0]), len(segment_decomposition(u, vertices, a0))))
+        trace.append((len(vertices[0]), len(segment_decomposition(vertices, a0))))
         return based(prover, vertices, a0, *rest)
 
     monkeypatch.setattr(H, "_radius0_based", traced)
@@ -447,15 +447,15 @@ def test_two_segment_radius0_loop():
     p = H.Prover(u)
     S = SympSpace(3)
     A1, A2, B1, B2 = S.basis_a(1), S.basis_a(2), S.basis_b(1), S.basis_b(2)
-    v0 = tuple(sorted((A1, A2), key=u.key))
-    s1mid = tuple(sorted((A1, B2), key=u.key))
-    s1far = tuple(sorted((A1, HClass((0, 0, 1, 1, 0, 0))), key=u.key))
-    s2mid = tuple(sorted((A2, B1), key=u.key))
-    s2far = tuple(sorted((A2, HClass((1, 1, 0, 0, 0, 0))), key=u.key))
+    v0 = tuple(sorted((A1, A2)))
+    s1mid = tuple(sorted((A1, B2)))
+    s1far = tuple(sorted((A1, HClass((0, 0, 1, 1, 0, 0)))))
+    s2mid = tuple(sorted((A2, B1)))
+    s2far = tuple(sorted((A2, HClass((1, 1, 0, 0, 0, 0)))))
     loop = (v0, s1mid, s1far, v0, s2mid, s2far, v0)
     assert H.check_path(u, loop, closed=True)
     assert H.radius(u, loop, A1) == 0
-    assert segment_decomposition(u, loop, A1) == [(A1, 0, 3), (A2, 3, 6)]
+    assert segment_decomposition(loop, A1) == [(A1, 0, 3), (A2, 3, 6)]
     steps = H.contract_radius0(p, loop, A1)
     ok, idx = H.verify_certificate(u, loop, _cert(steps))
     assert ok, idx
@@ -471,7 +471,7 @@ def test_case2_hexagon_route_full_loop():
     a13 = HClass((1, 0, 0, 0, 1, 0))
     z = HClass((0, 1, 0, 1, 0, -1))
     y = HClass((0, 1, 0, 0, 0, 1))
-    V = lambda *cs: tuple(sorted(cs, key=u.key))
+    V = lambda *cs: tuple(sorted(cs))
     loop = (V(A1, A2), V(B1, A2), V(a13, A2), V(a13, z), V(B3, z),
             V(B3, A2), V(A3, A2), V(y, A2), V(A1, A2))
     assert H.check_path(u, loop, closed=True)
@@ -495,7 +495,7 @@ def test_separating_shadow_trap_recenters():
     a3c = HClass((0, 0, 1, 0, 1, 0))
     z = HClass((0, 2, 0, -1, 0, 1))
     w6 = HClass((0, 0, 1, 0, 0, 1))
-    V = lambda *cs: tuple(sorted(cs, key=u.key))
+    V = lambda *cs: tuple(sorted(cs))
     loop = (V(A1, a3c), V(A1, B3), V(A1, A3), V(B1, A3), V(a2c, A3),
             V(a2c, z), V(a2c, w6), V(a2c, a3c), V(a3c, B1), V(A1, a3c))
     assert H.check_path(u, loop, closed=True)
@@ -512,7 +512,7 @@ def test_merge_when_next_segment_returns_to_center():
     S = SympSpace(2)
     A1, A2, B1, B2 = S.basis_a(1), S.basis_a(2), S.basis_b(1), S.basis_b(2)
     ab = HClass((1, 1, 0, 0))
-    V = lambda *cs: tuple(sorted(cs, key=u.key))
+    V = lambda *cs: tuple(sorted(cs))
     loop = (V(A1, A2), V(B1, A2), V(ab, A2), V(A1, A2),
             V(A1, B2), V(B1, B2), V(B1, A2), V(A1, A2))
     assert H.check_path(u, loop, closed=True)
@@ -531,7 +531,7 @@ def test_case2_merge_worker_k3():
     A1, A2, A3, A4 = (S.basis_a(i) for i in range(1, 5))
     B1, B3 = S.basis_b(1), S.basis_b(3)
     a13 = HClass((1, 0, 0, 0, 1, 0, 0, 0))
-    V = lambda *cs: tuple(sorted(cs, key=u.key))
+    V = lambda *cs: tuple(sorted(cs))
     seg2 = [V(A1, A2, A4), V(B1, A2, A4), V(a13, A2, A4), V(B3, A2, A4), V(A3, A2, A4)]
     assert H.check_path(u, seg2)
     p = H.Prover(u)
@@ -572,8 +572,8 @@ def _corrupt_first_lift(monkeypatch):
     lift = H._lift_steps
     done = []
 
-    def corrupt(universe, steps, c):
-        out = H.flatten(lift(universe, steps, c))
+    def corrupt(steps, c):
+        out = H.flatten(lift(steps, c))
         fills = [i for i, s in enumerate(out) if s.op == H.CELL_FILL]
         if fills and not done:
             s = out[fills[0]]
@@ -633,9 +633,9 @@ def _inverted(s):
     return H.Step(op, s.at, s.new, s.old, s.kind)
 
 
-def _lifted(key, steps, c):
+def _lifted(steps, c):
     def lift(v):
-        return tuple(sorted(v + (c,), key=key))
+        return tuple(sorted(v + (c,)))
 
     return [H.Step(s.op, s.at, tuple(map(lift, s.old)), tuple(map(lift, s.new)), s.kind) for s in steps]
 
@@ -645,7 +645,7 @@ def _eager(t):
     if isinstance(t, H.Steps):
         steps = _eager(t.parts)
         for c in t.lift:
-            steps = _lifted(t.key, steps, c)
+            steps = _lifted(steps, c)
         steps = [_shifted(s, t.offset) for s in steps]
         return [_inverted(s) for s in reversed(steps)] if t.inverted else steps
     if isinstance(t, list):
@@ -657,8 +657,8 @@ def test_flatten_matches_eager_composition_on_nested_views():
     u, loop = _k3_loop()
     steps = H.contract(H.Prover(u), loop)
     a7, b8 = SympSpace(8).basis_a(7), SympSpace(8).basis_b(8)  # on no vertex of the certificate
-    inner = H.Steps([steps[:5], H.Steps(steps[5:], offset=3, inverted=True)], offset=2, lift=(b8,), key=u.key)
-    tree = H.Steps([steps[0], inner, H.Steps(inner, inverted=True)], offset=1, lift=(a7,), key=u.key, inverted=True)
+    inner = H.Steps([steps[:5], H.Steps(steps[5:], offset=3, inverted=True)], offset=2, lift=(b8,))
+    tree = H.Steps([steps[0], inner, H.Steps(inner, inverted=True)], offset=1, lift=(a7,), inverted=True)
     flat = H.flatten(tree)
     assert len(flat) == 2 * len(steps) + 1 and flat == _eager(tree)
     assert any(v.index(a7) < v.index(b8) for s in flat for v in s.old)  # the two lifts sorted together
@@ -724,6 +724,52 @@ def test_replay_tests_only_what_each_step_adds(monkeypatch):
         totals[1] += len(edges)
     # testing every window in full made 26,062 cut tests and 29,389 edge tests
     assert totals == [7_655, 14_832]
+
+
+def test_certificate_vertices_are_their_curves_in_curve_order():
+    for k, u, loop, steps in _criterion6_certs():
+        assert all(v == tuple(sorted(v)) for v in loop)
+        assert all(v == tuple(sorted(v)) for s in steps for w in (s.old, s.new) for v in w)
+
+
+def _rails_cycle(*rails):
+    """The cycle whose vertex v_i is {e_(i-1), e_i}, each in curve order."""
+    return tuple(tuple(sorted((rails[i - 1], rails[i]))) for i in range(len(rails)))
+
+
+def _triangle(*bs):
+    """The cycle whose vertex v_i is {b_i, a2}, in curve order."""
+    return tuple(tuple(sorted((b, a2))) for b in bs)
+
+
+CELLS = {  # at genus 3, k = 2
+    "triangle": _triangle(a1, b1, HClass((1, 1, 0, 0))),
+    "rectangle": _rails_cycle(a1, a2, b1, b2),
+    "pentagon": _rails_cycle(a1, a2, b1, HClass((0, 1, 0, 1)), HClass((1, 0, -1, 1))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CELLS))
+def test_cell_pattern_asks_inter_once_per_side(kind, monkeypatch):
+    # the cut and edge tests leave nothing for the cell match to ask
+    calls = []
+    inter = SympZUniverse.inter
+    monkeypatch.setattr(SympZUniverse, "inter", lambda *a: calls.append(1) or inter(*a))
+    cycle = CELLS[kind]
+    assert H.cell_pattern(zu(3), cycle) == kind
+    assert len(calls) == len(cycle)
+
+
+@pytest.mark.parametrize("cycle", [
+    # b_0 = a1 and b_2 = a1 + 2 b1 meet twice
+    pytest.param(_triangle(a1, b1, HClass((1, 2, 0, 0))), id="triangle pair"),
+    # e_0 = a1 and e_1 = b1 meet once: v_1 is no cut system
+    pytest.param(_rails_cycle(a1, b1, HClass((0, 1, 1, 0)), HClass((1, 0, 0, 1))), id="neighbouring rails"),
+    # e_0 = a1 and e_2 = a3 are disjoint
+    pytest.param(_rails_cycle(a1, a2, S3.basis_a(3), b2), id="rails two apart"),
+])
+def test_cell_pattern_rejects_what_the_side_tests_cover(cycle):
+    assert H.cell_pattern(zu(3), cycle) is None
 
 
 def _full_replay(universe, loop, steps):
@@ -833,7 +879,7 @@ def test_replay_still_tests_what_a_fill_adds(monkeypatch):
             m.setattr(H, "_edge_ok", lambda uu, x, y, side=side: {x, y} != side and edge_ok(uu, x, y))
             assert H.verify_certificate(u, loop, steps) == (False, i)
     # and a real one: the new vertex with a curve doubled is no cut system
-    twin = tuple(sorted((tip[0],) + tip[:-1], key=u.key))
+    twin = tuple(sorted((tip[0],) + tip[:-1]))
     bad = list(steps)
     bad[i] = H.Step(s.op, s.at, s.old, (s.new[0], twin, s.new[2]), s.kind)
     assert not u.cut_ok(twin)

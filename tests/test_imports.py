@@ -107,3 +107,10 @@ def test_exports_are_the_quick_tour_imports():
     block = re.search(r"from cutsys import \((.*?)\)", (ROOT / "README.md").read_text(), re.S)
     tour = {name.strip() for name in block.group(1).split(",") if name.strip()}
     assert tour == _exported()
+
+
+def test_numpy_floor_has_bitwise_count():
+    # complexes calls np.bitwise_count, which numpy 2.0 introduced
+    deps = re.search(r"^dependencies = \[(.*)\]$", (ROOT / "pyproject.toml").read_text(), re.M).group(1)
+    major, minor = re.search(r'"numpy>=(\d+)\.(\d+)', deps).groups()
+    assert (int(major), int(minor)) >= (2, 0)
