@@ -23,7 +23,7 @@ import functools
 import threading
 from dataclasses import dataclass, field
 
-from .sympcurves import HClass, combine, is_primitive_frame
+from .sympcurves import HClass, combine, is_primitive_frame, lincomb
 
 
 class NotApplicable(ValueError):
@@ -112,7 +112,7 @@ class HomotopyCertificate:
                 i = index.get(c)
                 if i is None:
                     i = index[c] = len(curves)
-                    curves.append([c.g, [[j, x] for j, x in enumerate(c.coords) if x]])
+                    curves.append([c.g, [list(p) for p in c.support]])
                 out.append(i)
             return out
 
@@ -197,11 +197,8 @@ def _table_curve(j, e):
         raise bad(f"genus {g}, but the highest index {last} gives genus {max(1, last // 2 + 1)}")
     if pairs and pairs[0][1] < 0:
         raise bad("leading value negative: not the canonical sign")
-    coords = [0] * (2 * g)
-    for i, x in pairs:
-        coords[i] = x
     try:
-        return HClass(coords)
+        return HClass.of_support(map(tuple, pairs))
     except ValueError as exc:
         raise bad(str(exc)) from None
 
@@ -744,12 +741,7 @@ def _clean_flank(universe, a0, xi, xnext, context):
     _ensure(abs(e) == 1, "run curves x_i, x_next do not meet once")
     alpha = -e * universe.signed(m0, xnext)
     beta = e * (universe.signed(m0, xi) - 1)
-    g = max(m0.g, xi.g, xnext.g)
-    vec = [
-        a + alpha * b + beta * c
-        for a, b, c in zip(m0.padded(g), xi.padded(g), xnext.padded(g))
-    ]
-    f = HClass(vec)
+    f = lincomb((1, m0), (alpha, xi), (beta, xnext))
     _ensure(universe.inter(f, a0) == 1, "clean flank does not meet a0 once")
     _ensure(universe.inter(f, xi) == 1, "clean flank does not meet x_i once")
     _ensure(universe.inter(f, xnext) == 0, "clean flank meets x_next")

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from itertools import compress, count
-from math import gcd
+from itertools import zip_longest
+from math import gcd, inf
 from operator import mul
 
 from . import intlin
@@ -35,12 +35,12 @@ class SympSpace:
         """Class of the i-th a-curve (1-indexed)."""
         if not 1 <= i <= self.g:
             raise SpaceMismatch(f"no handle {i} at genus {self.g}")
-        return HClass._make(tuple(1 if t == 2 * (i - 1) else 0 for t in range(2 * i)))
+        return HClass._make(((2 * i - 2, 1),))
 
     def basis_b(self, i):
         if not 1 <= i <= self.g:
             raise SpaceMismatch(f"no handle {i} at genus {self.g}")
-        return HClass._make(tuple(1 if t == 2 * i - 1 else 0 for t in range(2 * i)))
+        return HClass._make(((2 * i - 1, 1),))
 
 def pairing_vec(u, v):
     """Signed symplectic pairing of two coordinate vectors (zero-padded).
@@ -63,69 +63,79 @@ def transvect_vec(a, n, b):
     )
 
 
-def _canonical(coords):
-    coords = list(coords)
-    if len(coords) % 2:
-        raise ValueError("coordinate vector must have even length")
-    while len(coords) > 2 and coords[-1] == 0 and coords[-2] == 0:
-        coords = coords[:-2]
-    g = gcd(*coords)
+def _support(pairs):
+    """The canonical support of the class with these (index, value) pairs:
+    zeros dropped, indices in order, the leading value positive."""
+    s = sorted(p for p in pairs if p[1])
+    g = gcd(*(x for _, x in s))
     if g == 0:
         raise ValueError("class of a non-separating curve must be nonzero")
     if g > 1:
         raise ValueError("imprimitive class is not a simple-curve shadow")
-    for x in coords:
-        if x > 0:
-            break
-        if x < 0:
-            coords = [-y for y in coords]
-            break
-    return tuple(coords)
+    return tuple(s) if s[0][1] > 0 else tuple((i, -x) for i, x in s)
 
 
 class HClass:
     """Primitive homology class mod sign (shadow of a non-separating curve),
-    interned: equal classes are one object, compared and hashed by identity."""
+    interned: equal classes are one object, compared and hashed by identity.
+    Stored sparse: `support` holds the (index, value) pairs of the nonzero
+    coordinates in index order, and `g` is the genus of the highest one."""
 
-    __slots__ = ("coords", "__weakref__")
-    _live = weakref.WeakValueDictionary()  # canonical coords -> the one instance
+    __slots__ = ("g", "support", "__weakref__")
+    _live = weakref.WeakValueDictionary()  # canonical support -> the one instance
 
     def __new__(cls, coords):
-        return cls._make(_canonical(coords))
+        if len(coords) % 2:
+            raise ValueError("coordinate vector must have even length")
+        return cls.of_support(enumerate(coords))
 
     @classmethod
-    def _make(cls, canonical_coords):
-        obj = cls._live.get(canonical_coords)
+    def of_support(cls, pairs):
+        """The class with these (index, value) pairs as its coordinates."""
+        return cls._make(_support(pairs))
+
+    @classmethod
+    def _make(cls, support):
+        obj = cls._live.get(support)
         if obj is None:
             obj = object.__new__(cls)
-            object.__setattr__(obj, "coords", canonical_coords)
-            cls._live[canonical_coords] = obj
+            object.__setattr__(obj, "g", support[-1][0] // 2 + 1)
+            object.__setattr__(obj, "support", support)
+            cls._live[support] = obj
         return obj
 
     def __reduce__(self):
-        return HClass, (self.coords,)
+        return HClass._make, (self.support,)
 
     @property
-    def g(self):
-        return len(self.coords) // 2
+    def coords(self):
+        """The dense canonical representative, of length 2g."""
+        c = [0] * (2 * self.g)
+        for i, x in self.support:
+            c[i] = x
+        return tuple(c)
 
     def padded(self, g):
-        c = self.coords
-        if 2 * g < len(c):
-            raise SpaceMismatch(f"class needs genus {len(c) // 2}, space has {g}")
-        return c + (0,) * (2 * g - len(c))
+        if g < self.g:
+            raise SpaceMismatch(f"class needs genus {self.g}, space has {g}")
+        return self.coords + (0,) * (2 * (g - self.g))
 
     def __setattr__(self, *a):
         raise AttributeError("HClass is immutable")
 
     def __lt__(self, other):
-        return (len(self.coords), self.coords) < (len(other.coords), other.coords)
+        """The dense order (len(coords), coords), read off the supports."""
+        if self.g != other.g:
+            return self.g < other.g
+        for p, q in zip_longest(self.support, other.support, fillvalue=(inf, 0)):
+            if p != q:
+                (i, x), (j, y) = p, q
+                return x < 0 if i < j else 0 < y if j < i else x < y
+        return False
 
     def __repr__(self):
         terms = []
-        for i, x in enumerate(self.coords):
-            if not x:
-                continue
+        for i, x in self.support:
             name = ("a" if i % 2 == 0 else "b") + str(i // 2 + 1)
             if x == 1:
                 terms.append(f"+{name}")
@@ -147,12 +157,22 @@ class HClass:
 _PAIR_CACHE = {}  # keyed on the interned classes themselves
 
 
+def _pair(u, v):
+    d = dict(v.support)
+    s = 0
+    for i, x in u.support:
+        y = d.get(i ^ 1)
+        if y:
+            s += -x * y if i & 1 else x * y
+    return s
+
+
 def pairing(u, v):
     """Signed pairing of the canonical representatives of two classes."""
     key = (u, v)
     hit = _PAIR_CACHE.get(key)
     if hit is None:
-        hit = pairing_vec(u.coords, v.coords)
+        hit = _pair(u, v)
         _PAIR_CACHE[key] = hit
         if len(_PAIR_CACHE) > 1_000_000:
             _PAIR_CACHE.clear()
@@ -164,25 +184,33 @@ def inter(u, v):
     return abs(pairing(u, v))
 
 
+def lincomb(*terms):
+    """The class of sum(n * c) over the (n, c) terms, each c an HClass."""
+    d = {}
+    for n, c in terms:
+        for i, x in c.support:
+            d[i] = d.get(i, 0) + n * x
+    return HClass.of_support(d.items())
+
+
 def transvect(a, n, b):
     """Class of the n-th twist power of b about a."""
-    return HClass(transvect_vec(a.coords, n, b.coords))
+    c = n * _pair(a, b)
+    return lincomb((1, b), (c, a)) if c else b
 
 
 def combine(x, sign, y):
-    """The class of x + sign * y, in the larger of their two genera."""
-    g = max(x.g, y.g)
-    return HClass(tuple(a + sign * b for a, b in zip(x.padded(g), y.padded(g))))
+    """The class of x + sign * y."""
+    return lincomb((1, x), (sign, y))
 
 
 def is_primitive_frame(classes):
-    """True iff the classes, padded to a common genus, stack to a matrix whose
-    Smith invariant factors are all 1 (a primitive frame).  Only the columns
-    where some class is nonzero are stacked: a zero column changes no factor."""
-    classes = list(classes)
-    g = max((c.g for c in classes), default=1)
-    cols = sorted({j for c in classes for j in compress(count(), c.coords)})
-    return intlin.is_primitive_stack([[row[j] for j in cols] for row in (c.padded(g) for c in classes)])
+    """True iff the classes stack to a matrix whose Smith invariant factors
+    are all 1 (a primitive frame).  Only the columns where some class is
+    nonzero are stacked: a zero column changes no factor."""
+    rows = [dict(c.support) for c in classes]
+    cols = sorted({j for r in rows for j in r})
+    return intlin.is_primitive_stack([[r.get(j, 0) for j in cols] for r in rows])
 
 
 # keyed on the interned classes in id order: a key holds its classes, so their

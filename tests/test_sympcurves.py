@@ -300,7 +300,7 @@ def test_equal_classes_are_one_object():
 
     x = HClass((1, 1, 0, 0))
     assert HClass([-1, -1, 0, 0, 0, 0]) is x  # canonical sign, trailing handles dropped
-    assert HClass._make((1, 1)) is x  # _make takes canonical coords
+    assert HClass._make(((0, 1), (1, 1))) is x  # _make takes the canonical support
     assert transvect(a1, 1, b1) is x and combine(a1, 1, b1) is x
     assert S3.basis_a(2) is a2 and SympSpace(7).basis_b(1) is b1 is HClass((0, 1))
     u = make_universe("sympZ", g=3)
@@ -334,8 +334,84 @@ def test_copies_and_pickles_are_the_interned_object():
 
 
 def test_unreferenced_class_leaves_the_table():
-    key = HClass((0,) * 40 + (3, 7)).coords  # no other reference to this class
+    key = HClass((0,) * 40 + (3, 7)).support  # no other reference to this class
     gc.collect()
     assert key not in HClass._live
-    x = HClass(key)
+    x = HClass.of_support(key)
     assert HClass._live[key] is x
+
+
+# --- the sparse arithmetic against the dense vectors -------------------------------
+
+
+def _dense_vec(rng, g, support):
+    """A primitive vector of length 2g, nonzero on a few coordinates of the
+    support and on the last handle, so its class has genus g."""
+    while True:
+        v = [0] * (2 * g)
+        inside = [j for j in support if j < 2 * g]
+        for j in rng.sample(inside, min(len(inside), rng.randint(0, 4))) + [2 * g - 1 - rng.randint(0, 1)]:
+            v[j] = rng.choice((-3, -2, -1, 1, 1, 2, 3))
+        if math.gcd(*v) == 1:
+            return tuple(v)
+
+
+def _dense_sum(*terms):
+    n = max(len(v) for _, v in terms)
+    return tuple(sum(k * (v[i] if i < len(v) else 0) for k, v in terms) for i in range(n))
+
+
+def _class_or_error(make):
+    """The class that make() or HClass(make) gives, or ValueError."""
+    try:
+        return make() if callable(make) else HClass(make)
+    except ValueError:
+        return ValueError
+
+
+def test_sparse_arithmetic_matches_the_dense_oracle():
+    from cutsys.sympcurves import combine, lincomb
+
+    rng = random.Random(2525)
+    outcomes = {"pairing": set(), "combine": set(), "frame": set()}
+    for _ in range(300):
+        # mixed genera up to 100 over a few shared coordinates, so classes meet
+        support = rng.sample(range(8), 3) + rng.sample(range(8, 200), 3)
+        vecs = [_dense_vec(rng, rng.choice((1, 2, 5, 40, 82, 100)), support) for _ in range(3)]
+        x, y, z = map(HClass, vecs)
+        for c, v in zip((x, y, z), vecs):
+            assert c.coords in (v, tuple(-t for t in v)) and c.g == len(v) // 2
+            assert c.support == tuple((i, t) for i, t in enumerate(c.coords) if t)
+            assert HClass(tuple(-t for t in v) + (0, 0) * rng.randint(0, 3)) is c is HClass.of_support(c.support)
+            assert pickle.loads(pickle.dumps(c)) is c
+        assert pairing(x, y) == pairing_vec(x.coords, y.coords) == -pairing(y, x)
+        outcomes["pairing"].add(pairing(x, y) != 0)
+        n = rng.choice((-2, -1, 1, 2))
+        assert transvect(x, n, y) is HClass(transvect_vec(x.coords, n, y.coords))
+        s = rng.choice((-1, 1, 2))
+        want = _class_or_error(_dense_sum((1, x.coords), (s, y.coords)))
+        assert _class_or_error(lambda: combine(x, s, y)) is want
+        outcomes["combine"].add(want is ValueError)
+        k, m = rng.randint(-2, 2), rng.randint(-2, 2)
+        want = _class_or_error(_dense_sum((1, x.coords), (k, y.coords), (m, z.coords)))
+        assert _class_or_error(lambda: lincomb((1, x), (k, y), (m, z))) is want
+        frame = [x, y, z][: rng.randint(1, 3)]
+        if len(frame) > 1 and rng.random() < 0.3:
+            frame.append(combine(frame[0], 1, frame[1]) if want is ValueError else want)
+        got = is_primitive_frame(frame)
+        assert got == _padded_stack_is_primitive(frame), frame
+        outcomes["frame"].add(got)
+    assert outcomes == {"pairing": {True, False}, "combine": {True, False}, "frame": {True, False}}
+
+
+def test_sparse_order_is_the_dense_order_at_high_genus():
+    rng = random.Random(2526)
+    classes = []
+    for _ in range(400):
+        g = rng.choice((1, 3, 40, 82, 100))
+        support = [rng.randrange(2 * g) for _ in range(3)]
+        classes.append(HClass(_dense_vec(rng, g, support)))
+    for x, y in zip(classes, classes[1:] + classes[:1]):
+        assert (x < y) == ((len(x.coords), x.coords) < (len(y.coords), y.coords))
+    dense = sorted({c.coords for c in classes}, key=lambda t: (len(t), t))
+    assert [c.coords for c in sorted(set(classes))] == dense
