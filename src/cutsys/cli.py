@@ -142,7 +142,6 @@ def cmd_rigidity(args):
 def _props_tasks(args):
     def twist_identity():
         rng = random.Random(args.seed)
-        S = SympSpace(3)
         count = 0
         for _ in range(2000):
             u_ = tuple(rng.randint(-2, 2) for _ in range(6))

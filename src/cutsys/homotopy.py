@@ -82,7 +82,7 @@ BT_INSERT = "backtrack_insert"
 BT_REMOVE = "backtrack_remove"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Step:
     op: str
     at: int
@@ -93,10 +93,12 @@ class Step:
 
 @dataclass
 class HomotopyCertificate:
-    """Contraction steps.  As JSON, {"curves": [...], "steps": [...]}: the
-    table "curves" holds each distinct curve once, in order of first use, as
-    [g, [[index, value], ...]] (its genus and its nonzero coordinates), and
-    every window is a list of vertex lists of indices into that table."""
+    """Contraction steps.  As JSON, {"curves": [...], "vertices": [...],
+    "steps": [...]}: "curves" holds each distinct curve once as [g, [[index,
+    value], ...]] (its genus and its nonzero coordinates), "vertices" each
+    distinct vertex once as a list of curve indices, both in order of first
+    use, and each step is a row [op, at, replace, with], a fill's ending with
+    its kind, whose windows are lists of vertex indices."""
 
     steps: list = field(default_factory=list)
 
@@ -104,73 +106,70 @@ class HomotopyCertificate:
         return len(self.steps)
 
     def to_json(self):
-        index, curves = {}, []
-
-        def vertex(v):
-            out = []
-            for c in v:
-                i = index.get(c)
-                if i is None:
-                    i = index[c] = len(curves)
-                    curves.append([c.g, [list(p) for p in c.support]])
-                out.append(i)
-            return out
-
-        out = []
+        curve_at, vertex_at = {}, {}  # insertion order is the order of first use
         for s in self.steps:
-            d = {"op": s.op, "at": s.at}
+            for v in s.old + s.new:
+                if v not in vertex_at:
+                    vertex_at[v] = len(vertex_at)
+                    for c in v:
+                        curve_at.setdefault(c, len(curve_at))
+        index = vertex_at.__getitem__
+        steps = [[s.op, s.at, [*map(index, s.old)], [*map(index, s.new)]] for s in self.steps]
+        for s, row in zip(self.steps, steps):
             if s.op == CELL_FILL:
-                d["cell"] = {"kind": s.kind}
-            d["replace"] = [vertex(v) for v in s.old]
-            d["with"] = [vertex(v) for v in s.new]
-            out.append(d)
-        return {"curves": curves, "steps": out}
+                row.append(s.kind)
+        return {
+            "curves": [[c.g, [list(p) for p in c.support]] for c in curve_at],
+            "vertices": [[curve_at[c] for c in v] for v in vertex_at],
+            "steps": steps,
+        }
 
     @classmethod
     def from_json(cls, obj):
-        """Parse a certificate; a ValueError names the malformed step or table
-        entry.  Each entry must be the canonical encoding that to_json writes
-        and appear once; it becomes an HClass once, which checks primitivity."""
-        if not isinstance(obj, dict) or not all(isinstance(obj.get(k), list) for k in ("curves", "steps")):
-            raise ValueError("certificate must be an object with 'curves' and 'steps' lists")
+        """Parse a certificate; a ValueError names the malformed step, vertex
+        or curve.  Each curve and vertex must appear once, a curve in the
+        canonical encoding that to_json writes; it becomes an HClass once,
+        which checks primitivity."""
+        if not isinstance(obj, dict) or not all(isinstance(obj.get(k), list) for k in ("curves", "vertices", "steps")):
+            raise ValueError("certificate must be an object with 'curves', 'vertices' and 'steps' lists")
         table, first = [], {}
         for j, e in enumerate(obj["curves"]):
             c = _table_curve(j, e)
             if first.setdefault(c, j) != j:
                 raise ValueError(f"curve {j}: duplicate of curve {first[c]}")
             table.append(c)
-        n = len(table)
-        vertices = {}  # each distinct index list, as a tuple of exact ints -> its vertex
+        n, vertices, seen = len(table), [], {}
+        for j, v in enumerate(obj["vertices"]):
+            # True and 1.0 equal 1: only exact ints are indices
+            if not (isinstance(v, list) and v and all(type(x) is int and 0 <= x < n for x in v)):
+                raise ValueError(f"vertex {j}: {v!r} is not a non-empty list of curve indices below {n}")
+            key = tuple(v)
+            if len(set(key)) != len(key):
+                raise ValueError(f"vertex {j}: a curve repeats")
+            if seen.setdefault(key, j) != j:
+                raise ValueError(f"vertex {j}: duplicate of vertex {seen[key]}")
+            vertices.append(tuple(map(table.__getitem__, v)))
+        m = len(vertices)
 
-        def window(s, i, name):
-            w = s.get(name)
-            if not isinstance(w, list) or not all(isinstance(v, list) for v in w):
-                raise ValueError(f"step {i}: {name!r} must be a list of vertex lists")
-            out = []
-            for v in w:
-                # True and 1.0 equal 1: only a list of exact ints is a safe key
-                vertex = vertices.get(tuple(v)) if all(type(x) is int for x in v) else None
-                if vertex is None:
-                    if not v or not all(type(x) is int and 0 <= x < n for x in v):
-                        raise ValueError(f"step {i}: {name!r} holds {v!r}, not a non-empty list of indices below {n}")
-                    vertex = vertices[tuple(v)] = tuple(table[x] for x in v)
-                out.append(vertex)
-            return tuple(out)
+        def window(i, name, w):
+            if not (isinstance(w, list) and all(type(x) is int and 0 <= x < m for x in w)):
+                raise ValueError(f"step {i}: {name!r} holds {w!r}, not a list of vertex indices below {m}")
+            return tuple(map(vertices.__getitem__, w))
 
         steps = []
-        for i, s in enumerate(obj["steps"]):
-            if not isinstance(s, dict):
-                raise ValueError(f"step {i}: not an object")
-            op, at = s.get("op"), s.get("at")
+        for i, row in enumerate(obj["steps"]):
+            if not isinstance(row, list) or len(row) not in (4, 5):
+                raise ValueError(f"step {i}: not a row [op, at, replace, with] or, for a fill, [op, at, replace, with, kind]")
+            op, at, old, new, *kind = row
             if op not in (CELL_FILL, BT_INSERT, BT_REMOVE):
                 raise ValueError(f"step {i}: unknown op {op!r}")
+            if len(row) != (5 if op == CELL_FILL else 4):
+                raise ValueError(f"step {i}: a fill row ends with its kind, a backtrack row does not")
             if type(at) is not int:
                 raise ValueError(f"step {i}: 'at' must be an integer, not {at!r}")
-            cell = s.get("cell", {})
-            if not isinstance(cell, dict) or not isinstance(cell.get("kind", ""), str):
-                raise ValueError(f"step {i}: 'cell' must be an object with a string 'kind'")
-            kind = cell.get("kind", "") if op == CELL_FILL else ""
-            steps.append(Step(op, at, window(s, i, "replace"), window(s, i, "with"), kind))
+            if kind and not isinstance(kind[0], str):
+                raise ValueError(f"step {i}: the cell kind must be a string, not {kind[0]!r}")
+            steps.append(Step(op, at, window(i, "replace", old), window(i, "with", new), *kind))
         return cls(steps)
 
 
@@ -246,9 +245,8 @@ def cell_pattern(universe, cycle, context=(), known=0):
     for i in range(max(known - 1, 0), m):
         if not _edge_ok(universe, cycle[i], cycle[(i + 1) % m]):
             return None
-    common = set(cycle[0])
-    for v in cycle[1:]:
-        common &= set(v)
+    sets = [set(v) for v in cycle]
+    common = set.intersection(*sets)
     k = len(cycle[0])
     if m == 3:
         # each v_i = common + {b_i}, and the b_i differ as the vertices do
@@ -260,14 +258,14 @@ def cell_pattern(universe, cycle, context=(), known=0):
             return None
         rails = []
         for i in range(m):
-            shared = (set(cycle[i]) & set(cycle[(i + 1) % m])) - common
+            shared = (sets[i] & sets[(i + 1) % m]) - common
             if len(shared) != 1:
                 return None
             rails += shared
         if len(set(rails)) != m:
             return None
         for i in range(m):
-            if set(cycle[i]) - common != {rails[i - 1], rails[i]}:
+            if sets[i] - common != {rails[i - 1], rails[i]}:
                 return None
         return "rectangle" if m == 4 else "pentagon"
     return None
@@ -912,7 +910,7 @@ def _radius0_based(prover, vertices, a0, no_recenter=False):
         elif case2:
             _case2(prover, rw, a0, a1, case2[0], e1, e2)
         else:
-            done = _case3(prover, rw, a0, a1, candidates, e1, e2, no_recenter)
+            done = _case3(prover, rw, a0, a1, candidates, e1, e2)
             if not done:
                 return _recenter_or_fail(prover, vertices, a0, no_recenter)
     return rw.apply_steps(contract_radius0(prover, tuple(rw.path), a0, _no_recenter=no_recenter))
@@ -955,7 +953,7 @@ def _case1(prover, rw, a0, a1, a2, e1, e2):
     rail_b = [prover.vertex(x + (a1,)) for x in q]  # from v2 to u1
     rail_t = [prover.vertex(x + (a2,)) for x in q]  # from `after` to u2
     _ensure(rail_b[0] == v2 and rail_t[0] == after, "ladder rails start off the junction")
-    u1, u2 = rail_b[-1], rail_t[-1]
+    u1 = rail_b[-1]
     r0 = segment_connect(prover, v1, u1, (a0, a1))
     # (i) seg2 -> r0 + reverse(bottom rail), inside an a1-segment loop
     y1 = r0[:-1] + list(reversed(rail_b))
@@ -1040,7 +1038,7 @@ def _case2(prover, rw, a0, a1, a2, e1, e2):
     rw.replace(e1 + len(r1) - 1, 2, [w0, v1p, w2, v3p, w1], lambda loop: hex_steps)
 
 
-def _case3(prover, rw, a0, a1, candidates, e1, e2, no_recenter):
+def _case3(prover, rw, a0, a1, candidates, e1, e2):
     """Separating-shadow junction: the merge through a common vertex with the
     fourth segment's curve, where the lattice allows it."""
     u = prover.u

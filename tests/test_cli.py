@@ -106,7 +106,7 @@ def test_verify_rejects_tampered(tmp_path):
                 "--seed", "7", "--out", str(c)]) == 0
     data = json.loads(c.read_text())
     step = data["certificate"]["steps"][0]
-    step["with"] = step["with"][::-1][:1] + step["with"][:1]
+    step[3] = step[3][::-1][:1] + step[3][:1]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
     v = tmp_path / "v.json"
@@ -147,11 +147,11 @@ def test_contract_prover_fault_exits_1(tmp_path, capsys, monkeypatch):
 # sha256 of `cutsys contract` reports; a change here changes certificates
 PINNED_REPORTS = [
     (["--seed", "1", "--g", "3", "--k", "1", "--steps", "5"],
-     "031641099781610a84ffbab8cb77527d73c96c6d9519df576382a962f7d7c232"),
+     "9285207223c4506d29f1f19133099480a8dd27a4b58986711a0d3a4bca57d271"),
     (["--seed", "2", "--g", "3", "--k", "2", "--steps", "8"],
-     "cd3c2b51fa1b8ad6fcee5f412d8a794c2d6462287fe619041a9032ae85d294e6"),
+     "830adbb0813dc71414d9a2fe714e0759c4afc80f9f899f0c40edb58f1e49097f"),
     (["--seed", "3", "--g", "4", "--k", "3", "--steps", "8"],
-     "e57e2c6ca24340078fcee4c1e2f9894f9bc25e9a451ce82b90b89be88a0dd0cc"),
+     "cedc73976198f658e0a69e16a80bc55c287521089acfede9a9739d9de4520a2f"),
 ]
 
 
@@ -197,15 +197,15 @@ def _break_certificate_key(data):
 
 
 def _break_at(data):
-    data["certificate"]["steps"][0]["at"] = "0"
+    data["certificate"]["steps"][0][1] = "0"
 
 
 def _break_op(data):
-    data["certificate"]["steps"][0]["op"] = "teleport"
+    data["certificate"]["steps"][0][0] = "teleport"
 
 
 def _break_window(data):
-    data["certificate"]["steps"][0]["replace"] = "abc"
+    data["certificate"]["steps"][0][2] = "abc"
 
 
 def _break_empty_loop(data):
@@ -213,7 +213,8 @@ def _break_empty_loop(data):
 
 
 def _break_cell_kind(data):
-    data["certificate"]["steps"][0]["cell"] = {"kind": 3}
+    row = data["certificate"]["steps"][0]
+    row[0], row[4:] = homotopy.CELL_FILL, [3]  # a fill whose kind is no string
 
 
 def _break_loop_curve(data):
@@ -222,7 +223,7 @@ def _break_loop_curve(data):
 
 def _set_index(x):
     def corrupt(data):
-        data["certificate"]["steps"][0]["replace"][0][0] = x(data) if callable(x) else x
+        data["certificate"]["vertices"][0][0] = x(data) if callable(x) else x
     return corrupt
 
 
@@ -252,13 +253,45 @@ def _break_entry_duplicate(data):
     curves.append(curves[0])
 
 
+def _break_vertices_key(data):
+    del data["certificate"]["vertices"]
+
+
+def _break_vertex_empty(data):
+    data["certificate"]["vertices"][0] = []
+
+
+def _break_vertex_duplicate(data):
+    vertices = data["certificate"]["vertices"]
+    vertices.append(vertices[0])
+
+
+def _break_vertex_repeats_curve(data):
+    vertices = data["certificate"]["vertices"]
+    vertices[0] = vertices[0] + vertices[0][:1]
+
+
+def _break_window_index_bool(data):
+    data["certificate"]["steps"][0][2][0] = False
+
+
+def _break_window_index_past_table(data):
+    data["certificate"]["steps"][0][2][0] = len(data["certificate"]["vertices"])
+
+
+def _break_row_length(data):
+    data["certificate"]["steps"][0].append("triangle")
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [_break_loop_key, _break_certificate_key, _break_at, _break_op, _break_window, _break_empty_loop,
      _break_cell_kind, _break_loop_curve, _break_index_str, _break_index_bool, _break_index_negative,
      _break_index_past_table, _break_entry_genus_above, _break_entry_negative_sign,
      _break_entry_not_increasing, _break_entry_index_past_2g, _break_entry_zero_value,
-     _break_entry_imprimitive, _break_entry_duplicate],
+     _break_entry_imprimitive, _break_entry_duplicate, _break_vertices_key, _break_vertex_empty,
+     _break_vertex_duplicate, _break_vertex_repeats_curve, _break_window_index_bool,
+     _break_window_index_past_table, _break_row_length],
     ids=lambda f: f.__name__[len("_break_"):],
 )
 def test_verify_malformed_input_exit_2(tmp_path, capsys, corrupt):
@@ -274,6 +307,27 @@ def test_verify_malformed_input_exit_2(tmp_path, capsys, corrupt):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not (tmp_path / "v.json").exists()
+
+
+@pytest.mark.parametrize("used, code", [(False, 0), (True, 1)], ids=["unused", "spike_tip"])
+def test_verify_high_genus_entry_exits_0_or_1(tmp_path, capsys, used, code):
+    # the 21-byte entry b_500000 is read and, as a spike tip beside a loop
+    # curve, cut-tested and paired without a dense vector
+    c = tmp_path / "c.json"
+    assert run(["contract", "--g", "3", "--k", "2", "--steps", "3",
+                "--seed", "7", "--out", str(c)]) == 0
+    data = json.loads(c.read_text())
+    cert = data["certificate"]
+    cert["curves"].append([500000, [[999999, 1]]])
+    if used:
+        cert["vertices"].append([len(cert["curves"]) - 1] + cert["vertices"][0][1:])
+        cert["steps"].insert(0, [homotopy.BT_INSERT, 0, [0], [0, len(cert["vertices"]) - 1, 0]])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    v = tmp_path / "v.json"
+    assert run(["verify", str(bad), "--out", str(v)]) == code
+    assert json.loads(v.read_text()) == {"verified": not used, "failing_step": 0 if used else None}
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize(

@@ -772,11 +772,47 @@ def test_cell_pattern_rejects_what_the_side_tests_cover(cycle):
     assert H.cell_pattern(zu(3), cycle) is None
 
 
+def _oracle_edge(universe, v, w):
+    """v and w differ in one curve each, and those two curves meet once."""
+    out, into = [c for c in v if c not in w], [c for c in w if c not in v]
+    return len(out) == len(into) == 1 and universe.inter(out[0], into[0]) == 1
+
+
+def _oracle_cell(universe, cycle):
+    """The cell type of a vertex cycle, from the definitions: a triangle's
+    three swapped curves meet pairwise once; a rectangle's or pentagon's
+    rails meet their neighbours zero times and every other rail once."""
+    m, k = len(cycle), len(cycle[0])
+    if len(set(cycle)) != m or not all(universe.cut_ok(v) for v in cycle):
+        return None
+    if not all(_oracle_edge(universe, cycle[i], cycle[(i + 1) % m]) for i in range(m)):
+        return None
+    common = set(cycle[0]).intersection(*cycle[1:])
+    if m == 3 and len(common) == k - 1:
+        bs = [c for v in cycle for c in v if c not in common]
+        return "triangle" if all(universe.inter(x, y) == 1 for x, y in combinations(bs, 2)) else None
+    if m not in (4, 5) or len(common) != k - 2:
+        return None
+    rails = [(set(cycle[i]) & set(cycle[(i + 1) % m])) - common for i in range(m)]
+    if any(len(r) != 1 for r in rails):
+        return None
+    rails = [r.pop() for r in rails]
+    if len(set(rails)) != m or any(set(cycle[i]) - common != {rails[i - 1], rails[i]} for i in range(m)):
+        return None
+    for i, j in combinations(range(m), 2):
+        if universe.inter(rails[i], rails[j]) != (0 if (j - i) % m in (1, m - 1) else 1):
+            return None
+    return "rectangle" if m == 4 else "pentagon"
+
+
 def _full_replay(universe, loop, steps):
-    """The replay that tests each step's whole window, old part included:
-    the oracle for verify_certificate."""
+    """The replay that tests each step's whole window, old part included, and
+    decides every edge and cell from pairwise intersections: the oracle for
+    verify_certificate.  It calls no check of the module under test."""
     path = list(loop)
-    if not path or not all(path) or not H.check_path(universe, path, closed=True):
+    if not path or not all(path) or path[0] != path[-1] or not all(map(universe.cut_ok, path)):
+        return False, -1
+    if not all(_oracle_edge(universe, v, w) for v, w in zip(path, path[1:])):
         return False, -1
     for i, s in enumerate(steps):
         end = s.at + len(s.old)
@@ -786,12 +822,12 @@ def _full_replay(universe, loop, steps):
             ok = False  # a backtrack claims no cell
         elif ok and s.op == H.BT_INSERT:
             ok = len(s.old) == 1 and len(s.new) == 3 and s.new[0] == s.new[2]
-            ok = ok and universe.cut_ok(s.new[1]) and H._edge_ok(universe, s.new[0], s.new[1])
+            ok = ok and universe.cut_ok(s.new[1]) and _oracle_edge(universe, s.new[0], s.new[1])
         elif ok and s.op == H.BT_REMOVE:
             ok = len(s.old) == 3 and len(s.new) == 1 and s.old[0] == s.old[2]
-            ok = ok and H._edge_ok(universe, s.old[0], s.old[1])
+            ok = ok and _oracle_edge(universe, s.old[0], s.old[1])
         elif ok and s.op == H.CELL_FILL and not len(s.old) == len(s.new) == 1:
-            kind = H.cell_pattern(universe, s.old + s.new[-2:0:-1])
+            kind = _oracle_cell(universe, s.old + s.new[-2:0:-1])
             ok = kind is not None and s.kind in ("", kind)
         else:
             ok = False
@@ -842,6 +878,24 @@ def test_replay_matches_the_full_window_replay():
             assert got == _full_replay(u, loop, bad)
             outcomes.add(got[0])
     assert outcomes == {True, False}
+
+
+def test_full_replay_does_not_move_with_cell_pattern(monkeypatch):
+    """A fill whose new vertex is no cut system is rejected at that fill by
+    the replay and by the oracle.  With a cell_pattern that calls every 3-, 4-
+    or 5-cycle a cell, the replay accepts that fill, and the oracle, which
+    decides cells itself, still rejects it there."""
+    u, loop = _k3_loop()
+    steps = H.contract(H.Prover(u), loop)
+    i, s = next((i, s) for i, s in enumerate(steps) if s.op == H.CELL_FILL and len(s.new) == 3)
+    tip = s.new[1]
+    twin = tuple(sorted((tip[0],) + tip[:-1]))
+    bad = steps[:i] + [H.Step(s.op, s.at, s.old, (s.new[0], twin, s.new[2]), s.kind)] + steps[i + 1 :]
+    assert H.verify_certificate(u, loop, bad) == _full_replay(u, loop, bad) == (False, i)
+    lax = {3: "triangle", 4: "rectangle", 5: "pentagon"}
+    monkeypatch.setattr(H, "cell_pattern", lambda universe, cycle, context=(), known=0: lax.get(len(cycle)))
+    assert _full_replay(u, loop, bad) == (False, i)
+    assert H.verify_certificate(u, loop, bad) != (False, i)
 
 
 @pytest.mark.parametrize("op", [H.BT_INSERT, H.BT_REMOVE])
@@ -902,7 +956,7 @@ def test_prover_postconditions_raise_contraction_error(call, message):
 
 
 # sha256 of the certificate JSON that contract gives for _k3_loop()
-K3_DIGEST = "aba42d4ccf7d233a3e4aa79fb626be26c4184631cecf5de2daa5fec86526a79c"
+K3_DIGEST = "159b867dd8a15db6edb994ce80ab13927dd4fcbb58c0a53cc3ab88cd1b2e0acb"
 
 
 def test_contract_digest_under_optimize_flag():
@@ -994,45 +1048,108 @@ def test_from_json_rejects_noncanonical_entry(entry, why):
 
 def test_from_json_rejects_duplicate_entry_and_bad_index():
     blob = _tri_blob()
-    n = len(blob["curves"])
+    n, m = len(blob["curves"]), len(blob["vertices"])
     blob["curves"].append(blob["curves"][0])
     with pytest.raises(ValueError, match=f"^curve {n}: duplicate of curve 0"):
         H.HomotopyCertificate.from_json(blob)
     for x in (True, "0", -1, n, 1.0):
         blob = _tri_blob()
-        blob["steps"][1]["with"][0][0] = x
-        with pytest.raises(ValueError, match="^step 1: 'with' holds"):
+        blob["vertices"][1][0] = x
+        with pytest.raises(ValueError, match="^vertex 1: .* is not a non-empty list of curve indices"):
             H.HomotopyCertificate.from_json(blob)
-    blob["steps"][1]["with"][0] = []
-    with pytest.raises(ValueError, match=r"^step 1: 'with' holds \[\], not a non-empty list"):
+    for x in (True, "0", -1, m, 1.0):
+        blob = _tri_blob()
+        blob["steps"][1][3][0] = x
+        with pytest.raises(ValueError, match=f"^step 1: 'with' holds .*, not a list of vertex indices below {m}$"):
+            H.HomotopyCertificate.from_json(blob)
+    blob["vertices"][0] = []
+    with pytest.raises(ValueError, match=r"^vertex 0: \[\] is not a non-empty list"):
         H.HomotopyCertificate.from_json(blob)
 
 
-def test_certificate_codec_shares_vertices_only_when_reading():
+def test_from_json_rejects_duplicate_vertex_and_repeated_curve():
+    blob = _tri_blob()
+    m = len(blob["vertices"])
+    blob["vertices"].append(list(blob["vertices"][1]))
+    with pytest.raises(ValueError, match=f"^vertex {m}: duplicate of vertex 1$"):
+        H.HomotopyCertificate.from_json(blob)
+    blob = _tri_blob()
+    blob["vertices"][0] = blob["vertices"][0] * 2
+    with pytest.raises(ValueError, match="^vertex 0: a curve repeats$"):
+        H.HomotopyCertificate.from_json(blob)
+
+
+@pytest.mark.parametrize("op, edit, why", [
+    (H.CELL_FILL, lambda row: row.pop(), "a fill row ends with its kind"),
+    (H.BT_REMOVE, lambda row: row.append("triangle"), "a backtrack row does not"),
+    (H.CELL_FILL, lambda row: row.append("triangle"), "not a row"),
+    (H.BT_REMOVE, lambda row: row.clear(), "not a row"),
+])
+def test_from_json_rejects_a_row_of_the_wrong_length(op, edit, why):
+    blob = _tri_blob()
+    edit(next(r for r in blob["steps"] if r[0] == op))
+    with pytest.raises(ValueError, match=re.escape(why)):
+        H.HomotopyCertificate.from_json(blob)
+
+
+def test_a_high_genus_entry_costs_memory_by_its_size():
+    """The 21-byte entry [500000, [[999999, 1]]] is b_500000: a class of one
+    nonzero coordinate, read in well under 1 MB (as a dense vector it took
+    22.7 MB)."""
+    import tracemalloc
+
+    blob = _tri_blob()
+    blob["curves"].append([500000, [[999999, 1]]])
+    tracemalloc.start()
+    try:
+        back = H.HomotopyCertificate.from_json(blob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.steps == H.HomotopyCertificate.from_json(_tri_blob()).steps
+    assert peak < 1 << 20, peak
+    assert SympSpace(500000).basis_b(500000).support == ((999999, 1),)
+
+
+def test_certificate_codec_writes_and_reads_each_vertex_once():
     u, loop = _k3_loop()
-    blob = _cert(H.contract(H.Prover(u), loop)).to_json()
-    lists = [v for d in blob["steps"] for name in ("replace", "with") for v in d[name]]
-    assert len({id(v) for v in lists}) == len(lists)  # to_json: a fresh list per occurrence
+    cert = _cert(H.contract(H.Prover(u), loop))
+    blob = cert.to_json()
+    table = blob["vertices"]
+    refs = [x for row in blob["steps"] for w in row[2:4] for x in w]
+    # to_json: each vertex once, in order of first use
+    assert len({tuple(v) for v in table}) == len(table) == len(set(refs))
+    assert list(dict.fromkeys(refs)) == list(range(len(table)))
     back = H.HomotopyCertificate.from_json(blob)
+    assert back.steps == cert.steps
     built = [v for s in back.steps for w in (s.old, s.new) for v in w]
-    assert len(built) == len(lists)
+    assert len(built) == len(refs)
     one = {}
-    for v, t in zip(lists, built):
-        assert one.setdefault(tuple(v), t) is t
-    assert len({id(t) for t in built}) == len(one) < len(lists) // 5
+    for x, t in zip(refs, built):
+        assert one.setdefault(x, t) is t  # from_json: one tuple per table entry
+    assert len({id(t) for t in built}) == len(table) < len(refs) // 5
 
 
 @pytest.mark.parametrize("fake, imitates", [(True, 1), (1.0, 1), (False, 0), (0.0, 0), ([0], 0)])
 def test_from_json_rejects_a_lookalike_of_a_vertex_already_read(fake, imitates):
-    """The last step re-reads the loop's first vertex; an element that equals
-    (or, as a list, cannot key) one of its indices is still a bad index."""
+    """An element that equals an index (or, as a list, cannot be one) is a bad
+    index: among a vertex's curve indices, and in a window that re-reads a
+    vertex an earlier step used."""
     u, loop = _k3_loop()
-    blob = _cert(H.contract(H.Prover(u), loop)).to_json()
-    i, n = len(blob["steps"]) - 1, len(blob["curves"])
-    v = blob["steps"][i]["with"][0]
-    assert v == blob["steps"][0]["replace"][0] and imitates in v
+    text = json.dumps(_cert(H.contract(H.Prover(u), loop)).to_json())
+    blob = json.loads(text)
+    n, m = len(blob["curves"]), len(blob["vertices"])
+    v = blob["vertices"][0]
+    assert imitates in v
     v[v.index(imitates)] = fake
-    with pytest.raises(ValueError, match=f"^step {i}: 'with' holds {re.escape(repr(v))}, not a non-empty list of indices below {n}$"):
+    with pytest.raises(ValueError, match=f"^vertex 0: {re.escape(repr(v))} is not a non-empty list of curve indices below {n}$"):
+        H.HomotopyCertificate.from_json(blob)
+    blob = json.loads(text)
+    i = max(i for i, row in enumerate(blob["steps"]) if imitates in row[3])
+    w = blob["steps"][i][3]
+    assert any(imitates in row[2] + row[3] for row in blob["steps"][:i])
+    w[w.index(imitates)] = fake
+    with pytest.raises(ValueError, match=f"^step {i}: 'with' holds {re.escape(repr(w))}, not a list of vertex indices below {m}$"):
         H.HomotopyCertificate.from_json(blob)
 
 
@@ -1058,11 +1175,14 @@ def _is_entry(e):
 
 
 def _mutate(data, blob):
-    steps, curves, n = blob["steps"], blob["curves"], len(blob["curves"])
-    kind = data.draw(st.sampled_from(["entry", "edit", "index", "at", "op", "cell", "window", "truncate", "swap"]))
+    steps, curves, vertices = blob["steps"], blob["curves"], blob["vertices"]
+    n, m = len(curves), len(vertices)
+    kind = data.draw(st.sampled_from(["entry", "edit", "vertex", "index", "duplicate", "vindex", "at", "op",
+                                      "cell", "window", "truncate", "swap"]))
     i = data.draw(st.integers(0, len(steps) - 1)) if steps else None
     # half the draws favour the first entries: the loop's own curves, used by the first steps
     j = data.draw(st.integers(0, n - 1) | st.integers(0, min(n - 1, 3))) if n else None
+    h = data.draw(st.integers(0, m - 1) | st.integers(0, min(m - 1, 3))) if m else None
     if kind == "entry" and n:
         curves[j] = data.draw(_ENTRY)
     elif kind == "edit" and n and _is_entry(curves[j]):
@@ -1076,23 +1196,38 @@ def _mutate(data, blob):
         elif pairs:
             k = data.draw(st.integers(0, len(pairs) - 1))
             pairs[k] = [pairs[k][0], pairs[k][1] * data.draw(st.sampled_from([-1, 0, 2]))]
-    elif i is None or not isinstance(steps[i], dict):
-        del steps[:1]  # an earlier mutation left no step object to edit here
-    elif kind == "index":
-        w = steps[i].get(data.draw(st.sampled_from(["replace", "with"])))
-        v = w[data.draw(st.integers(0, len(w) - 1))] if isinstance(w, list) and w else None
-        if isinstance(v, list) and v:
-            v[data.draw(st.integers(0, len(v) - 1))] = data.draw(st.one_of(st.integers(-2, n + 1), _JUNK))
+    elif kind == "vertex" and m:
+        vertices[h] = data.draw(st.one_of(st.lists(st.integers(-1, n), max_size=4), _JUNK))
+    elif kind == "index" and m and isinstance(vertices[h], list) and vertices[h]:
+        v = vertices[h]
+        v[data.draw(st.integers(0, len(v) - 1))] = data.draw(st.one_of(st.integers(-2, n + 1), _JUNK))
+    elif kind == "duplicate" and m:
+        # a copy of a vertex entry, added or written over another, or a curve repeated in it
+        copy = json.loads(json.dumps(vertices[h]))
+        where = data.draw(st.sampled_from(["append", "over", "repeat"]))
+        if where == "append":
+            vertices.append(copy)
+        elif where == "over":
+            vertices[data.draw(st.integers(0, m - 1))] = copy
+        elif isinstance(copy, list) and copy:
+            vertices[h] = copy + copy[:1]
+    elif i is None or not isinstance(steps[i], list) or len(steps[i]) < 4:
+        del steps[:1]  # an earlier mutation left no step row to edit here
+    elif kind == "vindex":
+        w = steps[i][data.draw(st.sampled_from([2, 3]))]
+        if isinstance(w, list) and w:
+            w[data.draw(st.integers(0, len(w) - 1))] = data.draw(st.one_of(st.integers(-2, m + 1), _JUNK))
     elif kind == "at":
-        steps[i]["at"] = data.draw(st.one_of(st.integers(-2, 60), _JUNK))
+        steps[i][1] = data.draw(st.one_of(st.integers(-2, 60), _JUNK))
     elif kind == "op":
-        steps[i]["op"] = data.draw(st.one_of(st.sampled_from([H.CELL_FILL, H.BT_INSERT, H.BT_REMOVE]), _JUNK))
+        steps[i][0] = data.draw(st.one_of(st.sampled_from([H.CELL_FILL, H.BT_INSERT, H.BT_REMOVE]), _JUNK))
     elif kind == "cell":
+        # the kind slot: a name or junk written, added to a backtrack, or dropped from a fill
         names = st.sampled_from(["triangle", "rectangle", "pentagon", ""])
-        steps[i]["cell"] = data.draw(st.one_of(st.fixed_dictionaries({"kind": st.one_of(names, _JUNK)}), _JUNK))
+        steps[i][4:] = data.draw(st.one_of(st.lists(st.one_of(names, _JUNK), max_size=2), st.just([])))
     elif kind == "window":
-        windows = st.lists(st.lists(st.integers(-1, n), max_size=3), max_size=4)
-        steps[i][data.draw(st.sampled_from(["replace", "with"]))] = data.draw(st.one_of(windows, _JUNK))
+        windows = st.lists(st.integers(-1, m), max_size=4)
+        steps[i][data.draw(st.sampled_from([2, 3]))] = data.draw(st.one_of(windows, _JUNK))
     elif kind == "truncate":
         del steps[i:]
     else:
