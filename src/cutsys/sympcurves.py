@@ -128,7 +128,7 @@ class HClass:
         if self.g != other.g:
             return self.g < other.g
         for p, q in zip_longest(self.support, other.support, fillvalue=(inf, 0)):
-            if p != q:
+            if p != q:  # they first differ at min(i, j), where a missing pair is 0
                 (i, x), (j, y) = p, q
                 return x < 0 if i < j else 0 < y if j < i else x < y
         return False
@@ -158,6 +158,7 @@ _PAIR_CACHE = {}  # keyed on the interned classes themselves
 
 
 def _pair(u, v):
+    """<u, v> over u's support: each a_i meets b_i at +1, each b_i meets a_i at -1."""
     d = dict(v.support)
     s = 0
     for i, x in u.support:

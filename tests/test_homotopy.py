@@ -1111,6 +1111,12 @@ def test_a_high_genus_entry_costs_memory_by_its_size():
     assert SympSpace(500000).basis_b(500000).support == ((999999, 1),)
 
 
+def test_criterion_6_certificates_fit_in_a_megabyte():
+    # each vertex is written once; spelling out every window's vertex lists took 1,988,721 bytes
+    texts = [json.dumps(_cert(steps).to_json()) for k, u, loop, steps in _criterion6_certs()]
+    assert sum(map(len, texts)) == 887_054 < 1_000_000
+
+
 def test_certificate_codec_writes_and_reads_each_vertex_once():
     u, loop = _k3_loop()
     cert = _cert(H.contract(H.Prover(u), loop))
