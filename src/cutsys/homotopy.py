@@ -245,8 +245,7 @@ def cell_pattern(universe, cycle, context=(), known=0):
     for i in range(max(known - 1, 0), m):
         if not _edge_ok(universe, cycle[i], cycle[(i + 1) % m]):
             return None
-    sets = [set(v) for v in cycle]
-    common = set.intersection(*sets)
+    common = set(cycle[0]).intersection(*cycle[1:])
     k = len(cycle[0])
     if m == 3:
         # each v_i = common + {b_i}, and the b_i differ as the vertices do
@@ -256,16 +255,17 @@ def cell_pattern(universe, cycle, context=(), known=0):
         # v_i - common = {e_(i-1), e_i}
         if len(common) != k - 2:
             return None
+        own = [set(v) - common for v in cycle]
         rails = []
         for i in range(m):
-            shared = (sets[i] & sets[(i + 1) % m]) - common
+            shared = own[i] & own[(i + 1) % m]
             if len(shared) != 1:
                 return None
             rails += shared
         if len(set(rails)) != m:
             return None
         for i in range(m):
-            if sets[i] - common != {rails[i - 1], rails[i]}:
+            if own[i] != {rails[i - 1], rails[i]}:
                 return None
         return "rectangle" if m == 4 else "pentagon"
     return None
