@@ -1094,8 +1094,8 @@ def test_from_json_rejects_a_row_of_the_wrong_length(op, edit, why):
 
 def test_a_high_genus_entry_costs_memory_by_its_size():
     """The 21-byte entry [500000, [[999999, 1]]] is b_500000: a class of one
-    nonzero coordinate, read in well under 1 MB (as a dense vector it took
-    22.7 MB)."""
+    nonzero coordinate, read in well under 1 MB (through a dense vector of
+    its 1,000,000 coordinates, reading it took 8 MB or more)."""
     import tracemalloc
 
     blob = _tri_blob()
