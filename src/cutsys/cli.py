@@ -13,10 +13,11 @@ import argparse
 import json
 import random
 import sys
+from math import gcd
 
 from . import complexes as cx
 from . import geomcurves, homotopy, rigidity, walks
-from .sympcurves import SympSpace, transvect_vec, pairing_vec
+from .sympcurves import HClass, SympSpace, inter, pairing, transvect
 from .universe import make_universe
 
 
@@ -142,16 +143,20 @@ def cmd_rigidity(args):
 def _props_tasks(args):
     def twist_identity():
         rng = random.Random(args.seed)
+
+        def draw():
+            while True:
+                x = [rng.randint(-2, 2) for _ in range(6)]
+                if gcd(*x) == 1:
+                    return HClass(x)
+
         count = 0
         for _ in range(2000):
-            u_ = tuple(rng.randint(-2, 2) for _ in range(6))
-            v_ = tuple(rng.randint(-2, 2) for _ in range(6))
-            w_ = tuple(rng.randint(-2, 2) for _ in range(6))
+            u_, v_, w_ = draw(), draw(), draw()
             n = rng.randint(-5, 5)
-            lhs = pairing_vec(transvect_vec(u_, n, v_), w_)
-            rhs = pairing_vec(v_, w_) + n * pairing_vec(u_, v_) * pairing_vec(u_, w_)
-            if lhs != rhs:
-                return {"name": "twist-identity", "checked": count, "failed": [u_, v_, w_, n]}
+            if inter(transvect(u_, n, v_), w_) != abs(pairing(v_, w_) + n * pairing(u_, v_) * pairing(u_, w_)):
+                return {"name": "twist-identity", "checked": count,
+                        "failed": [u_.to_json(), v_.to_json(), w_.to_json(), n]}
             count += 1
         return {"name": "twist-identity", "checked": count, "failed": None}
 

@@ -119,7 +119,7 @@ class HomotopyCertificate:
             if s.op == CELL_FILL:
                 row.append(s.kind)
         return {
-            "curves": [[c.g, [list(p) for p in c.support]] for c in curve_at],
+            "curves": [c.to_json() for c in curve_at],
             "vertices": [[curve_at[c] for c in v] for v in vertex_at],
             "steps": steps,
         }
@@ -128,13 +128,12 @@ class HomotopyCertificate:
     def from_json(cls, obj):
         """Parse a certificate; a ValueError names the malformed step, vertex
         or curve.  Each curve and vertex must appear once, a curve in the
-        canonical encoding that to_json writes; it becomes an HClass once,
-        which checks primitivity."""
+        canonical encoding of HClass.from_json."""
         if not isinstance(obj, dict) or not all(isinstance(obj.get(k), list) for k in ("curves", "vertices", "steps")):
             raise ValueError("certificate must be an object with 'curves', 'vertices' and 'steps' lists")
         table, first = [], {}
         for j, e in enumerate(obj["curves"]):
-            c = _table_curve(j, e)
+            c = _curve(f"curve {j}", e)
             if first.setdefault(c, j) != j:
                 raise ValueError(f"curve {j}: duplicate of curve {first[c]}")
             table.append(c)
@@ -173,33 +172,12 @@ class HomotopyCertificate:
         return cls(steps)
 
 
-def _table_curve(j, e):
-    """The HClass of curve-table entry j, which must be the canonical
-    encoding [g, [[index, value], ...]] that to_json writes."""
-
-    def bad(why):
-        return ValueError(f"curve {j}: {why}")
-
-    if not (isinstance(e, list) and len(e) == 2 and type(e[0]) is int and isinstance(e[1], list)):
-        raise bad("not a [genus, [[index, value], ...]] entry")
-    g, pairs = e
-    last = -1
-    for p in pairs:
-        if not (isinstance(p, list) and len(p) == 2 and type(p[0]) is int and type(p[1]) is int):
-            raise bad(f"{p!r} is not an [index, value] pair of integers")
-        if p[0] <= last:
-            raise bad("indices not strictly increasing from 0")
-        if p[1] == 0:
-            raise bad(f"zero value at index {p[0]}")
-        last = p[0]
-    if g != max(1, last // 2 + 1):
-        raise bad(f"genus {g}, but the highest index {last} gives genus {max(1, last // 2 + 1)}")
-    if pairs and pairs[0][1] < 0:
-        raise bad("leading value negative: not the canonical sign")
+def _curve(where, e):
+    """HClass.from_json(e), its ValueError prefixed with `where`."""
     try:
-        return HClass.of_support(map(tuple, pairs))
+        return HClass.from_json(e)
     except ValueError as exc:
-        raise bad(str(exc)) from None
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def loop_to_json(loop):
@@ -211,14 +189,9 @@ def loop_from_json(obj):
     """Inverse of loop_to_json, each vertex sorted; ValueError when malformed."""
     if not isinstance(obj, list) or not obj or not all(isinstance(v, list) and v for v in obj):
         raise ValueError("'loop' must be a non-empty list of non-empty vertex lists")
-
-    def curve(c):
-        coords = c.get("coords") if isinstance(c, dict) else None
-        if not isinstance(coords, list) or not all(type(x) is int for x in coords):
-            raise ValueError("each loop curve must be an object with integer 'coords'")
-        return HClass(coords)
-
-    return tuple(tuple(sorted(map(curve, v))) for v in obj)
+    return tuple(
+        tuple(sorted(_curve(f"loop vertex {i} curve {j}", e) for j, e in enumerate(v))) for i, v in enumerate(obj)
+    )
 
 
 def cell_pattern(universe, cycle, context=(), known=0):

@@ -16,7 +16,6 @@ import weakref
 from dataclasses import dataclass
 from itertools import zip_longest
 from math import gcd, inf
-from operator import mul
 
 from . import intlin
 
@@ -41,26 +40,6 @@ class SympSpace:
         if not 1 <= i <= self.g:
             raise SpaceMismatch(f"no handle {i} at genus {self.g}")
         return HClass._make(((2 * i - 1, 1),))
-
-def pairing_vec(u, v):
-    """Signed symplectic pairing of two coordinate vectors (zero-padded).
-
-    Padding zeros add nothing, so only the common prefix is summed; the
-    slices run one past it, so an odd-length shorter vector keeps its last
-    a-coordinate."""
-    if max(len(u), len(v)) % 2:
-        raise SpaceMismatch("odd-length coordinate vector")
-    n = min(len(u), len(v)) + 1
-    return sum(map(mul, u[0:n:2], v[1:n:2])) - sum(map(mul, u[1:n:2], v[0:n:2]))
-
-
-def transvect_vec(a, n, b):
-    """b + n*<a,b>*a on raw coordinate vectors (no canonicalization)."""
-    c = n * pairing_vec(a, b)
-    ln = max(len(a), len(b))
-    return tuple(
-        (b[i] if i < len(b) else 0) + c * (a[i] if i < len(a) else 0) for i in range(ln)
-    )
 
 
 def _support(pairs):
@@ -115,11 +94,6 @@ class HClass:
             c[i] = x
         return tuple(c)
 
-    def padded(self, g):
-        if g < self.g:
-            raise SpaceMismatch(f"class needs genus {self.g}, space has {g}")
-        return self.coords + (0,) * (2 * (g - self.g))
-
     def __setattr__(self, *a):
         raise AttributeError("HClass is immutable")
 
@@ -147,11 +121,30 @@ class HClass:
         return s[1:] if s.startswith("+") else s
 
     def to_json(self):
-        return {"g": self.g, "coords": list(self.coords)}
+        """[g, [[index, value], ...]]: the genus and the support."""
+        return [self.g, [list(p) for p in self.support]]
 
     @classmethod
     def from_json(cls, obj):
-        return cls(obj["coords"])
+        """The class of a to_json entry; ValueError unless the entry is
+        exactly the canonical one that to_json writes."""
+        if not (isinstance(obj, list) and len(obj) == 2 and type(obj[0]) is int and isinstance(obj[1], list)):
+            raise ValueError("not a [genus, [[index, value], ...]] entry")
+        g, pairs = obj
+        last = -1
+        for p in pairs:
+            if not (isinstance(p, list) and len(p) == 2 and type(p[0]) is int and type(p[1]) is int):
+                raise ValueError(f"{p!r} is not an [index, value] pair of integers")
+            if p[0] <= last:
+                raise ValueError("indices not strictly increasing from 0")
+            if p[1] == 0:
+                raise ValueError(f"zero value at index {p[0]}")
+            last = p[0]
+        if g != max(1, last // 2 + 1):
+            raise ValueError(f"genus {g}, but the highest index {last} gives genus {max(1, last // 2 + 1)}")
+        if pairs and pairs[0][1] < 0:
+            raise ValueError("leading value negative: not the canonical sign")
+        return cls.of_support(map(tuple, pairs))
 
 
 _PAIR_CACHE = {}  # keyed on the interned classes themselves
@@ -257,17 +250,6 @@ def _cut_shadow_uncached(classes, extra):
     return is_primitive_frame(classes + extra)
 
 
-def _pairing_row(vec, n):
-    """Row r with r . x = <vec, x> for all x of length n."""
-    row = [0] * n
-    for i in range(0, n, 2):
-        va = vec[i] if i < len(vec) else 0
-        vb = vec[i + 1] if i + 1 < len(vec) else 0
-        row[i] = -vb
-        row[i + 1] = va
-    return row
-
-
 def solve_pairings(space, constraints, orthogonal=(), forbid=()):
     """Find a primitive class x with <x, u_i> = t_i for every (u_i, t_i).
 
@@ -277,14 +259,14 @@ def solve_pairings(space, constraints, orthogonal=(), forbid=()):
     """
     g = space.g
     rows, rhs = [], []
-    for u, t in constraints:
-        vec = u.padded(g) if isinstance(u, HClass) else u
-        rows.append(_pairing_row(vec, 2 * g))
+    for u, t in [*constraints, *((f, 0) for f in orthogonal)]:
+        if u.g > g:
+            raise SpaceMismatch(f"class needs genus {u.g}, space has {g}")
+        row = [0] * (2 * g)  # row . x = <u, x>
+        for i, x in u.support:
+            row[i ^ 1] = -x if i & 1 else x
+        rows.append(row)
         rhs.append(t)
-    for f in orthogonal:
-        vec = f.padded(g) if isinstance(f, HClass) else f
-        rows.append(_pairing_row(vec, 2 * g))
-        rhs.append(0)
     if not rows:
         return space.basis_a(1)
     sol = intlin.solve_integer(rows, rhs)

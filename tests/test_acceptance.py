@@ -5,6 +5,7 @@ lines; every tolerance here is exact.
 """
 
 import functools
+import math
 import random
 import time
 from itertools import chain
@@ -15,7 +16,7 @@ from cutsys import homotopy as H
 from cutsys import rigidity as R
 from cutsys import walks
 from cutsys.geomcurves import all_slopes, islope, twist_slope
-from cutsys.sympcurves import HClass, SympSpace, pairing_vec, transvect_vec
+from cutsys.sympcurves import HClass, SympSpace, combine, inter, pairing, transvect
 from cutsys.universe import SympF2Universe, make_universe
 
 from wordmodel import CyclicWord, Inessential, RibbonSurface, iword, iword_oracle, slope_word
@@ -134,14 +135,17 @@ def test_criterion_5_twist_identity_and_inequality():
     rng = random.Random(505)
     t0 = time.time()
     ok = True
+
+    def draw():
+        while True:
+            x = [rng.randint(-3, 3) for _ in range(8)]
+            if math.gcd(*x) == 1:
+                return HClass(x)
+
     for _ in range(10_000):
-        u = tuple(rng.randint(-3, 3) for _ in range(8))
-        v = tuple(rng.randint(-3, 3) for _ in range(8))
-        w = tuple(rng.randint(-3, 3) for _ in range(8))
+        u, v, w = draw(), draw(), draw()
         n = rng.randint(-6, 6)
-        lhs = pairing_vec(transvect_vec(u, n, v), w)
-        rhs = pairing_vec(v, w) + n * pairing_vec(u, v) * pairing_vec(u, w)
-        ok &= lhs == rhs
+        ok &= inter(transvect(u, n, v), w) == abs(pairing(v, w) + n * pairing(u, v) * pairing(u, w))
     slopes = all_slopes(4)
     count = 0
     for a in slopes:
@@ -272,7 +276,7 @@ def test_criterion_7_hexagon_construction():
         S = SympSpace(g)
         i, j = rng.sample(range(1, g + 1), 2) if g > 2 else (1, 2)
         x, y = S.basis_a(i), S.basis_a(j)
-        z = HClass(tuple(p + q for p, q in zip(x.padded(g), y.padded(g))))
+        z = combine(x, 1, y)
         trip = [x, y, z]
         pool = [S.basis_a(t) for t in range(1, g + 1)] + [
             S.basis_b(t) for t in range(1, g + 1)

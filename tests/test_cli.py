@@ -144,22 +144,35 @@ def test_contract_prover_fault_exits_1(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("certificate fails its replay at step ")
 
 
-# sha256 of `cutsys contract` reports; a change here changes certificates
+# sha256 of the two parts of `cutsys contract` reports, each as compact
+# sorted JSON: the certificate (a change there changes certificates) and the
+# rest of the report (the loop, g, k, seed and verified)
 PINNED_REPORTS = [
     (["--seed", "1", "--g", "3", "--k", "1", "--steps", "5"],
-     "9285207223c4506d29f1f19133099480a8dd27a4b58986711a0d3a4bca57d271"),
+     "762b0c8885f01ff85b15cd005da20a23940cd58f06ced793ec22934f49092421",
+     "6089e5d752eb9dbc673149d2fb0759c5e5da00b3c97965b6e8189b79abe6c473"),
     (["--seed", "2", "--g", "3", "--k", "2", "--steps", "8"],
-     "830adbb0813dc71414d9a2fe714e0759c4afc80f9f899f0c40edb58f1e49097f"),
+     "6fa0a37fb131796c539a9531eeb04cdc78351b4a9de1e91cdb85cfa5c7cf496b",
+     "e8143cf5ed4a165f53e40fb358498949090fe589e469137fd859ea92c501dc45"),
     (["--seed", "3", "--g", "4", "--k", "3", "--steps", "8"],
-     "cedc73976198f658e0a69e16a80bc55c287521089acfede9a9739d9de4520a2f"),
+     "17754fdc57370f5eda8bbcf06d0d28941c4d566353fdac1d67ce1220949e953b",
+     "cc8c0ba476ee7146526adec9ff8cc3faea2e8ac963149d6ac9e1d2cc6e6b45d3"),
 ]
 
 
-@pytest.mark.parametrize("argv, digest", PINNED_REPORTS, ids=["k1", "k2", "k3"])
-def test_contract_report_pinned(tmp_path, argv, digest):
+def _digests(path):
+    """sha256 of a report's certificate and of the rest of the report."""
+    data = json.loads(path.read_text())
+    cert = data.pop("certificate")
+    return tuple(hashlib.sha256(json.dumps(x, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+                 for x in (cert, data))
+
+
+@pytest.mark.parametrize("argv, cert_digest, loop_digest", PINNED_REPORTS, ids=["k1", "k2", "k3"])
+def test_contract_report_pinned(tmp_path, argv, cert_digest, loop_digest):
     out = tmp_path / "c.json"
     assert run(["contract"] + argv + ["--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    assert _digests(out) == (cert_digest, loop_digest)
 
 
 def test_contract_reports_pinned_at_other_addresses(tmp_path):
@@ -180,12 +193,42 @@ for i, argv in enumerate(json.loads(sys.argv[1])):
 """
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    argvs = json.dumps([argv for argv, _ in PINNED_REPORTS])
+    argvs = json.dumps([argv for argv, *_ in PINNED_REPORTS])
     out = subprocess.run([sys.executable, "-c", script, argvs, str(tmp_path / "c")],
                          env=env, capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
-    for i, (_, digest) in enumerate(PINNED_REPORTS):
-        assert hashlib.sha256((tmp_path / f"c{i}").read_bytes()).hexdigest() == digest
+    for i, (_, *digests) in enumerate(PINNED_REPORTS):
+        assert _digests(tmp_path / f"c{i}") == tuple(digests)
+
+
+def _shift_curve(entry, handles):
+    """A curve entry moved up `handles` handles: index i becomes i + 2 * handles."""
+    g, pairs = entry
+    return [g + handles, [[i + 2 * handles, x] for i, x in pairs]]
+
+
+def _shift_report(data, handles):
+    """A `cutsys contract` report, loop and certificate, moved up `handles`
+    handles.  Handles are interchangeable, so the shifted certificate is a
+    valid one for the shifted loop; and the order of classes is kept, so
+    every vertex stays in curve order."""
+    data["loop"] = [[_shift_curve(e, handles) for e in v] for v in data["loop"]]
+    cert = data["certificate"]
+    cert["curves"] = [_shift_curve(e, handles) for e in cert["curves"]]
+    return data
+
+
+def test_verify_a_report_shifted_up_100000_handles(tmp_path):
+    # a dense loop curve at genus 100,003 would be 200,006 integers; an entry
+    # is a few bytes more than unshifted
+    c = tmp_path / "c.json"
+    assert run(["contract"] + PINNED_REPORTS[1][0] + ["--out", str(c)]) == 0
+    shifted = tmp_path / "s.json"
+    shifted.write_text(json.dumps(_shift_report(json.loads(c.read_text()), 100_000), separators=(",", ":")))
+    assert shifted.stat().st_size < 2 * c.stat().st_size
+    v = tmp_path / "v.json"
+    assert run(["verify", str(shifted), "--out", str(v)]) == 0
+    assert json.loads(v.read_text()) == {"verified": True, "failing_step": None}
 
 
 def _break_loop_key(data):
@@ -217,8 +260,26 @@ def _break_cell_kind(data):
     row[0], row[4:] = homotopy.CELL_FILL, [3]  # a fill whose kind is no string
 
 
-def _break_loop_curve(data):
-    data["loop"][0][0] = {"coords": "a1"}
+def _set_loop_curve(f):
+    def corrupt(data):
+        data["loop"][0][0] = f(*data["loop"][0][0])
+    return corrupt
+
+
+_break_loop_negative_sign = _set_loop_curve(lambda g, pairs: [g, [[i, -x] for i, x in pairs]])
+_break_loop_genus_above = _set_loop_curve(lambda g, pairs: [g + 1, pairs])
+_break_loop_imprimitive = _set_loop_curve(lambda g, pairs: [g, [[i, 2 * x] for i, x in pairs]])
+
+
+def _dense_object(g, pairs):
+    coords = [0] * (2 * g)
+    for i, x in pairs:
+        coords[i] = x
+    return {"g": g, "coords": coords}
+
+
+# the loop curve in the {"g", "coords"} object that reports held before
+_break_loop_curve = _set_loop_curve(_dense_object)
 
 
 def _set_index(x):
@@ -283,17 +344,12 @@ def _break_row_length(data):
     data["certificate"]["steps"][0].append("triangle")
 
 
-@pytest.mark.parametrize(
-    "corrupt",
-    [_break_loop_key, _break_certificate_key, _break_at, _break_op, _break_window, _break_empty_loop,
-     _break_cell_kind, _break_loop_curve, _break_index_str, _break_index_bool, _break_index_negative,
-     _break_index_past_table, _break_entry_genus_above, _break_entry_negative_sign,
-     _break_entry_not_increasing, _break_entry_index_past_2g, _break_entry_zero_value,
-     _break_entry_imprimitive, _break_entry_duplicate, _break_vertices_key, _break_vertex_empty,
-     _break_vertex_duplicate, _break_vertex_repeats_curve, _break_window_index_bool,
-     _break_window_index_past_table, _break_row_length],
-    ids=lambda f: f.__name__[len("_break_"):],
-)
+# every _break_ function above, by its name: the closures that _set_index,
+# _set_entry and _set_loop_curve return are all called `corrupt`
+BREAKERS = {name[len("_break_"):]: f for name, f in globals().items() if name.startswith("_break_")}
+
+
+@pytest.mark.parametrize("corrupt", BREAKERS.values(), ids=BREAKERS.keys())
 def test_verify_malformed_input_exit_2(tmp_path, capsys, corrupt):
     c = tmp_path / "c.json"
     assert run(["contract", "--g", "3", "--k", "2", "--steps", "3",
@@ -384,6 +440,18 @@ def test_props_command(tmp_path):
         "schmutz-identity",
         "contract-roundtrip",
     }
+
+
+def test_props_twist_identity_checks_the_transvect_it_calls(tmp_path, monkeypatch):
+    # a twist that leaves every class where it is breaks the identity
+    monkeypatch.setattr(cli, "transvect", lambda a, n, b: b)
+    out = tmp_path / "p.json"
+    assert run(["props", "--seed", "7", "--out", str(out)]) == 1
+    data = json.loads(out.read_text())
+    failed = {s["name"]: s["failed"] for s in data["suites"] if s["failed"] is not None}
+    assert data["passed"] is False and list(failed) == ["twist-identity"]
+    *classes, n = failed["twist-identity"]
+    assert [type(HClass.from_json(c)) for c in classes] == [HClass] * 3 and n != 0
 
 
 def test_props_same_seed_deterministic(tmp_path):

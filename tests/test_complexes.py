@@ -772,7 +772,7 @@ PINNED_BUILDS = {
     "sympZ g=3 k=2 ball": (
         lambda: _ball("sympZ g=3 k=2 ball"),
         (9, 18, 6, 9, 0),
-        "9a9e6219068aa1490c05b29c8c8acce38395a5f0cc5eb9bf926eb99d40f31004",
+        "6dea25d4db71a78cca8c09892cd064e4b8dbfa422280ccbdeb93dcc764e36d24",
     ),
     # the one pinned build whose free = 1 pass runs over common sets of two curves
     "sympF2 g=3 k=3": (

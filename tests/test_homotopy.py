@@ -12,7 +12,7 @@ from cutsys import complexes as cx
 from cutsys import homotopy as H
 from cutsys import walks
 from cutsys.geomcurves import Slope
-from cutsys.sympcurves import HClass, SympSpace
+from cutsys.sympcurves import HClass, SympSpace, combine
 from cutsys.universe import SympZUniverse, make_universe
 
 S2, S3 = SympSpace(2), SympSpace(3)
@@ -228,7 +228,7 @@ def test_hex_escorts_random_triples():
         p = H.Prover(u)
         S = SympSpace(g)
         x, y = S.basis_a(1), S.basis_a(2)
-        z = HClass(tuple(a + b for a, b in zip(x.padded(g), y.padded(g))))
+        z = combine(x, 1, y)
         # twist the triple around to vary it, preserving the hypotheses
         pool = [S.basis_a(i) for i in range(1, g + 1)] + [
             S.basis_b(i) for i in range(1, g + 1)
@@ -1044,6 +1044,9 @@ def test_from_json_rejects_noncanonical_entry(entry, why):
     blob["curves"][0] = entry
     with pytest.raises(ValueError, match=r"^curve 0: .*" + re.escape(why)):
         H.HomotopyCertificate.from_json(blob)
+    # a loop curve is the same entry
+    with pytest.raises(ValueError, match=r"^loop vertex 1 curve 0: .*" + re.escape(why)):
+        H.loop_from_json([[[1, [[0, 1]]]], [entry]])
 
 
 def test_from_json_rejects_duplicate_entry_and_bad_index():
@@ -1109,6 +1112,21 @@ def test_a_high_genus_entry_costs_memory_by_its_size():
     assert back.steps == H.HomotopyCertificate.from_json(_tri_blob()).steps
     assert peak < 1 << 20, peak
     assert SympSpace(500000).basis_b(500000).support == ((999999, 1),)
+
+
+def test_a_high_genus_loop_curve_costs_memory_by_its_size():
+    # the same b_500000 as a loop curve, read in well under 1 MB (as a
+    # {"g", "coords"} object it held 1,000,000 integers)
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        loop = H.loop_from_json([[[500000, [[999999, 1]]]]])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loop == ((SympSpace(500000).basis_b(500000),),)
+    assert peak < 1 << 20, peak
 
 
 def test_criterion_6_certificates_fit_in_a_megabyte():

@@ -33,7 +33,7 @@ def test_the_check_finds_unused_imports():
     assert _unused_imports(source) == [(2, "json"), (4, "lcm")]
 
 
-@pytest.mark.parametrize("path", MODULES + [ROOT / "tests" / "wordmodel.py"], ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + [ROOT / "tests" / "wordmodel.py", ROOT / "tests" / "densevec.py"], ids=lambda p: p.name)
 def test_no_unused_module_level_imports(path):
     assert _unused_imports(path.read_text()) == []
 

@@ -20,11 +20,10 @@ from cutsys.sympcurves import (
     is_cut_shadow,
     is_primitive_frame,
     pairing,
-    pairing_vec,
     solve_pairings,
     transvect,
-    transvect_vec,
 )
+from densevec import padded, pairing_vec, transvect_vec
 from test_complexes import _parity_matrix
 
 S2 = SympSpace(2)
@@ -197,7 +196,7 @@ def test_cut_shadow_symplectic_completion_oracle():
 def _padded_stack_is_primitive(classes):
     """The Smith test on the full padded stack: the oracle for is_primitive_frame."""
     g = max((c.g for c in classes), default=1)
-    return intlin.is_primitive_stack([list(c.padded(g)) for c in classes])
+    return intlin.is_primitive_stack([list(padded(c, g)) for c in classes])
 
 
 def _sparse_class(rng, support):
@@ -224,7 +223,7 @@ def test_primitive_frame_over_supports_matches_the_padded_stack():
         if mode != "free":
             x, y = classes[0], classes[1]
             k = max(x.g, y.g)
-            vec = [p + (1 if mode == "dependent" else 2) * q for p, q in zip(x.padded(k), y.padded(k))]
+            vec = [p + (1 if mode == "dependent" else 2) * q for p, q in zip(padded(x, k), padded(y, k))]
             if not any(vec) or math.gcd(*vec) != 1:
                 continue
             if mode == "dependent":
@@ -275,6 +274,24 @@ def test_solve_pairings_examples():
     assert any_dual is not None and inter(any_dual, a1) == 1
 
 
+def test_solve_rows_are_the_dense_pairing_rows(monkeypatch):
+    # each row r has r . x = <u, x> at width 2g, as the rows built from the
+    # padded dense vectors had: the Smith form sees the same input
+    seen = []
+    solve = intlin.solve_integer
+    monkeypatch.setattr(intlin, "solve_integer", lambda rows, rhs: seen.append(rows) or solve(rows, rhs))
+    rng = random.Random(27)
+    for _ in range(200):
+        g = rng.randint(1, 6)
+        classes = [_sparse_class(rng, range(2 * rng.randint(1, g))) for _ in range(rng.randint(1, 4))]
+        cut = rng.randint(0, len(classes))
+        solve_pairings(SympSpace(g), [(c, rng.randint(-1, 1)) for c in classes[:cut]], orthogonal=classes[cut:])
+        units = [tuple(int(i == j) for j in range(2 * g)) for i in range(2 * g)]
+        assert seen.pop() == [[pairing_vec(padded(c, g), e) for e in units] for c in classes]
+    with pytest.raises(SpaceMismatch, match="class needs genus 3, space has 2"):
+        solve_pairings(S2, [(S3.basis_b(3), 1)])
+
+
 def test_f2_is_cut_counts():
     g = 2
     curves = [u for u in range(1, 16)]
@@ -290,6 +307,16 @@ def test_f2_is_cut_counts():
 
 
 # --- interning ---------------------------------------------------------------
+
+
+def test_to_json_is_the_sparse_entry_and_from_json_its_inverse():
+    rng = random.Random(2727)
+    for _ in range(300):
+        c = _sparse_class(rng, rng.sample(range(200), 4))
+        e = c.to_json()
+        assert e == [c.g, [[i, x] for i, x in enumerate(c.coords) if x]]
+        assert HClass.from_json(json.loads(json.dumps(e))) is c
+    assert b2.to_json() == [2, [[3, 1]]]
 
 
 def test_equal_classes_are_one_object():
