@@ -20,7 +20,6 @@ verify_certificate accepts it.
 from __future__ import annotations
 
 import functools
-import threading
 from dataclasses import dataclass, field
 
 from .sympcurves import HClass, combine, is_primitive_frame, lincomb
@@ -80,6 +79,7 @@ def radius(universe, path, a):
 CELL_FILL = "cell_fill"
 BT_INSERT = "backtrack_insert"
 BT_REMOVE = "backtrack_remove"
+CELL_KINDS = ("triangle", "rectangle", "pentagon")
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,9 +96,9 @@ class HomotopyCertificate:
     """Contraction steps.  As JSON, {"curves": [...], "vertices": [...],
     "steps": [...]}: "curves" holds each distinct curve once as [g, [[index,
     value], ...]] (its genus and its nonzero coordinates), "vertices" each
-    distinct vertex once as a list of curve indices, both in order of first
-    use, and each step is a row [op, at, replace, with], a fill's ending with
-    its kind, whose windows are lists of vertex indices."""
+    distinct vertex once as the indices of its curves in curve order, both in
+    order of first use, and each step is a row [op, at, replace, with], a
+    fill's ending with its kind, whose windows are lists of vertex indices."""
 
     steps: list = field(default_factory=list)
 
@@ -128,7 +128,8 @@ class HomotopyCertificate:
     def from_json(cls, obj):
         """Parse a certificate; a ValueError names the malformed step, vertex
         or curve.  Each curve and vertex must appear once, a curve in the
-        canonical encoding of HClass.from_json."""
+        canonical encoding of HClass.from_json and a vertex in curve order;
+        a fill's kind is one of CELL_KINDS."""
         if not isinstance(obj, dict) or not all(isinstance(obj.get(k), list) for k in ("curves", "vertices", "steps")):
             raise ValueError("certificate must be an object with 'curves', 'vertices' and 'steps' lists")
         table, first = [], {}
@@ -145,9 +146,12 @@ class HomotopyCertificate:
             key = tuple(v)
             if len(set(key)) != len(key):
                 raise ValueError(f"vertex {j}: a curve repeats")
+            curves = tuple(map(table.__getitem__, v))
+            if not all(x < y for x, y in zip(curves, curves[1:])):
+                raise ValueError(f"vertex {j}: curves out of curve order")
             if seen.setdefault(key, j) != j:
                 raise ValueError(f"vertex {j}: duplicate of vertex {seen[key]}")
-            vertices.append(tuple(map(table.__getitem__, v)))
+            vertices.append(curves)
         m = len(vertices)
 
         def window(i, name, w):
@@ -166,8 +170,8 @@ class HomotopyCertificate:
                 raise ValueError(f"step {i}: a fill row ends with its kind, a backtrack row does not")
             if type(at) is not int:
                 raise ValueError(f"step {i}: 'at' must be an integer, not {at!r}")
-            if kind and not isinstance(kind[0], str):
-                raise ValueError(f"step {i}: the cell kind must be a string, not {kind[0]!r}")
+            if kind and kind[0] not in CELL_KINDS:
+                raise ValueError(f"step {i}: the cell kind must be one of {'/'.join(CELL_KINDS)}, not {kind[0]!r}")
             steps.append(Step(op, at, window(i, "replace", old), window(i, "with", new), *kind))
         return cls(steps)
 
@@ -244,7 +248,7 @@ def cell_pattern(universe, cycle, context=(), known=0):
     return None
 
 
-def apply_step(universe, path, s, context=()):
+def apply_step(universe, path, s):
     """Check one step against the current path, then splice it into the list.
 
     The one step checker, called by verify_certificate alone.  Raises
@@ -274,7 +278,7 @@ def apply_step(universe, path, s, context=()):
     if s.op == BT_INSERT:
         if len(s.old) != 1 or len(s.new) != 3 or s.new[0] != s.new[2]:
             raise broken("not a spike v, w, v replacing v")
-        if not (universe.cut_ok(s.new[1], context) and _edge_ok(universe, s.new[0], s.new[1])):
+        if not (universe.cut_ok(s.new[1]) and _edge_ok(universe, s.new[0], s.new[1])):
             raise broken("spike tip is not a neighbouring cut system")
     elif s.op == BT_REMOVE:
         if len(s.old) != 3 or len(s.new) != 1 or s.old[0] != s.old[2]:
@@ -283,7 +287,7 @@ def apply_step(universe, path, s, context=()):
         if len(s.old) == len(s.new) == 1:
             raise broken("fill of a single vertex")
         cyc = s.old + s.new[-2:0:-1]
-        kind = cell_pattern(universe, cyc, context, known=len(s.old))
+        kind = cell_pattern(universe, cyc, known=len(s.old))
         if kind is None:
             raise broken("boundary is not a cell")
         if s.kind and s.kind != kind:
@@ -293,16 +297,16 @@ def apply_step(universe, path, s, context=()):
     path[s.at : end] = s.new
 
 
-def verify_certificate(universe, loop, cert, context=()):
+def verify_certificate(universe, loop, cert):
     """Replay a certificate; (True, None) or (False, first failing index).
     The index is -1 when the loop itself is not a closed path of cut systems."""
     path = list(loop)
-    if not path or not all(path) or not check_path(universe, path, context, closed=True):
+    if not path or not all(path) or not check_path(universe, path, closed=True):
         return False, -1
     steps = cert.steps if isinstance(cert, HomotopyCertificate) else cert
     for i, s in enumerate(steps):
         try:
-            apply_step(universe, path, s, context)
+            apply_step(universe, path, s)
         except InvalidStep:
             return False, i
     if len(path) != 1:
@@ -352,25 +356,6 @@ def flatten(parts):
     return out
 
 
-_open = threading.local()  # .depth: this thread's prover calls on the stack
-
-
-def _flat_outside(fn):
-    """fn's composed steps, flattened for a caller outside the prover."""
-
-    @functools.wraps(fn)
-    def entry(*args, **kwargs):
-        depth = getattr(_open, "depth", 0)
-        _open.depth = depth + 1
-        try:
-            parts = fn(*args, **kwargs)
-        finally:
-            _open.depth = depth
-        return parts if depth else flatten(parts)
-
-    return entry
-
-
 def _ensure(ok, what):  # a prover postcondition that python -O keeps
     if not ok:
         raise ContractionError(what)
@@ -386,10 +371,6 @@ class PathRewriter:
     def __init__(self, vertices):
         self.path = list(vertices)
         self.parts = []
-
-    @property
-    def steps(self):
-        return flatten(self.parts)
 
     def _emit(self, step):
         self.path[step.at : step.at + len(step.old)] = step.new
@@ -446,7 +427,6 @@ def rotate_left(vertices, j):
     return tuple(vertices[j:-1]) + tuple(vertices[: j + 1])
 
 
-@_flat_outside
 def contract_rebased(vertices, j, contractor):
     """Contract a closed path by contracting its rebase j steps along.
 
@@ -743,7 +723,6 @@ def escort_triple(prover, loop_curves):
     return b0, b1, b2
 
 
-@_flat_outside
 def contract_gamma1(prover, vertices):
     """Contract a closed path of single curves, stabilizing once for the
     escorts.  The path must have no backtrack and no triangle boundary:
@@ -778,7 +757,6 @@ def _lift_steps(steps, c):
     return Steps(steps, lift=(c,))
 
 
-@_flat_outside
 def sp_radius0(prover, vertices, c):
     """Contract a loop all of whose vertices contain the curve c, by
     contracting the stripped loop one level down and lifting the steps."""
@@ -789,7 +767,7 @@ def sp_radius0(prover, vertices, c):
         rw.clean_backtracks()
         _ensure(len(rw.path) == 1, "a one-curve segment loop must be constant")
         return rw.parts
-    inner = contract(prover.sub(c), _strip(vertices, c))
+    inner = _contract(prover.sub(c), _strip(vertices, c))
     return _lift_steps(inner, c)
 
 
@@ -822,7 +800,6 @@ def _ladder_steps(loop):
     return rw.parts
 
 
-@_flat_outside
 def contract_radius0(prover, vertices, a0, _no_recenter=False):
     """Contract a loop of radius 0 about a0 by the segment induction."""
     u = prover.u
@@ -1095,9 +1072,15 @@ def hex_escorts(prover, a0, a1, a2, common=()):
 # --- master contraction ----------------------------------------------------------
 
 
-@_flat_outside
 def contract(prover, loop):
-    """Contract any closed loop, drawing fresh genus as the proofs do."""
+    """Contract any closed loop, drawing fresh genus as the proofs do; the
+    certificate's steps as a flat list."""
+    return flatten(_contract(prover, loop))
+
+
+def _contract(prover, loop):
+    """contract's steps as a composition: every prover function returns its
+    composition, and contract alone flattens it."""
     u = prover.u
     vertices = tuple(loop)
     if vertices[0] != vertices[-1]:

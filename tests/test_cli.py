@@ -255,9 +255,16 @@ def _break_empty_loop(data):
     data["loop"] = []
 
 
-def _break_cell_kind(data):
-    row = data["certificate"]["steps"][0]
-    row[0], row[4:] = homotopy.CELL_FILL, [3]  # a fill whose kind is no string
+def _set_fill_kind(kind):
+    def corrupt(data):
+        row = data["certificate"]["steps"][0]
+        row[0], row[4:] = homotopy.CELL_FILL, [kind]
+    return corrupt
+
+
+_break_cell_kind = _set_fill_kind(3)  # no string
+_break_cell_kind_hexagon = _set_fill_kind("hexagon")
+_break_cell_kind_empty = _set_fill_kind("")
 
 
 def _set_loop_curve(f):
@@ -332,6 +339,11 @@ def _break_vertex_repeats_curve(data):
     vertices[0] = vertices[0] + vertices[0][:1]
 
 
+def _break_vertex_out_of_curve_order(data):
+    vertices = data["certificate"]["vertices"]
+    vertices[0] = vertices[0][::-1]
+
+
 def _break_window_index_bool(data):
     data["certificate"]["steps"][0][2][0] = False
 
@@ -345,7 +357,7 @@ def _break_row_length(data):
 
 
 # every _break_ function above, by its name: the closures that _set_index,
-# _set_entry and _set_loop_curve return are all called `corrupt`
+# _set_entry, _set_loop_curve and _set_fill_kind return are all called `corrupt`
 BREAKERS = {name[len("_break_"):]: f for name, f in globals().items() if name.startswith("_break_")}
 
 
@@ -376,7 +388,8 @@ def test_verify_high_genus_entry_exits_0_or_1(tmp_path, capsys, used, code):
     cert = data["certificate"]
     cert["curves"].append([500000, [[999999, 1]]])
     if used:
-        cert["vertices"].append([len(cert["curves"]) - 1] + cert["vertices"][0][1:])
+        # b_500000 comes last in curve order
+        cert["vertices"].append(cert["vertices"][0][1:] + [len(cert["curves"]) - 1])
         cert["steps"].insert(0, [homotopy.BT_INSERT, 0, [0], [0, len(cert["vertices"]) - 1, 0]])
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))

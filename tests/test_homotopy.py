@@ -24,7 +24,7 @@ def zu(g):
 
 
 def _cert(steps):
-    return H.HomotopyCertificate(steps)
+    return H.HomotopyCertificate(H.flatten(steps))
 
 
 # --- radius and segments -----------------------------------------------------
@@ -265,7 +265,7 @@ def test_sp_radius0_two_segment_loop():
         tuple(sorted((c, y))),
         tuple(sorted((c, x))),
     )
-    steps = H.sp_radius0(p, loop, c)
+    steps = H.flatten(H.sp_radius0(p, loop, c))
     assert H.verify_certificate(u, loop, _cert(steps))[0]
 
 
@@ -273,7 +273,7 @@ def test_contract_radius0_trivial_k1():
     u = zu(2)
     p = H.Prover(u)
     loop = ((a1,),)
-    assert H.contract_radius0(p, loop, a1) == []
+    assert H.flatten(H.contract_radius0(p, loop, a1)) == []
 
 
 def test_contract_cell_fast_path():
@@ -369,7 +369,7 @@ def test_rotation_wrapper():
     u = zu(2)
     x = HClass((1, 1, 0, 0))
     loop = ((b1,), (x,), (a1,), (b1,))  # triangle based elsewhere
-    steps = H.contract_rebased(loop, 2, lambda vs: H.contract(H.Prover(u), vs))
+    steps = H.flatten(H.contract_rebased(loop, 2, lambda vs: H.contract(H.Prover(u), vs)))
     assert H.verify_certificate(u, loop, _cert(steps))[0]
 
 
@@ -398,9 +398,9 @@ def test_termination_trace_segment_counts_decrease(monkeypatch):
         return based(prover, vertices, a0, *rest)
 
     monkeypatch.setattr(H, "_radius0_based", traced)
-    steps = H.contract_radius0(p, tuple(rw.path), b)
+    steps = H.flatten(H.contract_radius0(p, tuple(rw.path), b))
     rw.apply_steps(steps)
-    ok, idx = H.verify_certificate(u, loop, _cert(rw.steps))
+    ok, idx = H.verify_certificate(u, loop, _cert(rw.parts))
     assert ok, idx
     top = [segs for kk, segs in trace if kk == 2]
     assert all(a > b2 for a, b2 in zip(top, top[1:])), top
@@ -456,7 +456,7 @@ def test_two_segment_radius0_loop():
     assert H.check_path(u, loop, closed=True)
     assert H.radius(u, loop, A1) == 0
     assert segment_decomposition(loop, A1) == [(A1, 0, 3), (A2, 3, 6)]
-    steps = H.contract_radius0(p, loop, A1)
+    steps = H.flatten(H.contract_radius0(p, loop, A1))
     ok, idx = H.verify_certificate(u, loop, _cert(steps))
     assert ok, idx
 
@@ -477,7 +477,7 @@ def test_case2_hexagon_route_full_loop():
     assert H.check_path(u, loop, closed=True)
     assert H.radius(u, loop, A1) == 0
     p = H.Prover(u)
-    steps = H.contract_radius0(p, loop, A1)
+    steps = H.flatten(H.contract_radius0(p, loop, A1))
     ok, idx = H.verify_certificate(u, loop, _cert(steps))
     assert ok, idx
     kinds = {s.kind for s in steps if s.op == H.CELL_FILL}
@@ -502,7 +502,7 @@ def test_separating_shadow_trap_recenters():
     assert H.radius(u, loop, A1) == 0
     assert not H._stack_primitive(H.Prover(u), (A1, a2c))
     p = H.Prover(u)
-    steps = H.contract_radius0(p, loop, A1)
+    steps = H.flatten(H.contract_radius0(p, loop, A1))
     ok, idx = H.verify_certificate(u, loop, _cert(steps))
     assert ok, idx
 
@@ -518,7 +518,7 @@ def test_merge_when_next_segment_returns_to_center():
     assert H.check_path(u, loop, closed=True)
     assert H.radius(u, loop, A1) == 0
     p = H.Prover(u)
-    steps = H.contract_radius0(p, loop, A1)
+    steps = H.flatten(H.contract_radius0(p, loop, A1))
     ok, idx = H.verify_certificate(u, loop, _cert(steps))
     assert ok, idx
 
@@ -538,7 +538,7 @@ def test_case2_merge_worker_k3():
     rw = H.PathRewriter(seg2)
     H._case2(p, rw, A1, A2, A3, 0, len(seg2) - 1)
     path = list(seg2)
-    for s in rw.steps:
+    for s in H.flatten(rw.parts):
         H.apply_step(u, path, s)
     assert path == rw.path
     assert rw.path[0] == seg2[0] and rw.path[-1] == seg2[-1]
@@ -667,12 +667,11 @@ def test_flatten_matches_eager_composition_on_nested_views():
     assert all(x is y for x, y in zip(H.flatten([steps[:3], H.Steps(steps[3:])]), steps))
 
 
-def test_flatten_matches_eager_composition_on_criterion_6_loops(monkeypatch):
-    monkeypatch.setattr(H._open, "depth", 1, raising=False)  # as if nested in a proof: contract returns its composition
+def test_flatten_matches_eager_composition_on_criterion_6_loops():
     fills = 0
     for g, k, u, loop in _criterion6_loops(60):
         if k >= 2:
-            tree = H.contract(H.Prover(u), loop)
+            tree = H._contract(H.Prover(u), loop)  # the composition that contract flattens
             flat = H.flatten(tree)
             assert flat == _eager(tree)
             assert H.verify_certificate(u, loop, flat)[0]
@@ -1079,6 +1078,28 @@ def test_from_json_rejects_duplicate_vertex_and_repeated_curve():
     blob = _tri_blob()
     blob["vertices"][0] = blob["vertices"][0] * 2
     with pytest.raises(ValueError, match="^vertex 0: a curve repeats$"):
+        H.HomotopyCertificate.from_json(blob)
+
+
+def test_from_json_rejects_a_vertex_out_of_curve_order():
+    # [i, j] and [j, i] would be two entries, so two indices, for one vertex
+    blob = json.loads(_fuzz_base()[1])
+    j, v = next((j, v) for j, v in enumerate(blob["vertices"]) if len(v) > 1)
+    blob["vertices"].append(v[::-1])
+    with pytest.raises(ValueError, match=f"^vertex {len(blob['vertices']) - 1}: curves out of curve order$"):
+        H.HomotopyCertificate.from_json(blob)
+    blob["vertices"][j] = blob["vertices"].pop()
+    with pytest.raises(ValueError, match=f"^vertex {j}: curves out of curve order$"):
+        H.HomotopyCertificate.from_json(blob)
+
+
+@pytest.mark.parametrize("kind", ["hexagon", "", "Triangle", 3, None])
+def test_from_json_rejects_an_unknown_cell_kind(kind):
+    blob = _tri_blob()
+    i, row = next((i, r) for i, r in enumerate(blob["steps"]) if r[0] == H.CELL_FILL)
+    row[4] = kind
+    why = f"step {i}: the cell kind must be one of triangle/rectangle/pentagon, not {kind!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(why)}$"):
         H.HomotopyCertificate.from_json(blob)
 
 
