@@ -9,7 +9,8 @@ were produced.
 The prover follows the inductive scheme: bounded-length path construction
 (common-curve paths of length at most 4, a fresh handle drawn from a
 non-planar end when a construction needs room), contraction of single-curve
-loops through escort curves, and the radius-0 segment induction with its
+loops by fans over one center (through escort curves when no prefix of the
+loop has a center), and the radius-0 segment induction with its
 junction case analysis, including the hexagon bypass for separating triples.
 All integer-shadow constructions thread a frozen context so that
 sub-contractions in a cut surface lift back.  The prover is untrusted: it
@@ -19,10 +20,10 @@ verify_certificate accepts it.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
+from itertools import chain, combinations
 
-from .sympcurves import HClass, combine, is_primitive_frame, lincomb
+from .sympcurves import HClass, combine, f2_rank, is_primitive_frame, lincomb
 
 
 class NotApplicable(ValueError):
@@ -286,11 +287,13 @@ def apply_step(universe, path, s):
     elif s.op == CELL_FILL:
         if len(s.old) == len(s.new) == 1:
             raise broken("fill of a single vertex")
+        if s.kind not in CELL_KINDS:
+            raise broken(f"the cell kind must be one of {'/'.join(CELL_KINDS)}, not {s.kind!r}")
         cyc = s.old + s.new[-2:0:-1]
         kind = cell_pattern(universe, cyc, known=len(s.old))
         if kind is None:
             raise broken("boundary is not a cell")
-        if s.kind and s.kind != kind:
+        if s.kind != kind:
             raise broken(f"cell is a {kind}, not a {s.kind}")
     else:
         raise broken("unknown op")
@@ -336,23 +339,24 @@ def flatten(parts):
     """The list[Step] of composed steps, each built once.  Offsets add, lifts
     unite (each vertex sorted once) and inversions cancel."""
     out = []
-    lift = functools.lru_cache(None)(lambda v, curves: tuple(sorted(v + curves)))
-
-    def walk(t, offset, curves, inverted):
+    lifted = {}  # (vertex, curves) -> the vertex with the curves added
+    stack = [(parts, 0, (), False)]  # walked depth first, the next part on top
+    while stack:
+        t, offset, curves, inverted = stack.pop()
         if isinstance(t, Steps):
-            walk(t.parts, offset + t.offset, curves + t.lift, inverted != t.inverted)
+            stack.append((t.parts, offset + t.offset, curves + t.lift, inverted != t.inverted))
         elif isinstance(t, list):
-            for p in reversed(t) if inverted else t:
-                walk(p, offset, curves, inverted)
+            stack += [(p, offset, curves, inverted) for p in (t if inverted else reversed(t))]
         elif offset or curves or inverted:
             op, old, new = (_UNDO[t.op], t.new, t.old) if inverted else (t.op, t.old, t.new)
             if curves:
-                old, new = (tuple([lift(v, curves) for v in w]) for w in (old, new))
+                for v in old + new:
+                    if (v, curves) not in lifted:
+                        lifted[v, curves] = tuple(sorted(v + curves))
+                old, new = (tuple([lifted[v, curves] for v in w]) for w in (old, new))
             out.append(Step(op, t.at + offset, old, new, t.kind))
         else:
             out.append(t)
-
-    walk(parts, 0, (), False)
     return out
 
 
@@ -376,7 +380,7 @@ class PathRewriter:
         self.path[step.at : step.at + len(step.old)] = step.new
         self.parts.append(step)
 
-    def fill(self, at, old_len, new_subpath, kind=""):
+    def fill(self, at, old_len, new_subpath, kind):
         old = tuple(self.path[at : at + old_len + 1])
         self._emit(Step(CELL_FILL, at, old, tuple(new_subpath), kind))
 
@@ -723,17 +727,65 @@ def escort_triple(prover, loop_curves):
     return b0, b1, b2
 
 
-def contract_gamma1(prover, vertices):
-    """Contract a closed path of single curves, stabilizing once for the
-    escorts.  The path must have no backtrack and no triangle boundary:
-    contract removes those first.
+def _f2_center_possible(curves, context):
+    """Whether some class mod 2 pairs oddly with every curve and evenly with
+    the context, as every center of a fan over the curves does.  The pairing
+    is non-degenerate, so the system <z, x> = rhs has the classes themselves
+    as its rows, and it is solvable iff the right-hand side adds no rank."""
 
-    The first edge is re-routed through the escort bridge, after which the
-    whole loop is a single disjoint run about the fresh center and shrinks by
-    twist insertions with freshly cleaned flanks.
+    def bits(c):
+        return sum(1 << i for i, x in c.support if x & 1)
+
+    rows = [bits(x) << 1 | 1 for x in curves] + [bits(c) << 1 for c in context]  # rhs in bit 0
+    return f2_rank(rows) == f2_rank([r >> 1 for r in rows])
+
+
+def _fan_center(prover, curves, loop_curves):
+    """A curve z meeting each of the distinct `curves` once, with (z,) a cut
+    system in the prover's context, or None.  The all-+1 sign pattern is
+    solved first, then those with one and with two -1 signs; a fresh handle
+    is drawn only when the solution is a loop curve or no cut system."""
+    if not _f2_center_possible(curves, prover.ctx):
+        return None
+    n = len(curves)
+    for flips in chain.from_iterable(combinations(range(n), r) for r in (0, 1, 2)):
+        z = prover.solve([(x, -1 if i in flips else 1) for i, x in enumerate(curves)], bump=False)
+        if z is not None:
+            if z in loop_curves or not prover.cut_ok((z,)):
+                z = combine(z, 1, prover.fresh_pair()[1])
+            return z
+    return None
+
+
+def contract_gamma1(prover, vertices):
+    """Contract a closed path of single curves.  The path must have no
+    backtrack and no triangle boundary: contract removes those first.
+
+    The loop x0 ... x(m-1) x0 fans over one center z meeting every loop
+    curve once: a spike out to z at the base, one triangle (z, x_i, x_(i+1))
+    per edge, and the spike removed, m + 2 steps.  With no such center, the
+    longest prefix x0 ... xj (j >= 3) that has one fans, and the shorter loop
+    [x0, z, xj, ..., x0] is contracted.  Only when no prefix has a center is
+    the first edge re-routed through the escort bridge of one fresh handle,
+    after which the whole loop is a single disjoint run about the fresh
+    center and shrinks by twist insertions with freshly cleaned flanks.
     """
+    m = len(vertices) - 1
+    curves = [v[0] for v in vertices[:-1]]
     rw = PathRewriter(vertices)
-    x0, x1 = vertices[0][0], vertices[1][0]
+    for n in range(m, 3, -1):  # a fan over x0 ... x(n-1), the whole loop at n = m
+        z = _fan_center(prover, list(dict.fromkeys(curves[:n])), curves)
+        if z is None:
+            continue
+        v0, c = vertices[0], (z,)
+        rw._emit(Step(BT_INSERT, 0, (v0,), (v0, c, v0)))
+        for v in vertices[1 : m + 1 if n == m else n]:
+            rw.fill(1, 2, (c, v), "triangle")
+        if n < m:
+            return rw.apply_steps(_contract(prover, tuple(rw.path)))
+        rw.remove_backtrack(0)
+        return rw.parts
+    x0, x1 = curves[0], curves[1]
     b0, b1, b2 = escort_triple(prover, [x0, x1])
 
     def shrink(loop):

@@ -326,22 +326,24 @@ def f2_transvect(a, b, g):
     return b ^ (a if f2_pairing(a, b, g) else 0)
 
 
+def f2_rank(vectors):
+    """Rank over F2 of bitmask vectors: each is reduced by an echelon basis
+    kept in descending order, and joins it unless it reduces to zero."""
+    basis = []
+    for x in vectors:
+        for b in basis:
+            x = min(x, x ^ b)
+        if x:
+            basis.append(x)
+            basis.sort(reverse=True)
+    return len(basis)
+
+
 def f2_is_cut(classes, g):
     """Pairwise orthogonal, nonzero, and linearly independent over F2."""
     cl = list(classes)
     for i, u in enumerate(cl):
-        if u == 0:
-            return False
         for v in cl[i + 1 :]:
             if f2_pairing(u, v, g):
                 return False
-    basis = []
-    for u in cl:
-        x = u
-        for b in basis:
-            x = min(x, x ^ b)
-        if x == 0:
-            return False
-        basis.append(x)
-        basis.sort(reverse=True)
-    return True
+    return f2_rank(cl) == len(cl)

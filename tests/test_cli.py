@@ -152,10 +152,10 @@ PINNED_REPORTS = [
      "762b0c8885f01ff85b15cd005da20a23940cd58f06ced793ec22934f49092421",
      "6089e5d752eb9dbc673149d2fb0759c5e5da00b3c97965b6e8189b79abe6c473"),
     (["--seed", "2", "--g", "3", "--k", "2", "--steps", "8"],
-     "6fa0a37fb131796c539a9531eeb04cdc78351b4a9de1e91cdb85cfa5c7cf496b",
+     "a79c40a47c093da2ee91aa88bd55ebb8da6aa19801df2b4134bc89c8ca20b11f",
      "e8143cf5ed4a165f53e40fb358498949090fe589e469137fd859ea92c501dc45"),
     (["--seed", "3", "--g", "4", "--k", "3", "--steps", "8"],
-     "17754fdc57370f5eda8bbcf06d0d28941c4d566353fdac1d67ce1220949e953b",
+     "784b3264516a6690eae819a69a5e03f7b8172685938228809c3be7ceb73ffce1",
      "cc8c0ba476ee7146526adec9ff8cc3faea2e8ac963149d6ac9e1d2cc6e6b45d3"),
 ]
 

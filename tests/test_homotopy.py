@@ -287,14 +287,42 @@ def test_contract_cell_fast_path():
     assert H.verify_certificate(u, tri, _cert(steps))[0]
 
 
-def test_contract_gamma1_loop():
+def test_contract_gamma1_loop(monkeypatch):
     u = zu(2)
     p = H.Prover(u)
     w = [a1, b1, HClass((1, 1, 0, 0)), HClass((2, 1, 0, 0))]
+    # <z, a1 + b1> = <z, a1> + <z, b1> is even when z meets a1 and b1 once:
+    # no center, so the escort route contracts the loop
+    assert not H._f2_center_possible(w, ())
+    monkeypatch.setattr(H, "_fan_center", lambda *a: None)
     loop = tuple((c,) for c in w) + ((a1,),)
     steps = H.contract(p, loop)
     ok, idx = H.verify_certificate(u, loop, _cert(steps))
     assert ok, idx
+
+
+def test_contract_gamma1_fans_over_one_center():
+    # x_i = a2 + y_i for the square y = a1, b1, -a1, -b1: every x_i meets b2 once
+    u = zu(2)
+    w = [HClass((1, 0, 1, 0)), HClass((0, 1, 1, 0)), HClass((-1, 0, 1, 0)), HClass((0, -1, 1, 0))]
+    loop = tuple((c,) for c in w) + ((w[0],),)
+    steps = H.contract(H.Prover(u), loop)
+    assert [s.op for s in steps] == [H.BT_INSERT] + [H.CELL_FILL] * 4 + [H.BT_REMOVE]
+    assert all(s.kind == "triangle" for s in steps[1:-1])
+    (z,) = steps[0].new[1]
+    assert all(u.inter(z, x) == 1 for x in w)
+    assert u.room.used == 2  # the unbumped center is a cut system: no handle drawn
+    assert H.verify_certificate(u, loop, _cert(steps)) == (True, None)
+
+
+def test_kindless_fill_fails_at_its_step():
+    u = zu(2)
+    tri = ((a1,), (b1,), (HClass((1, 1, 0, 0)),), (a1,))
+    fill, remove = H.contract(H.Prover(u), tri)
+    assert H.verify_certificate(u, tri, [fill, remove]) == (True, None)
+    for kind in ({}, {"kind": ""}, {"kind": "hexagon"}):
+        bare = H.Step(fill.op, fill.at, fill.old, fill.new, **kind)
+        assert H.verify_certificate(u, tri, [bare, remove]) == (False, 0)
 
 
 def test_contract_radius0_random_multisegment():
@@ -559,10 +587,11 @@ def test_contract_eight_step_walk_g4_k2():
 # --- the step checker ------------------------------------------------------------
 
 
-def _k3_loop():
-    """A fixed 7-edge k=3 loop at g=3 whose certificate has 187 fills."""
+def _k3_loop(steps=2):
+    """A fixed k=3 loop at g=3: 7 edges and 37 fills, or 13 edges and 309
+    fills at steps=8."""
     u = zu(3)
-    loop = walks.random_closed_walk(u, 3, 3, random.Random(1), steps=2)
+    loop = walks.random_closed_walk(u, 3, 3, random.Random(1), steps=steps)
     assert loop is not None
     return u, loop
 
@@ -586,7 +615,7 @@ def _corrupt_first_lift(monkeypatch):
 
 
 def test_contract_checks_each_fill_once(monkeypatch):
-    u, loop = _k3_loop()
+    u, loop = _k3_loop(steps=8)
     calls = []
     apply = H.apply_step
     monkeypatch.setattr(H, "apply_step", lambda *a: calls.append(1) or apply(*a))
@@ -669,7 +698,7 @@ def test_flatten_matches_eager_composition_on_nested_views():
 
 def test_flatten_matches_eager_composition_on_criterion_6_loops():
     fills = 0
-    for g, k, u, loop in _criterion6_loops(60):
+    for g, k, u, loop in _criterion6_loops():
         if k >= 2:
             tree = H._contract(H.Prover(u), loop)  # the composition that contract flattens
             flat = H.flatten(tree)
@@ -684,12 +713,15 @@ def test_contract_builds_at_most_two_steps_per_final_step(monkeypatch):
     step = H.Step
     monkeypatch.setattr(H, "Step", lambda *a, **kw: built.append(1) or step(*a, **kw))
     final = 0
-    for g, k, u, loop in _criterion6_loops():
-        if k == 3 and g >= 4:
-            built.clear()
-            steps = H.contract(H.Prover(u), loop)
-            assert len(built) <= 2 * len(steps), (g, len(loop) - 1, len(built), len(steps))
-            final += len(steps)
+    for fan in (True, False):
+        if not fan:  # the escort route nests the deepest compositions
+            monkeypatch.setattr(H, "_fan_center", lambda *a: None)
+        for g, k, u, loop in _criterion6_loops():
+            if k == 3 and g >= 4:
+                built.clear()
+                steps = H.contract(H.Prover(u), loop)
+                assert len(built) <= 2 * len(steps), (fan, g, len(loop) - 1, len(built), len(steps))
+                final += len(steps)
     assert final > 10_000
 
 
@@ -722,7 +754,57 @@ def test_replay_tests_only_what_each_step_adds(monkeypatch):
         totals[0] += len(cuts)
         totals[1] += len(edges)
     # testing every window in full made 26,062 cut tests and 29,389 edge tests
-    assert totals == [7_655, 14_832]
+    # on the escort route's certificates, which then took 7,655 and 14,832
+    assert totals == [2_906, 4_325]
+
+
+def test_fan_sets_the_corpus_counts():
+    """Fans cut the corpus certificates from 13,868 steps (6,877 triangles)
+    to 4,385, and the handles drawn from 75 at most and 207 in all."""
+    certs = _criterion6_certs()
+    steps = [s for *_, cert in certs for s in cert]
+    # a regenerated loop's universe is where the cached one stood before contract
+    drawn = [u.room.used - fresh.room.used for (*_, fresh, _), (_, u, *_) in zip(_criterion6_loops(), certs)]
+    assert (len(steps), sum(s.kind == "triangle" for s in steps)) == (4_385, 1_119)
+    assert (max(drawn), sum(drawn)) == (22, 55)
+
+
+def test_escort_route_is_the_parent_certificates(monkeypatch):
+    """With no fan center, contract takes the escort route alone: the corpus
+    reports, with each universe at its loop's genus as perfbench/work.py
+    builds it, hash to the contract-verify pass digest from before fans."""
+    import hashlib
+
+    monkeypatch.setattr(H, "_fan_center", lambda *a: None)
+    digest = hashlib.sha256()
+    for g, k, _, loop in _criterion6_loops():
+        u = zu(max(c.g for v in loop for c in v))
+        cert = H.HomotopyCertificate(H.contract(H.Prover(u), loop))
+        digest.update(json.dumps({"loop": H.loop_to_json(loop), "certificate": cert.to_json()}, sort_keys=True).encode())
+    assert digest.hexdigest() == "62538663b5b02371a00eeb735466afc0a22f0a1632295e3e41cc63ebaa633e50"
+
+
+def test_f2_prefilter_says_no_only_when_no_sign_pattern_solves():
+    """Whenever no class mod 2 pairs oddly with the curves and evenly with the
+    context, no integer class pairs +-1 with the curves and 0 with the
+    context, under any of the 2^m sign patterns."""
+    from itertools import product
+
+    rng = random.Random(29)
+    said = {True: 0, False: 0}
+    for _ in range(240):
+        g = rng.choice((2, 3))
+        u = zu(g)
+        pool = [HClass.of_support((i, rng.choice((-1, 1))) for i in rng.sample(range(2 * g), rng.randint(1, 3)))
+                for _ in range(8)]
+        curves = list(dict.fromkeys(rng.sample(pool, rng.randint(2, 6))))
+        context = tuple(c for c in pool[:1] if c not in curves and rng.random() < 0.5)
+        ok = H._f2_center_possible(curves, context)
+        said[ok] += 1
+        if not ok:
+            for signs in product((1, -1), repeat=len(curves)):
+                assert u.solve(list(zip(curves, signs)), orthogonal=context) is None, (curves, signs, context)
+    assert min(said.values()) > 40, said
 
 
 def test_certificate_vertices_are_their_curves_in_curve_order():
@@ -955,7 +1037,7 @@ def test_prover_postconditions_raise_contraction_error(call, message):
 
 
 # sha256 of the certificate JSON that contract gives for _k3_loop()
-K3_DIGEST = "159b867dd8a15db6edb994ce80ab13927dd4fcbb58c0a53cc3ab88cd1b2e0acb"
+K3_DIGEST = "17e0ecac24a8960b9f03fc865926b138e57dd936a41b5007aedca2e7f712d864"
 
 
 def test_contract_digest_under_optimize_flag():
@@ -1151,9 +1233,10 @@ def test_a_high_genus_loop_curve_costs_memory_by_its_size():
 
 
 def test_criterion_6_certificates_fit_in_a_megabyte():
-    # each vertex is written once; spelling out every window's vertex lists took 1,988,721 bytes
+    # each vertex is written once; spelling out every window's vertex lists
+    # took 1,988,721 bytes, and the escort route's certificates 887,054
     texts = [json.dumps(_cert(steps).to_json()) for k, u, loop, steps in _criterion6_certs()]
-    assert sum(map(len, texts)) == 887_054 < 1_000_000
+    assert sum(map(len, texts)) == 263_657 < 1_000_000
 
 
 def test_certificate_codec_writes_and_reads_each_vertex_once():

@@ -33,7 +33,7 @@ def test_traced_replay_forwards_known():
     """Under the tracer a certificate still verifies, and the wrapped
     cell_pattern passes known= on: each fill tests only its new vertices."""
     u = make_universe("sympZ", g=3)
-    loop = walks.random_closed_walk(u, 3, 3, random.Random(1), steps=2)
+    loop = walks.random_closed_walk(u, 3, 3, random.Random(1), steps=8)
     steps = H.contract(H.Prover(u), loop)
     tracer = _layertrace().Tracer()
     tracer.install(cutsys)
