@@ -769,10 +769,11 @@ def test_fan_sets_the_corpus_counts():
     assert (max(drawn), sum(drawn)) == (22, 55)
 
 
-def test_escort_route_is_the_parent_certificates(monkeypatch):
-    """With no fan center, contract takes the escort route alone: the corpus
-    reports, with each universe at its loop's genus as perfbench/work.py
-    builds it, hash to the contract-verify pass digest from before fans."""
+def test_escort_route_keeps_its_certificates(monkeypatch):
+    """With no fan center, contract takes the escort route alone, and its
+    corpus reports (each universe at its loop's genus, as perfbench/work.py
+    builds it) hash to the contract-verify pass digest of the escort-only
+    prover: the fallback is pinned byte for byte."""
     import hashlib
 
     monkeypatch.setattr(H, "_fan_center", lambda *a: None)
