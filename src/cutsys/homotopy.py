@@ -12,6 +12,8 @@ non-planar end when a construction needs room), contraction of single-curve
 loops by fans over one center (through escort curves when no prefix of the
 loop has a center), and the radius-0 segment induction with its
 junction case analysis, including the hexagon bypass for separating triples.
+A loop of k >= 2 curves runs the induction about one of its own curves when
+it has radius 0 about one, and else about a fresh curve bridged into it.
 All integer-shadow constructions thread a frozen context so that
 sub-contractions in a cut surface lift back.  The prover is untrusted: it
 checks none of the steps it emits, and a certificate is sound only once
@@ -23,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain, combinations
 
-from .sympcurves import HClass, combine, f2_rank, is_primitive_frame, lincomb
+from .sympcurves import HClass, SympSpace, combine, f2_rank, is_primitive_frame, lincomb, solve_pairings
 
 
 class NotApplicable(ValueError):
@@ -651,8 +653,6 @@ def square_any_diagonal(universe, loop):
 
 
 def _dual_of(a, context):
-    from .sympcurves import SympSpace, solve_pairings
-
     g = max([a.g] + [c.g for c in context] + [1])
     m0 = solve_pairings(SympSpace(g), [(a, 1)], orthogonal=context)
     if m0 is None:
@@ -914,7 +914,9 @@ def _radius0_based(prover, vertices, a0, no_recenter=False):
         else:
             done = _case3(prover, rw, a0, a1, candidates, e1, e2)
             if not done:
-                return _recenter_or_fail(prover, vertices, a0, no_recenter)
+                steps = None if no_recenter else _own_center(prover, vertices, skip=a0)
+                _ensure(steps is not None, "separating-shadow junction with no usable merge and no other center")
+                return steps
     return rw.apply_steps(contract_radius0(prover, tuple(rw.path), a0, _no_recenter=no_recenter))
 
 
@@ -1072,29 +1074,18 @@ def _case3(prover, rw, a0, a1, candidates, e1, e2):
     return True
 
 
-def _recenter_or_fail(prover, vertices, a0, no_recenter):
-    if no_recenter:
-        raise ContractionError(
-            "separating-shadow junction with no usable merge; the lattice "
-            "configuration has no geometric counterpart"
-        )
-    u = prover.u
-    seen = {a0}
-    for v in vertices:
-        for c in sorted(v):
-            if c in seen:
-                continue
-            seen.add(c)
-            try:
-                if radius(u, vertices, c) != 0:
-                    continue
-            except InvalidReference:
-                continue
+def _own_center(prover, vertices, skip=None):
+    """Steps contracting the loop by the segment induction, with no
+    recentering, about the first of its own curves in curve order, other
+    than skip, about which it has radius 0 and the induction goes through;
+    None when no curve does."""
+    for c in sorted({c for v in vertices for c in v} - {skip}):
+        if radius(prover.u, vertices, c) == 0:
             try:
                 return contract_radius0(prover, vertices, c, _no_recenter=True)
-            except (ContractionError, NotApplicable):
+            except (ContractionError, NotApplicable, InvalidStep):
                 continue
-    raise ContractionError("no radius-0 center contracts this loop")
+    return None
 
 
 # --- the public hexagon operation ----------------------------------------------
@@ -1157,10 +1148,15 @@ def _contract(prover, loop):
         return rw.apply_steps(sp_radius0(prover, work, c))
     if k == 1:
         return rw.apply_steps(contract_gamma1(prover, work))
-    # theorem flow: bridge the first edge over a fresh curve, then the loop
-    # has radius 0 about it.  The bridge enters and leaves its fresh vertex
-    # through two distinct partners of the new handle, so the vertex occurs
-    # once with distinct neighbours and no backtrack collapse can reach it.
+    # theorem flow: the segment induction about a curve of radius 0, one of
+    # the loop's own when one serves.  Else bridge the first edge over a
+    # fresh curve, then the loop has radius 0 about it.  The bridge enters
+    # and leaves its fresh vertex through two distinct partners of the new
+    # handle, so the vertex occurs once with distinct neighbours and no
+    # backtrack collapse can reach it.
+    steps = _own_center(prover, work)
+    if steps is not None:
+        return rw.apply_steps(steps)
     v0, v1 = work[0], work[1]
     shared = sorted(set(v0) & set(v1))
     a0 = shared[0]

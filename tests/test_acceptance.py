@@ -254,6 +254,11 @@ def test_certificates_push_forward_to_mod_2(tmp_path, monkeypatch):
     out = tmp_path / "loop42.json"  # the README example
     assert cli.main(["contract", "--g", "3", "--k", "2", "--steps", "4", "--seed", "42", "--out", str(out)]) == 0
     certs.append(cli._read_certificate(out))
+    # the loops again, bridged over fresh curves: their own centers draw no
+    # handle past 16, the bridges do
+    with monkeypatch.context() as m:
+        m.setattr(H, "_own_center", lambda *a, **kw: None)
+        certs += [(loop, cert) for _, loop, cert in _criterion_6_certificates.__wrapped__()[0]]
     images = [_push_forward(loop, cert) for loop, cert in certs]
     assert all(H.verify_certificate(*image) == (True, None) for image in images)
     # not vacuous: a pairing blind above handle 16 rejects every image reaching past it

@@ -152,10 +152,10 @@ PINNED_REPORTS = [
      "762b0c8885f01ff85b15cd005da20a23940cd58f06ced793ec22934f49092421",
      "6089e5d752eb9dbc673149d2fb0759c5e5da00b3c97965b6e8189b79abe6c473"),
     (["--seed", "2", "--g", "3", "--k", "2", "--steps", "8"],
-     "a79c40a47c093da2ee91aa88bd55ebb8da6aa19801df2b4134bc89c8ca20b11f",
+     "f363340f1ddda62c7b0ab9dad0b35e68429ea2cec6e52371d0d4889f738e078c",
      "e8143cf5ed4a165f53e40fb358498949090fe589e469137fd859ea92c501dc45"),
     (["--seed", "3", "--g", "4", "--k", "3", "--steps", "8"],
-     "784b3264516a6690eae819a69a5e03f7b8172685938228809c3be7ceb73ffce1",
+     "29cf8cbf7e0f03152d19a9e92f4fe13c69517ba7c2b69372bfedb998b0e10d82",
      "cc8c0ba476ee7146526adec9ff8cc3faea2e8ac963149d6ac9e1d2cc6e6b45d3"),
 ]
 

@@ -588,8 +588,8 @@ def test_contract_eight_step_walk_g4_k2():
 
 
 def _k3_loop(steps=2):
-    """A fixed k=3 loop at g=3: 7 edges and 37 fills, or 13 edges and 309
-    fills at steps=8."""
+    """A fixed k=3 loop at g=3: 7 edges and 7 fills, or 13 edges and 106
+    fills at steps=8 (37 and 309 by the bridge over a fresh curve)."""
     u = zu(3)
     loop = walks.random_closed_walk(u, 3, 3, random.Random(1), steps=steps)
     assert loop is not None
@@ -652,6 +652,12 @@ def _criterion6_loops(n=104):
     return out
 
 
+def _bridge_only(monkeypatch):
+    """Switch off the loop's own centers: every k >= 2 loop with no common
+    curve is bridged over a fresh curve, which nests deeper and fills more."""
+    monkeypatch.setattr(H, "_own_center", lambda *a, **kw: None)
+
+
 # the eager shift, lift and inversion the prover once applied at every level
 def _shifted(s, delta):
     return H.Step(s.op, s.at + delta, s.old, s.new, s.kind)
@@ -696,15 +702,18 @@ def test_flatten_matches_eager_composition_on_nested_views():
     assert all(x is y for x, y in zip(H.flatten([steps[:3], H.Steps(steps[3:])]), steps))
 
 
-def test_flatten_matches_eager_composition_on_criterion_6_loops():
+def test_flatten_matches_eager_composition_on_criterion_6_loops(monkeypatch):
     fills = 0
-    for g, k, u, loop in _criterion6_loops():
-        if k >= 2:
-            tree = H._contract(H.Prover(u), loop)  # the composition that contract flattens
-            flat = H.flatten(tree)
-            assert flat == _eager(tree)
-            assert H.verify_certificate(u, loop, flat)[0]
-            fills += sum(s.op == H.CELL_FILL for s in flat)
+    for own in (True, False):
+        if not own:  # the bridge route nests deeper: 1,523 of the fills
+            _bridge_only(monkeypatch)
+        for g, k, u, loop in _criterion6_loops():
+            if k >= 2:
+                tree = H._contract(H.Prover(u), loop)  # the composition that contract flattens
+                flat = H.flatten(tree)
+                assert flat == _eager(tree)
+                assert H.verify_certificate(u, loop, flat)[0]
+                fills += sum(s.op == H.CELL_FILL for s in flat)
     assert fills > 1000
 
 
@@ -714,7 +723,8 @@ def test_contract_builds_at_most_two_steps_per_final_step(monkeypatch):
     monkeypatch.setattr(H, "Step", lambda *a, **kw: built.append(1) or step(*a, **kw))
     final = 0
     for fan in (True, False):
-        if not fan:  # the escort route nests the deepest compositions
+        if not fan:  # the bridge and escort routes nest the deepest compositions
+            _bridge_only(monkeypatch)
             monkeypatch.setattr(H, "_fan_center", lambda *a: None)
         for g, k, u, loop in _criterion6_loops():
             if k == 3 and g >= 4:
@@ -754,35 +764,85 @@ def test_replay_tests_only_what_each_step_adds(monkeypatch):
         totals[0] += len(cuts)
         totals[1] += len(edges)
     # testing every window in full made 26,062 cut tests and 29,389 edge tests
-    # on the escort route's certificates, which then took 7,655 and 14,832
-    assert totals == [2_906, 4_325]
+    # on the escort route's certificates, which then took 7,655 and 14,832;
+    # the bridge route's took 2,906 and 4,325
+    assert totals == [1_199, 1_389]
 
 
 def test_fan_sets_the_corpus_counts():
     """Fans cut the corpus certificates from 13,868 steps (6,877 triangles)
-    to 4,385, and the handles drawn from 75 at most and 207 in all."""
+    to 4,385 (1,119), and the handles drawn from 75 at most and 207 in all
+    to 22 and 55.  Contracting k >= 2 loops about their own curves, not
+    over a fresh one, cuts them to 1,223 steps (171) and 6 and 8 handles."""
     certs = _criterion6_certs()
     steps = [s for *_, cert in certs for s in cert]
     # a regenerated loop's universe is where the cached one stood before contract
     drawn = [u.room.used - fresh.room.used for (*_, fresh, _), (_, u, *_) in zip(_criterion6_loops(), certs)]
-    assert (len(steps), sum(s.kind == "triangle" for s in steps)) == (4_385, 1_119)
-    assert (max(drawn), sum(drawn)) == (22, 55)
+    assert (len(steps), sum(s.kind == "triangle" for s in steps)) == (1_223, 171)
+    assert (max(drawn), sum(drawn)) == (6, 8)
 
 
-def test_escort_route_keeps_its_certificates(monkeypatch):
-    """With no fan center, contract takes the escort route alone, and its
-    corpus reports (each universe at its loop's genus, as perfbench/work.py
-    builds it) hash to the contract-verify pass digest of the escort-only
-    prover: the fallback is pinned byte for byte."""
+def test_area_per_loop_edge_on_graded_loops():
+    """Area as a number: 12 seeded loops per walk of 4, 8, 12 and 16 steps,
+    at k = 2, g = 3 and at k = 3, g = 4, each contracted in a fresh
+    universe.  Per walk length, the median loop takes at most `steps`
+    certificate steps and draws at most `drawn` handles per loop edge, and
+    no loop draws more than `most` handles.  Measured: at k = 3, 3.1 / 4.0 /
+    9.0 / 11.6 steps per edge (28 / 51.5 / 121.5 / 243.5 steps a loop) and
+    2 / 6 / 4 / 9 handles at most; at k = 2, 0.5 / 0.5 / 2.0 / 2.0 and
+    1 / 2 / 2 / 4.  Bridging every k >= 2 loop over a fresh curve took
+    6.2 / 71 / 73 / 72 and 33 / 39 / 39 / 51 at k = 3, and 0.5 / 0.5 / 4.9 /
+    4.5 and 7 / 1 / 8 / 8 at k = 2."""
+    from statistics import median
+
+    bounds = {2: (4, 0.25, 6), 3: (20, 0.5, 16)}  # k: (steps, drawn, most)
+    table = {}
+    for k, g in ((2, 3), (3, 4)):
+        for walk in (4, 8, 12, 16):
+            rng = random.Random(100 * k + walk)
+            rows = []
+            while len(rows) < 12:
+                loop = walks.random_closed_walk(zu(g), g, k, rng, steps=walk, max_len=64)
+                if loop is None:
+                    continue
+                u = zu(g)
+                before = u.room.used
+                steps = H.contract(H.Prover(u), loop)
+                assert H.verify_certificate(u, loop, steps) == (True, None)
+                rows.append((len(loop) - 1, len(steps), u.room.used - before))
+            table[k, walk] = (median(n / e for e, n, _ in rows), median(d / e for e, _, d in rows), max(d for *_, d in rows))
+    for (k, walk), row in table.items():
+        assert all(x <= bound for x, bound in zip(row, bounds[k])), (k, walk, row, table)
+
+
+def _corpus_report_digest():
+    """sha256 of the corpus reports, each universe at its loop's genus as
+    perfbench/work.py builds it: the contract-verify pass digest."""
     import hashlib
 
-    monkeypatch.setattr(H, "_fan_center", lambda *a: None)
     digest = hashlib.sha256()
     for g, k, _, loop in _criterion6_loops():
         u = zu(max(c.g for v in loop for c in v))
         cert = H.HomotopyCertificate(H.contract(H.Prover(u), loop))
         digest.update(json.dumps({"loop": H.loop_to_json(loop), "certificate": cert.to_json()}, sort_keys=True).encode())
-    assert digest.hexdigest() == "62538663b5b02371a00eeb735466afc0a22f0a1632295e3e41cc63ebaa633e50"
+    return digest.hexdigest()
+
+
+def test_bridge_route_keeps_its_certificates(monkeypatch):
+    """With no own center, contract bridges every k >= 2 loop over a fresh
+    curve, and the corpus reports hash to the pass digest of the prover
+    that always bridged: that fallback is pinned byte for byte."""
+    _bridge_only(monkeypatch)
+    assert _corpus_report_digest() == "4b39e36942314c712c27aff72d21c1239869cb89f24725fd0d153cad849bab55"
+
+
+def test_escort_route_keeps_its_certificates(monkeypatch):
+    """With no own center and no fan center, contract takes the bridge and
+    the escort routes alone, and the corpus reports hash to the pass digest
+    of the escort-only prover: that fallback is pinned byte for byte."""
+    _bridge_only(monkeypatch)
+    monkeypatch.setattr(H, "_fan_center", lambda *a: None)
+    assert _corpus_report_digest() == "62538663b5b02371a00eeb735466afc0a22f0a1632295e3e41cc63ebaa633e50"
 
 
 def test_f2_prefilter_says_no_only_when_no_sign_pattern_solves():
@@ -1038,7 +1098,7 @@ def test_prover_postconditions_raise_contraction_error(call, message):
 
 
 # sha256 of the certificate JSON that contract gives for _k3_loop()
-K3_DIGEST = "17e0ecac24a8960b9f03fc865926b138e57dd936a41b5007aedca2e7f712d864"
+K3_DIGEST = "85a843526eaff1ad7a4e7aa6abef019cc7b3284bc27df3ff20e4c1958887211b"
 
 
 def test_contract_digest_under_optimize_flag():
@@ -1235,9 +1295,10 @@ def test_a_high_genus_loop_curve_costs_memory_by_its_size():
 
 def test_criterion_6_certificates_fit_in_a_megabyte():
     # each vertex is written once; spelling out every window's vertex lists
-    # took 1,988,721 bytes, and the escort route's certificates 887,054
+    # took 1,988,721 bytes, the escort route's certificates 887,054 and the
+    # bridge route's 263,657
     texts = [json.dumps(_cert(steps).to_json()) for k, u, loop, steps in _criterion6_certs()]
-    assert sum(map(len, texts)) == 263_657 < 1_000_000
+    assert sum(map(len, texts)) == 72_559 < 1_000_000
 
 
 def test_certificate_codec_writes_and_reads_each_vertex_once():
