@@ -941,9 +941,21 @@ def _merge_a0(prover, rw, a0, a1, e1, e2):
     rw.replace(e1, e2 - e1, r1[:-1] + r2, lambda loop: sp_radius0(prover, loop, a1))
 
 
+def _near_target(sub, mid, a0):
+    """mid with one curve swapped for a0 (curves meeting a0 once first), a
+    cut system in sub's context; None when no swap is."""
+    for y in sorted(mid, key=lambda y: sub.u.inter(y, a0) != 1):
+        w = tuple(sorted(tuple(c for c in mid if c != y) + (a0,)))
+        if sub.cut_ok(w):
+            return w
+    return None
+
+
 def _case1(prover, rw, a0, a1, a2, e1, e2):
     """The junction move swaps the segment curve for one disjoint from a0:
-    ladder across the cut along the meeting pair."""
+    ladder across the cut along the meeting pair.  The rails run from mid to
+    mid itself or a neighbour holding a0, to a fresh fill of a0 only when no
+    neighbour is a cut system."""
     u = prover.u
     v1, v2, after = rw.path[e1], rw.path[e2], rw.path[e2 + 1]
     _ensure(u.inter(a1, a2) == 1, "junction curves do not meet once")
@@ -952,7 +964,7 @@ def _case1(prover, rw, a0, a1, a2, e1, e2):
     if a0 in mid:
         target = sub.vertex(mid)
     else:
-        target = sub.fresh_fill([a0], len(mid) - 1)
+        target = _near_target(sub, mid, a0) or sub.fresh_fill([a0], len(mid) - 1)
     q = connect(sub, sub.vertex(mid), target)
     rail_b = [prover.vertex(x + (a1,)) for x in q]  # from v2 to u1
     rail_t = [prover.vertex(x + (a2,)) for x in q]  # from `after` to u2

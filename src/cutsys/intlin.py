@@ -120,12 +120,29 @@ def is_primitive_stack(m):
     """True iff the rows of m span a full-rank-primitive sublattice.
 
     Equivalently, m has all Smith invariant factors equal to 1 (the rows are
-    independent and extend to a basis of the ambient lattice).
+    independent and extend to a basis of the ambient lattice).  Row by row:
+    a row needs gcd 1, Euclid by column operations gives it a unit entry, and
+    the unit clears its column from the other rows, which go on without it.
     """
-    if not m:
-        return True
-    facs = invariant_factors(m)
-    return len(facs) == len(m) and all(f == 1 for f in facs)
+    a = [list(row) for row in m]
+    while a:
+        top = a.pop()
+        if gcd(*top) != 1:
+            return False
+        while True:
+            p = min((j for j, x in enumerate(top) if x), key=lambda j: abs(top[j]))
+            if abs(top[p]) == 1:
+                break
+            for j, x in enumerate(top):
+                if x and j != p:
+                    q = x // top[p]
+                    for row in a + [top]:
+                        row[j] -= q * row[p]
+        for row in a:
+            f = row[p] * top[p]
+            row[:] = [x - f * y for x, y in zip(row, top)]
+            del row[p]
+    return True
 
 
 def solve_integer(m, rhs):

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -7,6 +10,7 @@ from cutsys import cli, homotopy
 from cutsys import complexes as cx
 from cutsys.sympcurves import HClass, SympSpace
 from cutsys.universe import make_universe
+from test_intlin import SNF_STALL_6X6
 
 
 def run(argv):
@@ -155,7 +159,7 @@ PINNED_REPORTS = [
      "f363340f1ddda62c7b0ab9dad0b35e68429ea2cec6e52371d0d4889f738e078c",
      "e8143cf5ed4a165f53e40fb358498949090fe589e469137fd859ea92c501dc45"),
     (["--seed", "3", "--g", "4", "--k", "3", "--steps", "8"],
-     "29cf8cbf7e0f03152d19a9e92f4fe13c69517ba7c2b69372bfedb998b0e10d82",
+     "cb7de81bc3ec4e566909c14f987b7d60ac340a0c13da69b53ea005446f8de54c",
      "cc8c0ba476ee7146526adec9ff8cc3faea2e8ac963149d6ac9e1d2cc6e6b45d3"),
 ]
 
@@ -178,10 +182,6 @@ def test_contract_report_pinned(tmp_path, argv, cert_digest, loop_digest):
 def test_contract_reports_pinned_at_other_addresses(tmp_path):
     # classes hash by identity, so their addresses must not reach a report:
     # unrelated allocations before and between the runs move every class
-    import os
-    import subprocess
-    import sys
-
     script = """
 import json, sys
 keep = [bytearray(i % 97 + 1) for i in range(30000)]
@@ -229,6 +229,27 @@ def test_verify_a_report_shifted_up_100000_handles(tmp_path):
     v = tmp_path / "v.json"
     assert run(["verify", str(shifted), "--out", str(v)]) == 0
     assert json.loads(v.read_text()) == {"verified": True, "failing_step": None}
+
+
+def test_verify_decides_a_six_curve_cut_test_quickly(tmp_path):
+    # curves with no b-coordinates are pairwise orthogonal, so a vertex of six
+    # curves carrying SNF_STALL_6X6 on a1..a6 sends the loop's cut test to the
+    # primitivity test; the Smith form ran past 30 s on it
+    vertex = []
+    for row in SNF_STALL_6X6:
+        row = [-x for x in row] if row[0] < 0 else row  # the canonical sign
+        pairs = [[2 * j, x] for j, x in enumerate(row) if x]
+        vertex.append([pairs[-1][0] // 2 + 1, pairs])
+    report = tmp_path / "r.json"
+    report.write_text(json.dumps({"loop": [vertex], "certificate": {"curves": [], "vertices": [], "steps": []}}))
+    assert len(report.read_bytes()) == 432
+    v = tmp_path / "v.json"
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-m", "cutsys.cli", "verify", str(report), "--out", str(v)],
+                         env=env, capture_output=True, text=True, timeout=2)
+    assert out.returncode == 1, out.stderr
+    assert json.loads(v.read_text()) == {"verified": False, "failing_step": -1}
 
 
 def _break_loop_key(data):

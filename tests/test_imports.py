@@ -61,6 +61,7 @@ UNREFERENCED_OK = {
     "complexes.f2_gamma1_eccentricity": "called by perfbench/work.py (f2-diameter)",
     "complexes.f2_gamma_k2_eccentricity": "called by perfbench/work.py (f2-diameter)",
     "complexes.f2_count_vertices_k2": "called by perfbench/work.py (f2-diameter)",
+    "intlin.invariant_factors": "traced by perfbench/layertrace.py; the tests' Smith oracle",
 }
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 
 import pytest
 
@@ -90,6 +91,72 @@ def test_primitive_stack():
     assert intlin.is_primitive_stack([[1, 0, 0, 0], [0, 0, 1, 0]])
     assert not intlin.is_primitive_stack([[1, 0, 0, 0], [1, 0, 2, 0]])
     assert intlin.is_primitive_stack([])
+    assert not intlin.is_primitive_stack([[]])
+    assert not intlin.is_primitive_stack([[0, 0]])
+    assert not intlin.is_primitive_stack([[1, 2], [2, 4]])  # dependent rows
+    assert intlin.is_primitive_stack([[6, 10, 15]])  # gcd 1, no unit entry
+
+
+# the Smith form's alternating row and column Euclid did not finish on this
+# matrix within 60 s
+SNF_STALL_6X6 = [
+    [-13, -16, 2, -12, -2, 11],
+    [-19, 7, 4, 15, -19, 18],
+    [2, 8, 19, 16, -5, -3],
+    [-3, -12, 2, 8, -4, 0],
+    [15, 4, -8, -29, 31, -15],
+    [-10, 9, -5, -8, 2, 10],
+]
+
+
+def _primitive_by_snf(m):
+    """Oracle: all Smith invariant factors 1, one per row."""
+    facs = intlin.invariant_factors(m)
+    return len(facs) == len(m) and all(f == 1 for f in facs)
+
+
+def _primitivity_cases(rng, count, size, entry):
+    """Seeded matrices up to size x (size + 1): every other one has entries
+    up to `entry`, the rest are sparse with small entries, most of them
+    primitive."""
+    out = []
+    for t in range(count):
+        rows, cols = rng.randint(1, size), rng.randint(1, size + 1)
+        pick = (lambda: rng.randint(-entry, entry)) if t % 2 else (lambda: rng.choice((0, 0, 0, 1, -1, 2, -3)))
+        out.append([[pick() for _ in range(cols)] for _ in range(rows)])
+    return out
+
+
+def test_primitive_stack_decides_the_stalling_matrix_quickly():
+    t0 = time.perf_counter()
+    assert not intlin.is_primitive_stack(SNF_STALL_6X6)
+    rng = random.Random(10)
+    big = [[rng.randint(-1000, 1000) for _ in range(9)] for _ in range(8)]
+    intlin.is_primitive_stack(big)
+    assert time.perf_counter() - t0 < 0.5
+
+
+def test_primitive_stack_matches_the_smith_form():
+    rng = random.Random(32)
+    cases = _primitivity_cases(rng, 5000, 5, 6)
+    got = [intlin.is_primitive_stack(m) for m in cases]
+    assert got == [_primitive_by_snf(m) for m in cases]
+    assert 1000 < sum(got) < 4000
+
+
+def test_primitive_stack_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+    from sympy.polys.domains import ZZ
+
+    def primitive(m):
+        facs = [abs(int(f)) for f in invariant_factors(sympy.Matrix(m), domain=ZZ) if f]
+        return len(facs) == len(m) and all(f == 1 for f in facs)
+
+    cases = _primitivity_cases(random.Random(33), 1500, 6, 40) + [SNF_STALL_6X6]
+    got = [intlin.is_primitive_stack(m) for m in cases]
+    assert got == [primitive(m) for m in cases]
+    assert 300 < sum(got) < 1200
 
 
 def test_big_integers_no_overflow():
