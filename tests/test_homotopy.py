@@ -589,8 +589,8 @@ def test_contract_eight_step_walk_g4_k2():
 
 def _k3_loop(steps=2):
     """A fixed k=3 loop at g=3: 7 edges and 7 fills, or 13 edges and 11
-    fills at steps=8 (106 with the case-1 rails run to a fresh fill, 309 by
-    the bridge over a fresh curve)."""
+    fills at steps=8 (106 with the case-1 rails run to a fresh fill; 37 and
+    309 by the bridge over a fresh curve)."""
     u = zu(3)
     loop = walks.random_closed_walk(u, 3, 3, random.Random(1), steps=steps)
     assert loop is not None
@@ -874,7 +874,7 @@ def test_case1_falls_back_to_a_fresh_fill(monkeypatch):
     to a fresh fill of a0, which draws handles, and the certificate still
     verifies."""
     asked = []
-    monkeypatch.setattr(H, "_near_target", lambda *a: asked.append(a))
+    monkeypatch.setattr(H, "_near_target", lambda *a: asked.append(a))  # records the call, returns None
     u, loop = _k3_loop(steps=8)
     before = u.room.used
     steps = H.contract(H.Prover(u), loop)
